@@ -306,7 +306,7 @@ def certify_table(q: QTuple, bound: int, jobs: int = 1, table: BracketTable | No
             violations.append(
                 {"m": list(m), "denominator": prof.lcm_denominator, "poly": poly.text()}
             )
-        if any(sum(e) % 2 for e in poly.terms):
+        if any(sum(e) % 2 for e in poly.num):
             even_ok = False
     if violations and q.is_odd():
         worst = violations[0]

@@ -1,19 +1,31 @@
 """Sparse multivariate polynomials over exact rationals.
 
-MultiPoly is the workhorse: a map from exponent vectors to nonzero Fraction
-coefficients, keyed to an ordered VarSet.  UPoly layers a dense univariate
-polynomial (in an auxiliary indeterminate) over MultiPoly coefficients; it
-carries the parity predicates and affine reindexing used by the odd-form
-machinery.  Everything is immutable by convention and arithmetic is exact.
+MultiPoly is the workhorse.  It stores integer numerators keyed by exponent
+vectors (`num`) over one common positive denominator (`den`), keyed to an
+ordered VarSet; the polynomial is sum(num[e] * x^e) / den.  Every
+construction normalises, so the representation is canonical: no numerator
+is zero, gcd(den, every numerator) == 1, and the zero polynomial has
+den == 1.  The arithmetic kernels work on these integers and never build a
+Fraction per term; `terms` is the Fraction-valued view for callers that want
+coefficients.
+
+UPoly layers a dense univariate polynomial (in an auxiliary indeterminate)
+over MultiPoly coefficients; it carries the parity predicates and affine
+reindexing used by the odd-form machinery.  Everything is immutable by
+convention and arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import val2
+#: Deepest nesting of parentheses and chained unary signs a polynomial or
+#: spec expression may use; deeper input is a parse error, not a crash.
+MAX_NESTING = 100
 
 
 class InexactDivisionError(ArithmeticError):
@@ -67,15 +79,42 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
 
+def _pack(cols: list[tuple[int, ...]], width: int, count: int) -> Sequence[int]:
+    """Packed keys of `count` monomials given as exponent columns (one tuple
+    per variable): the exponents side by side in width-bit fields, first
+    variable highest."""
+    if not cols:
+        return [0] * count
+    keys = cols[0]
+    for col in cols[1:]:
+        keys = [(k << width) | e for k, e in zip(keys, col)]
+    return keys
+
+
+def _unpack(keys: Iterable[int], width: int, nvars: int) -> Iterable[tuple[int, ...]]:
+    """Exponent tuples of packed keys; inverse of _pack."""
+    keys = list(keys)
+    if not nvars:
+        return [()] * len(keys)
+    mask = (1 << width) - 1
+    cols = [[k >> (width * (nvars - 1)) for k in keys]]
+    for i in range(nvars - 2, -1, -1):
+        shift = width * i
+        cols.append([(k >> shift) & mask for k in keys])
+    return zip(*cols)
+
+
 class MultiPoly:
     """Sparse polynomial with rational coefficients over a fixed VarSet.
 
-    Zero coefficients are never stored; the zero polynomial has an empty
-    term map.  Monomials print in descending graded-lexicographic order,
-    which makes text() a canonical form.
+    Stored as integer numerators `num` (exponent tuple -> nonzero int) over
+    one denominator `den`, in lowest terms: gcd(den, *num.values()) == 1,
+    and den == 1 when num is empty.  Two equal polynomials therefore have
+    equal (vs, den, num).  Monomials print in descending graded-lexicographic
+    order, which makes text() a canonical form.
     """
 
-    __slots__ = ("vs", "terms")
+    __slots__ = ("vs", "num", "den", "_terms")
 
     def __init__(self, vs: VarSet, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         nvars = len(vs)
@@ -87,29 +126,49 @@ class MultiPoly:
             c = Fraction(coef)
             if c:
                 clean[exps] = c
+        # each coefficient is in lowest terms, so over the lcm of their
+        # denominators the numerators already share no factor with it
+        den = lcm(*(c.denominator for c in clean.values()))
         self.vs = vs
-        self.terms = clean
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.den = den
+        self._terms = None
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, vs: VarSet, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
-        # Internal fast path: caller guarantees normalized terms.
+    def _new(cls, vs: VarSet, num: dict[tuple[int, ...], int], den: int) -> "MultiPoly":
+        # Internal fast path: caller guarantees the normalised form.
         self = cls.__new__(cls)
         self.vs = vs
-        self.terms = terms
+        self.num = num
+        self.den = den
+        self._terms = None
         return self
 
     @classmethod
+    def _make(cls, vs: VarSet, num: dict[tuple[int, ...], int], den: int) -> "MultiPoly":
+        # Internal: nonzero numerators over den > 0, reduced to lowest terms here.
+        if den != 1:
+            if not num:
+                den = 1
+            else:
+                g = gcd(den, *num.values())
+                if g != 1:
+                    den //= g
+                    num = {e: c // g for e, c in num.items()}
+        return cls._new(vs, num, den)
+
+    @classmethod
     def zero(cls, vs: VarSet) -> "MultiPoly":
-        return cls._raw(vs, {})
+        return cls._new(vs, {}, 1)
 
     @classmethod
     def const(cls, vs: VarSet, value) -> "MultiPoly":
         c = Fraction(value)
         if not c:
             return cls.zero(vs)
-        return cls._raw(vs, {(0,) * len(vs): c})
+        return cls._new(vs, {(0,) * len(vs): c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, vs: VarSet) -> "MultiPoly":
@@ -119,7 +178,7 @@ class MultiPoly:
     def variable(cls, vs: VarSet, name: str) -> "MultiPoly":
         exps = [0] * len(vs)
         exps[vs.index(name)] = 1
-        return cls._raw(vs, {tuple(exps): Fraction(1)})
+        return cls._new(vs, {tuple(exps): 1}, 1)
 
     @classmethod
     def monomial(cls, vs: VarSet, exps: Sequence[int], coef) -> "MultiPoly":
@@ -127,20 +186,33 @@ class MultiPoly:
 
     # -- predicates and views ----------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Read-only map from exponent vector to nonzero Fraction coefficient."""
+        view = self._terms
+        if view is None:
+            den = self.den
+            if den == 1:  # Fraction(c) skips the gcd that Fraction(c, 1) runs
+                view = {e: Fraction(c) for e, c in self.num.items()}
+            else:
+                view = {e: Fraction(c, den) for e, c in self.num.items()}
+            view = self._terms = MappingProxyType(view)
+        return view
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self.text()}")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(next(iter(self.num.values()), 0), self.den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.num), default=-1)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -153,52 +225,92 @@ class MultiPoly:
             return MultiPoly.const(self.vs, other)
         return NotImplemented
 
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other, over the lcm of the two denominators."""
+        if not other.num:
+            return self
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, sign * (den // other.den)
+        out = dict(self.num) if s1 == 1 else {e: c * s1 for e, c in self.num.items()}
+        add = other.num if s2 == 1 else {e: c * s2 for e, c in other.num.items()}
+        get = out.get
+        for e, c in add.items():
+            s = get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return MultiPoly._make(self.vs, out, den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly._raw(self.vs, out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._raw(self.vs, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._new(self.vs, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, c: Fraction | int) -> "MultiPoly":
+        """self * c for a nonzero rational c = p/q, reduced in one step: p
+        only shares factors with den, q only with the numerators' content."""
+        p, q = c.numerator, c.denominator
+        den = self.den
+        g = gcd(p, den)
+        if g != 1:
+            p //= g
+            den //= g
+        if q != 1:
+            g = gcd(q, *self.num.values())
+            if g != 1:
+                q //= g
+                return MultiPoly._new(
+                    self.vs, {e: k // g * p for e, k in self.num.items()}, den * q
+                )
+            den *= q
+        if p == 1:
+            num = self.num
+        else:
+            num = {e: k * p for e, k in self.num.items()}
+        return MultiPoly._new(self.vs, num, den)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other or not self.num:
                 return MultiPoly.zero(self.vs)
-            return MultiPoly._raw(self.vs, {e: k * c for e, k in self.terms.items()})
+            return self._scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly._raw(self.vs, out)
+        if not self.num or not other.num:
+            return MultiPoly.zero(self.vs)
+        # Monagan-Pearce packed exponents: one int per monomial, with fields
+        # wide enough that adding two keys never carries between variables
+        cols1, cols2 = list(zip(*self.num)), list(zip(*other.num))
+        top = max(map(max, cols1), default=0) + max(map(max, cols2), default=0)
+        width = top.bit_length()
+        right = list(zip(_pack(cols2, width, len(other.num)), other.num.values()))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k1, c1 in zip(_pack(cols1, width, len(self.num)), self.num.values()):
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        if 0 in acc.values():
+            acc = {k: c for k, c in acc.items() if c}
+        out = dict(zip(_unpack(acc, width, len(self.vs)), acc.values()))
+        return MultiPoly._make(self.vs, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -227,10 +339,10 @@ class MultiPoly:
             if isinstance(other, (int, Fraction)):
                 return self.is_constant() and self.constant_value() == Fraction(other)
             return NotImplemented
-        return self.vs == other.vs and self.terms == other.terms
+        return self.vs == other.vs and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.vs, frozenset(self.terms.items())))
+        return hash((self.vs, self.den, frozenset(self.num.items())))
 
     # -- evaluation and substitution -----------------------------------------
 
@@ -242,30 +354,23 @@ class MultiPoly:
                 raise ValueError(f"missing assignment for variable {name!r}")
             vals.append(Fraction(point[name]))
         total = Fraction(0)
-        for exps, coef in self.terms.items():
+        for exps, coef in self.num.items():
             term = coef
             for v, e in zip(vals, exps):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return total / self.den
 
     def subst_value(self, name: str, value: Fraction | int) -> "MultiPoly":
         """Substitute a rational value for one variable; VarSet is unchanged."""
         i = self.vs.index(name)
         value = Fraction(value)
         out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coef in self.terms.items():
-            c = coef * value ** exps[i]
-            if not c:
-                continue
+        for exps, coef in self.num.items():
             e = exps[:i] + (0,) + exps[i + 1 :]
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly._raw(self.vs, out)
+            out[e] = out.get(e, 0) + coef * value ** exps[i]
+        return MultiPoly(self.vs, {e: c / self.den for e, c in out.items()})
 
     def cast(self, vs: VarSet) -> "MultiPoly":
         """Reinterpret over another VarSet, matching variables by name.
@@ -277,17 +382,17 @@ class MultiPoly:
             try:
                 positions.append(vs.index(name))
             except KeyError:
-                if any(e[i] for e in self.terms):
+                if any(e[i] for e in self.num):
                     raise
                 positions.append(None)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coef in self.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for exps, coef in self.num.items():
             e = [0] * len(vs)
             for i, p in enumerate(positions):
                 if exps[i]:
                     e[p] = exps[i]
             out[tuple(e)] = coef
-        return MultiPoly._raw(vs, out)
+        return MultiPoly._new(vs, out, self.den)
 
     # -- canonical text -------------------------------------------------------
 
@@ -295,20 +400,23 @@ class MultiPoly:
         """Canonical form: monomials in descending graded-lex order, explicit
         * and ^, rational coefficients as p/q.  Round-trips through parse_poly.
         """
-        if not self.terms:
+        if not self.num:
             return "0"
+        den = self.den
         pieces = []
-        for exps in sorted(self.terms, key=_grlex_key, reverse=True):
-            coef = self.terms[exps]
+        for exps in sorted(self.num, key=_grlex_key, reverse=True):
+            coef = self.num[exps]
+            g = gcd(coef, den)
+            p, q = abs(coef) // g, den // g
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.vs.names, exps)
                 if e
             )
-            mag = abs(coef)
+            mag = str(p) if q == 1 else f"{p}/{q}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif p == 1 and q == 1:
                 body = mono
             else:
                 body = f"{mag}*{mono}"
@@ -323,18 +431,29 @@ class MultiPoly:
         return f"MultiPoly({self.text()!r} over {self.vs.names})"
 
 
+def _join(vs: VarSet, parts: list[tuple[dict[tuple[int, ...], int], int]]) -> MultiPoly:
+    """Sum of normalised (num, den) parts whose monomials are pairwise
+    distinct.  Over the lcm of the denominators the result is normalised
+    already, for the same reason as in MultiPoly.__init__."""
+    den = lcm(*(d for _, d in parts))
+    num: dict[tuple[int, ...], int] = {}
+    for part, d in parts:
+        s = den // d
+        for e, c in part.items():
+            num[e] = c * s
+    return MultiPoly._new(vs, num, den)
+
+
 def linear_form(vs: VarSet, coeffs: Sequence[Fraction | int]) -> MultiPoly:
     """The linear polynomial sum(coeffs[i] * vs[i])."""
     if len(coeffs) != len(vs):
         raise ValueError("coefficient count does not match variable count")
     terms = {}
     for i, c in enumerate(coeffs):
-        c = Fraction(c)
-        if c:
-            e = [0] * len(vs)
-            e[i] = 1
-            terms[tuple(e)] = c
-    return MultiPoly._raw(vs, terms)
+        e = [0] * len(vs)
+        e[i] = 1
+        terms[tuple(e)] = c
+    return MultiPoly(vs, terms)
 
 
 # -- canonical text parser ----------------------------------------------------
@@ -345,15 +464,22 @@ class _PolyParser:
 
     Grammar: sums/differences of products of powers, integer and p/q rational
     literals, parentheses.  Division is accepted only by a constant.
+    Parentheses and chained unary signs nest at most MAX_NESTING deep.
     """
 
     def __init__(self, text: str, vs: VarSet):
         self.text = text
         self.vs = vs
         self.pos = 0
+        self.depth = 0
 
     def fail(self, msg: str):
         raise ValueError(f"polynomial parse error at char {self.pos}: {msg}")
+
+    def nest(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nested deeper than {MAX_NESTING} levels")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -389,14 +515,17 @@ class _PolyParser:
         return p
 
     def expr(self) -> MultiPoly:
+        depth = self.depth
         ch = self.peek()
         sign = 1
         while ch in "+-":
             self.pos += 1
+            self.nest()
             if ch == "-":
                 sign = -sign
             ch = self.peek()
         total = self.term() * sign
+        self.depth = depth
         while True:
             ch = self.peek()
             if ch == "+":
@@ -438,14 +567,19 @@ class _PolyParser:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
+            self.nest()
             p = self.expr()
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return p
         if ch == "-":
             self.pos += 1
-            return -self.atom()
+            self.nest()
+            p = -self.atom()
+            self.depth -= 1
+            return p
         if ch.isdigit():
             return MultiPoly.const(self.vs, self.take_int())
         if ch.isalpha() or ch == "_":
@@ -562,11 +696,11 @@ class UPoly:
     def to_multipoly(self, indet: str) -> MultiPoly:
         """Flatten into a MultiPoly over vs + (indet,), indet appended last."""
         full = VarSet(self.vs.names + (indet,))
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k, coef in enumerate(self.coeffs):
-            for exps, c in coef.terms.items():
-                out[exps + (k,)] = c
-        return MultiPoly._raw(full, out)
+        parts = [
+            ({exps + (k,): c for exps, c in coef.num.items()}, coef.den)
+            for k, coef in enumerate(self.coeffs)
+        ]
+        return _join(full, parts)
 
     def text(self, indet: str = "t") -> str:
         return self.to_multipoly(indet).text()
@@ -580,12 +714,14 @@ def to_upoly(p: MultiPoly, var: str) -> UPoly:
     remaining variables."""
     i = p.vs.index(var)
     sub = p.vs.without(var)
-    buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for exps, c in p.terms.items():
+    buckets: dict[int, dict[tuple[int, ...], int]] = {}
+    for exps, c in p.num.items():
         k = exps[i]
         buckets.setdefault(k, {})[exps[:i] + exps[i + 1 :]] = c
     deg = max(buckets, default=-1)
-    return UPoly(sub, [MultiPoly._raw(sub, buckets.get(k, {})) for k in range(deg + 1)])
+    return UPoly(
+        sub, [MultiPoly._make(sub, buckets.get(k, {}), p.den) for k in range(deg + 1)]
+    )
 
 
 # -- denominator profile and exact division ------------------------------------
@@ -606,21 +742,10 @@ class DenomProfile:
 
 
 def denom_profile(p: MultiPoly) -> DenomProfile:
-    lcm = 1
-    worst = 0
-    for coef in p.terms.values():
-        d = coef.denominator
-        lcm = lcm * d // _gcd(lcm, d)
-        v = val2(coef)
-        if -v > worst:
-            worst = int(-v)
-    return DenomProfile(lcm, lcm & (lcm - 1) == 0, worst)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    # In lowest terms den is the lcm of the coefficient denominators, and when
+    # den is even some numerator is odd, so the worst 2-adic defect is val2(den).
+    den = p.den
+    return DenomProfile(den, den & (den - 1) == 0, (den & -den).bit_length() - 1)
 
 
 def exact_div_linear(p: MultiPoly, m: Sequence[int]) -> MultiPoly:
@@ -642,26 +767,26 @@ def exact_div_linear(p: MultiPoly, m: Sequence[int]) -> MultiPoly:
     rest = linear_form(p.vs, [0 if i == pivot else w for i, w in enumerate(m)])
 
     # split p by pivot exponent, zeroing the pivot slot in each part
-    parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for exps, c in p.terms.items():
+    parts: dict[int, dict[tuple[int, ...], int]] = {}
+    for exps, c in p.num.items():
         k = exps[pivot]
         stripped = exps[:pivot] + (0,) + exps[pivot + 1 :]
         parts.setdefault(k, {})[stripped] = c
-    polys = {k: MultiPoly._raw(p.vs, t) for k, t in parts.items()}
+    polys = {k: MultiPoly._make(p.vs, t, p.den) for k, t in parts.items()}
     deg = max(polys)
 
     zero = MultiPoly.zero(p.vs)
-    quot: dict[tuple[int, ...], Fraction] = {}
+    quot: list[tuple[dict[tuple[int, ...], int], int]] = []
     cur = polys.get(deg, zero)
     for k in range(deg, 0, -1):
         qk = cur * (1 / mp)
-        for exps, c in qk.terms.items():
-            e = exps[:pivot] + (k - 1,) + exps[pivot + 1 :]
-            quot[e] = c
+        quot.append(
+            ({exps[:pivot] + (k - 1,) + exps[pivot + 1 :]: c for exps, c in qk.num.items()}, qk.den)
+        )
         cur = polys.get(k - 1, zero) - qk * rest
     if not cur.is_zero():
         raise InexactDivisionError(
             f"linear division by weights {tuple(m)} leaves remainder {cur.text()}",
             remainder=cur,
         )
-    return MultiPoly._raw(p.vs, quot)
+    return _join(p.vs, quot)

@@ -11,7 +11,8 @@ whose left side is n (optionally a power of n) times the current term:
 Expressions are sums of terms, each a polynomial in n and the ring
 variables times one back-reference seq[n - i] with i >= 1; integer
 literals, + - * ^ and parentheses; whitespace-insensitive; # starts a
-comment.  The initial term seq[0] is implicitly 1 and not writable.
+comment.  Parentheses and chained unary signs nest at most MAX_NESTING
+deep.  The initial term seq[0] is implicitly 1 and not writable.
 
 The canonical pretty-printer sorts ring variables and expands every
 coefficient polynomial, so parse -> print -> parse is stable and the
@@ -24,7 +25,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .multipoly import MultiPoly, UPoly, VarSet, to_upoly
+from .multipoly import MAX_NESTING, MultiPoly, UPoly, VarSet, to_upoly
 from .sequences import ParamSeq
 
 
@@ -129,6 +130,7 @@ class _Parser:
         self.allow_refs = allow_refs
         self.vs = vs
         self.seq_name = seq_name
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -141,6 +143,11 @@ class _Parser:
     def fail(self, tok: Token, msg: str):
         raise SpecSyntaxError(tok.line, tok.col, msg)
 
+    def nest(self, tok: Token):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(tok, f"expression nested deeper than {MAX_NESTING} levels")
+
     def expect_op(self, op: str) -> Token:
         tok = self.next()
         if tok.kind != "op" or tok.value != op:
@@ -150,11 +157,15 @@ class _Parser:
     # values are dicts {None: poly} | {shift: poly, ...}; None marks the
     # pure polynomial part, integer keys mark coefficients of seq[n-shift]
     def parse_expr(self) -> dict:
+        depth = self.depth
         sign = 1
         while self.peek().kind == "op" and self.peek().value in "+-":
-            if self.next().value == "-":
+            tok = self.next()
+            self.nest(tok)
+            if tok.value == "-":
                 sign = -sign
         total = self._scaled(self.parse_term(), sign)
+        self.depth = depth
         while self.peek().kind == "op" and self.peek().value in "+-":
             neg = self.next().value == "-"
             term = self.parse_term()
@@ -172,8 +183,10 @@ class _Parser:
     def parse_factor(self) -> dict:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "-":
-            self.next()
-            return self._scaled(self.parse_factor(), -1)
+            self.nest(self.next())
+            value = self._scaled(self.parse_factor(), -1)
+            self.depth -= 1
+            return value
         value = self.parse_atom()
         if self.peek().kind == "op" and self.peek().value == "^":
             op = self.next()
@@ -190,8 +203,10 @@ class _Parser:
         if tok.kind == "int":
             return {None: MultiPoly.const(self.vs, int(tok.value))}
         if tok.kind == "op" and tok.value == "(":
+            self.nest(tok)
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         if tok.kind == "name":
             if tok.value == self.seq_name:

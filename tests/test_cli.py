@@ -199,3 +199,53 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "poly" in proc.stdout
+
+
+class TestNestingLimit:
+    """Input nested past MAX_NESTING is a parse error (exit 2), not a crash."""
+
+    DEEP_PARENS = "(" * 3000 + "{x}" + ")" * 3000
+    DEEP_MINUS = "-" * 3000 + "{x}"
+
+    @pytest.mark.parametrize("shape", [DEEP_PARENS, DEEP_MINUS], ids=["parens", "minus"])
+    def test_brackets_tuple(self, shape):
+        # "--" so that a leading minus reaches the tuple parser, not argparse
+        code, out, err = run_cli("brackets", "--", shape.format(x="t"))
+        assert code == 2
+        assert out == ""
+        assert "nested deeper than" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("shape", [DEEP_PARENS, DEEP_MINUS], ids=["parens", "minus"])
+    def test_spec_file(self, shape, tmp_path):
+        spec = tmp_path / "deep.spec"
+        spec.write_text(f"seq w;\nrec: n*w[n] = {shape.format(x='w[n-1]')};\n")
+        for command in ("gen", "certify", "expand"):
+            code, out, err = run_cli(command, "--spec", str(spec))
+            assert code == 2
+            assert out == ""
+            assert "nested deeper than" in err
+            assert "Traceback" not in err
+            assert len(err.strip().splitlines()) == 1
+
+    def test_subprocess_has_no_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "recint.cli", "brackets", self.DEEP_PARENS.format(x="t")],
+            capture_output=True,
+            text=True,
+            cwd=REPO_ROOT,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_nesting_at_the_limit_still_parses(self):
+        from recint.multipoly import MAX_NESTING
+
+        depth = MAX_NESTING // 2  # half parentheses, half signs
+        tuple_text = "-" * depth + "(" * depth + "t" + ")" * depth
+        code, out, err = run_cli("brackets", "--n", "2", "--", tuple_text)
+        assert code == 0, err
+        code, _, err = run_cli("brackets", "--n", "2", "--", "-" + tuple_text)
+        assert code == 2
+        assert "nested deeper than" in err

@@ -1,5 +1,6 @@
 """Polynomial core: sparse multivariate ring, univariate layer, exact division."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recint.multipoly import (
+    MAX_NESTING,
     DenomProfile,
     InexactDivisionError,
     MultiPoly,
@@ -226,6 +228,22 @@ class TestCanonicalText:
         assert p == q
         assert hash(p) == hash(q)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x", "x*" + "-" * 3000 + "y"],
+        ids=["parens", "leading-minus", "inner-minus"],
+    )
+    def test_parse_rejects_deep_nesting(self, text):
+        with pytest.raises(ValueError, match="nested deeper than"):
+            parse_poly(text, XY)
+
+    def test_parse_nesting_up_to_the_limit(self):
+        depth = MAX_NESTING // 2
+        text = "-" * depth + "(" * depth + "x" + ")" * depth
+        assert parse_poly(text, XY) == MultiPoly.variable(XY, "x") * (-1) ** depth
+        with pytest.raises(ValueError, match="nested deeper than"):
+            parse_poly("-" + text, XY)
+
 
 class TestUPoly:
     def test_degree_and_coeff(self):
@@ -367,3 +385,105 @@ class TestLinearForm:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             linear_form(XYZ, [1, 2])
+
+
+def assert_normalised(p: MultiPoly):
+    """The representation invariant: integer numerators over one positive
+    denominator, in lowest terms, with den == 1 for zero."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(isinstance(c, int) and c for c in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    if p.is_zero():
+        assert p.den == 1
+    assert dict(p.terms) == {e: Fraction(c, p.den) for e, c in p.num.items()}
+
+
+class TestRepresentation:
+    @given(polys(), polys())
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_after_every_operation(self, p, q):
+        for r in (
+            p,
+            p + q,
+            p - q,
+            -p,
+            p * q,
+            p * Fraction(6, 35),
+            p / Fraction(-10, 21),
+            p * 4,
+            p / 4,
+            p**2,
+            p - p,
+            p + (-p),
+            p * 0,
+            p * q - q * p,
+        ):
+            assert_normalised(r)
+
+    def test_cancellation_to_zero_resets_denominator(self):
+        p = MultiPoly(XY, {(1, 0): Fraction(1, 6), (0, 1): Fraction(5, 4)})
+        assert p.den == 12
+        for zero in (p - p, p + (-p), p * 0, p * MultiPoly.zero(XY), (p - p) / 7):
+            assert zero.is_zero()
+            assert (zero.den, zero.num) == (1, {})
+            assert zero == MultiPoly.zero(XY)
+
+    def test_sums_reduce_to_lowest_terms(self):
+        half = MultiPoly.const(XY, Fraction(1, 2))
+        x = MultiPoly.variable(XY, "x")
+        r = (x * half + half) + (x * half + half)
+        assert (r.den, r.num) == (1, {(1, 0): 1, (0, 0): 1})
+        r = MultiPoly(XY, {(1, 0): Fraction(1, 6)}) + MultiPoly(XY, {(0, 1): Fraction(1, 10)})
+        assert (r.den, r.num) == (30, {(1, 0): 5, (0, 1): 3})
+
+    def test_scalar_factors_cancel_against_both_sides(self):
+        p = MultiPoly(XY, {(1, 0): Fraction(4, 3), (0, 1): Fraction(8, 9)})
+        assert (p.den, p.num) == (9, {(1, 0): 12, (0, 1): 8})
+        r = p * Fraction(9, 4)
+        assert (r.den, r.num) == (1, {(1, 0): 3, (0, 1): 2})
+        r = p / 4
+        assert (r.den, r.num) == (9, {(1, 0): 3, (0, 1): 2})
+
+    @given(polys(), st.fractions(min_value=-9, max_value=9, max_denominator=9))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_by_any_route_means_equal_and_hash_equal(self, p, c):
+        routes = [
+            p * Fraction(2, 3) * Fraction(3, 2),
+            (p * 6) / 6,
+            p + p - p,
+            parse_poly(p.text(), XY),
+        ]
+        if c:
+            routes.append((p * c) / c)
+        for r in routes:
+            assert r == p
+            assert hash(r) == hash(p)
+            assert (r.den, r.num) == (p.den, p.num)
+
+    def test_terms_view_is_read_only(self):
+        p = MultiPoly(XY, {(1, 0): Fraction(1, 2)})
+        with pytest.raises(TypeError):
+            p.terms[(0, 0)] = Fraction(1)
+        assert p.terms == {(1, 0): Fraction(1, 2)}
+
+    def test_wide_exponents_do_not_collide(self):
+        x, y = MultiPoly.variable(XY, "x"), MultiPoly.variable(XY, "y")
+        big = MultiPoly.monomial(XY, (70000, 0), 1)
+        r = (big + y) * (big - y)
+        assert r.num == {(140000, 0): 1, (0, 2): -1}
+        assert r == MultiPoly.monomial(XY, (140000, 0), 1) - y * y
+        assert (big * x).num == {(70001, 0): 1}
+
+    def test_exponent_sums_beyond_32_bits(self):
+        e1, e2 = 2**32 + 5, 2**32 - 1
+        p = MultiPoly(XYZ, {(e1, 0, 1): 3, (0, e2, 0): Fraction(-1, 2)})
+        q = MultiPoly(XYZ, {(e2, 1, 0): 2, (1, e1, 2**33): 5})
+        r = p * q
+        assert r.terms == {
+            (e1 + e2, 1, 1): 6,
+            (e1 + 1, e1, 2**33 + 1): 15,
+            (e2, e2 + 1, 0): -1,
+            (1, e1 + e2, 2**33): Fraction(-5, 2),
+        }
+        assert max(sum(e) for e in r.terms) > 2**33
+        assert_normalised(r)
