@@ -72,7 +72,6 @@ from .series import (
     base_series,
     derivation_identity_check,
     inv_sqrt,
-    ode_residual,
     product_series,
     symmetric_square_ode,
     verify_clausen,

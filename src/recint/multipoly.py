@@ -27,6 +27,12 @@ from typing import Iterable, Mapping, Sequence
 #: spec expression may use; deeper input is a parse error, not a crash.
 MAX_NESTING = 100
 
+#: Largest exponent, total degree, sequence lag (the i of seq[n - i]) and
+#: leading power of n that a spec or CLI tuple expression may use.  The spec
+#: parser checks it before it builds a power or a product, so input over the
+#: limit is a parse error instead of a dense list of that many coefficients.
+MAX_DEGREE = 1000
+
 
 class InexactDivisionError(ArithmeticError):
     """A division that had to be exact left a remainder."""
@@ -102,6 +108,24 @@ def _unpack(keys: Iterable[int], width: int, nvars: int) -> Iterable[tuple[int, 
         shift = width * i
         cols.append([(k >> shift) & mask for k in keys])
     return zip(*cols)
+
+
+def _pair_sums(acc: dict[int, int], left: Iterable[tuple[int, int]], right: list[tuple[int, int]]):
+    """acc[k1 + k2] += c1 * c2 for every pair of packed (key, numerator)
+    terms: the one multiply loop behind MultiPoly.__mul__ and
+    sum_of_products."""
+    get = acc.get
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+
+
+def _unpacked(vs: VarSet, acc: dict[int, int], width: int, den: int) -> MultiPoly:
+    """The polynomial acc / den, with acc keyed by packed exponents."""
+    if 0 in acc.values():
+        acc = {k: c for k, c in acc.items() if c}
+    return MultiPoly._make(vs, dict(zip(_unpack(acc, width, len(vs)), acc.values())), den)
 
 
 class MultiPoly:
@@ -300,17 +324,13 @@ class MultiPoly:
         cols1, cols2 = list(zip(*self.num)), list(zip(*other.num))
         top = max(map(max, cols1), default=0) + max(map(max, cols2), default=0)
         width = top.bit_length()
-        right = list(zip(_pack(cols2, width, len(other.num)), other.num.values()))
         acc: dict[int, int] = {}
-        get = acc.get
-        for k1, c1 in zip(_pack(cols1, width, len(self.num)), self.num.values()):
-            for k2, c2 in right:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-        if 0 in acc.values():
-            acc = {k: c for k, c in acc.items() if c}
-        out = dict(zip(_unpack(acc, width, len(self.vs)), acc.values()))
-        return MultiPoly._make(self.vs, out, self.den * other.den)
+        _pair_sums(
+            acc,
+            zip(_pack(cols1, width, len(self.num)), self.num.values()),
+            list(zip(_pack(cols2, width, len(other.num)), other.num.values())),
+        )
+        return _unpacked(self.vs, acc, width, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -442,6 +462,56 @@ def _join(vs: VarSet, parts: list[tuple[dict[tuple[int, ...], int], int]]) -> Mu
         for e, c in part.items():
             num[e] = c * s
     return MultiPoly._new(vs, num, den)
+
+
+def sum_of_products(
+    vs: VarSet, groups: Iterable[Iterable[tuple[MultiPoly, MultiPoly, Fraction | int]]]
+) -> list[MultiPoly]:
+    """[sum(r * a * b for a, b, r in group) for group in groups], fused.
+
+    Every distinct operand is packed once for the whole call, at one field
+    width.  Each group keeps one packed-key accumulator over the lcm of its
+    rows' r.denominator * a.den * b.den; a row's share of that denominator,
+    times r.numerator, is folded once into the numerators of its smaller
+    operand.  Each group is normalised once, at the end.  Rows with a zero
+    weight or operand add nothing, and an empty group gives zero.
+    """
+    packing: dict[int, tuple[MultiPoly, list, int]] = {}  # id -> (p, exponent columns, top)
+    top = 0
+    all_rows = []
+    for group in groups:
+        rows = []
+        for a, b, r in group:
+            if not r or not a.num or not b.num:
+                continue
+            for p in (a, b):
+                if id(p) not in packing:
+                    if p.vs != vs:
+                        raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
+                    cols = list(zip(*p.num))
+                    packing[id(p)] = (p, cols, max(map(max, cols), default=0))
+            top = max(top, packing[id(a)][2] + packing[id(b)][2])
+            rows.append((a, b, r))
+        all_rows.append(rows)
+    width = top.bit_length()
+    packed = {
+        key: list(zip(_pack(cols, width, len(p.num)), p.num.values()))
+        for key, (p, cols, _) in packing.items()
+    }
+    out = []
+    for rows in all_rows:
+        den = lcm(*(r.denominator * a.den * b.den for a, b, r in rows))
+        acc: dict[int, int] = {}
+        for a, b, r in rows:
+            if len(a.num) > len(b.num):
+                a, b = b, a
+            left = packed[id(a)]
+            f = r.numerator * (den // (r.denominator * a.den * b.den))
+            if f != 1:
+                left = [(k, c * f) for k, c in left]
+            _pair_sums(acc, left, packed[id(b)])
+        out.append(_unpacked(vs, acc, width, den))
+    return out
 
 
 def linear_form(vs: VarSet, coeffs: Sequence[Fraction | int]) -> MultiPoly:

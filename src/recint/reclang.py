@@ -12,7 +12,8 @@ Expressions are sums of terms, each a polynomial in n and the ring
 variables times one back-reference seq[n - i] with i >= 1; integer
 literals, + - * ^ and parentheses; whitespace-insensitive; # starts a
 comment.  Parentheses and chained unary signs nest at most MAX_NESTING
-deep.  The initial term seq[0] is implicitly 1 and not writable.
+deep; exponents, degrees, lags and the leading power of n are at most
+MAX_DEGREE.  The initial term seq[0] is implicitly 1 and not writable.
 
 The canonical pretty-printer sorts ring variables and expands every
 coefficient polynomial, so parse -> print -> parse is stable and the
@@ -25,7 +26,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .multipoly import MAX_NESTING, MultiPoly, UPoly, VarSet, to_upoly
+from .multipoly import MAX_DEGREE, MAX_NESTING, MultiPoly, UPoly, VarSet, to_upoly
 from .sequences import ParamSeq
 
 
@@ -123,6 +124,23 @@ class RecurrenceSpec:
 # -- parser -------------------------------------------------------------------------
 
 
+def _int_value(tok: Token) -> int:
+    try:
+        return int(tok.value)
+    except ValueError:  # longer than Python converts from a string
+        raise SpecSyntaxError(tok.line, tok.col, "integer literal too long") from None
+
+
+def _bounded(tok: Token, value: int, what: str) -> int:
+    if value > MAX_DEGREE:
+        raise SpecSyntaxError(tok.line, tok.col, f"{what} {value} exceeds the limit {MAX_DEGREE}")
+    return value
+
+
+def _degree(value: dict) -> int:
+    return max(p.total_degree() for p in value.values())
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], allow_refs: bool, vs: VarSet, seq_name: str | None):
         self.tokens = tokens
@@ -195,13 +213,15 @@ class _Parser:
                 self.fail(exp, "exponent must be an integer literal")
             if set(value) != {None}:
                 self.fail(op, "cannot raise a sequence reference to a power")
-            return {None: value[None] ** int(exp.value)}
+            k = _bounded(exp, _int_value(exp), "exponent")
+            _bounded(op, max(_degree(value), 0) * k, "degree")
+            return {None: value[None] ** k}
         return value
 
     def parse_atom(self) -> dict:
         tok = self.next()
         if tok.kind == "int":
-            return {None: MultiPoly.const(self.vs, int(tok.value))}
+            return {None: MultiPoly.const(self.vs, _int_value(tok))}
         if tok.kind == "op" and tok.value == "(":
             self.nest(tok)
             inner = self.parse_expr()
@@ -232,7 +252,7 @@ class _Parser:
         if shift.kind != "int":
             self.fail(shift, "sequence index must have the form n - <int>")
         self.expect_op("]")
-        i = int(shift.value)
+        i = _bounded(shift, _int_value(shift), "lag")
         if i < 1:
             self.fail(shift, f"index out of declared range: n - {i}")
         return i
@@ -251,6 +271,7 @@ class _Parser:
     def _product(self, a: dict, b: dict) -> dict:
         if (set(a) - {None}) and (set(b) - {None}):
             self.fail(self.peek(), "recurrence must be linear in the sequence")
+        _bounded(self.peek(), _degree(a) + _degree(b), "degree")
         if set(b) - {None}:
             a, b = b, a
         scal = b.get(None, MultiPoly.zero(self.vs))
@@ -330,9 +351,9 @@ def parse_spec(text: str) -> RecurrenceSpec:
             if parser.peek().kind == "op" and parser.peek().value == "^":
                 parser.next()
                 ptok = parser.next()
-                if ptok.kind != "int" or int(ptok.value) < 1:
+                if ptok.kind != "int" or _int_value(ptok) < 1:
                     parser.fail(ptok, "leading power must be a positive integer")
-                lead_power = int(ptok.value)
+                lead_power = _bounded(ptok, _int_value(ptok), "leading power")
             parser.expect_op("*")
             nametok = parser.next()
             if nametok.kind != "name" or nametok.value != seq_name:

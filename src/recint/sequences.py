@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .multipoly import MultiPoly, VarSet, denom_profile
+from .multipoly import MultiPoly, VarSet, denom_profile, sum_of_products
 from .scalars import binomial, factorial
 
 RING_BC = VarSet.of("b", "c")
@@ -129,24 +130,20 @@ def u_conv(n: int, w: ParamSeq) -> ParamSeq:
 
     u[m] = sum_{k=0}^{2m} (-1)^k w[k] w[2m-k]; needs w up to index 2n.
 
-    Evaluated over the integer rescaling W[k] = k! w[k], with the mirror
-    pair (k, 2m-k) collapsed (both carry sign (-1)^k), so that every
-    intermediate coefficient stays an integer:
+    The mirror pair (k, 2m-k) is collapsed (both carry sign (-1)^k):
 
-        u[m] = ( (-1)^m binom(2m,m) W[m]^2
-                 + 2 sum_{k<m} (-1)^k binom(2m,k) W[k] W[2m-k] ) / (2m)!
+        u[m] = (-1)^m w[m]^2 + 2 sum_{k<m} (-1)^k w[k] w[2m-k]
+
+    and each u[m] is summed over the common denominator (2m)!, so that
+    every intermediate coefficient is an integer.
     """
     if len(w) < 2 * n + 1:
         raise ValueError(f"need w terms up to index {2 * n}, have {len(w) - 1}")
-    scaled = [term * factorial(k) for k, term in enumerate(w.terms[: 2 * n + 1])]
-    terms = []
-    for m in range(n + 1):
-        acc = scaled[m] * scaled[m] * ((-1) ** m * binomial(2 * m, m))
-        for k in range(m):
-            prod = scaled[k] * scaled[2 * m - k] * (2 * binomial(2 * m, k))
-            acc = acc - prod if k % 2 else acc + prod
-        terms.append(acc / factorial(2 * m))
-    return ParamSeq(w.ring, terms, "convolution")
+    groups = (
+        [(w[m], w[m], (-1) ** m)] + [(w[k], w[2 * m - k], 2 * (-1) ** k) for k in range(m)]
+        for m in range(n + 1)
+    )
+    return ParamSeq(w.ring, sum_of_products(w.ring, groups), "convolution")
 
 
 def u_bin(n: int, w: ParamSeq) -> ParamSeq:
@@ -160,31 +157,62 @@ def u_bin(n: int, w: ParamSeq) -> ParamSeq:
     ck = [MultiPoly.one(RING_BC)]
     for _ in range(n // 2):
         ck.append(ck[-1] * _C)
-    terms = []
-    for m in range(n + 1):
-        acc = MultiPoly.zero(RING_BC)
-        for k in range(m // 2 + 1):
-            coef = factorial(m - 2 * k) * binomial(m - k, k) * binomial(2 * m - 2 * k, m - k)
-            piece = ck[k] * w[m - 2 * k] * coef
-            acc = acc - piece if k % 2 else acc + piece
-        terms.append(acc if m % 2 == 0 else -acc)
-    return ParamSeq(RING_BC, terms, "binomial-formula")
+
+    def weight(m: int, k: int) -> int:
+        coef = factorial(m - 2 * k) * binomial(m - k, k) * binomial(2 * m - 2 * k, m - k)
+        return -coef if (m + k) % 2 else coef
+
+    groups = (
+        [(ck[k], w[m - 2 * k], weight(m, k)) for k in range(m // 2 + 1)] for m in range(n + 1)
+    )
+    return ParamSeq(RING_BC, sum_of_products(RING_BC, groups), "binomial-formula")
 
 
 def _embed_sqrt(p: MultiPoly) -> MultiPoly:
     """Map Z[b, c] into Z[b, s] by c -> s^2."""
     if p.vs != RING_BC:
         raise ValueError("expected a polynomial over (b, c)")
-    return MultiPoly(RING_BS, {(i, 2 * j): coef for (i, j), coef in p.terms.items()})
+    return MultiPoly._new(RING_BS, {(i, 2 * j): coef for (i, j), coef in p.num.items()}, p.den)
 
 
 def split_sqrt_parity(p: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Split a Z[b, s] polynomial into its even-in-s and odd-in-s parts."""
-    even: dict[tuple[int, int], Fraction] = {}
-    odd: dict[tuple[int, int], Fraction] = {}
-    for (i, j), coef in p.terms.items():
+    even: dict[tuple[int, int], int] = {}
+    odd: dict[tuple[int, int], int] = {}
+    for (i, j), coef in p.num.items():
         (odd if j % 2 else even)[(i, j)] = coef
-    return MultiPoly(RING_BS, even), MultiPoly(RING_BS, odd)
+    return MultiPoly._make(RING_BS, even, p.den), MultiPoly._make(RING_BS, odd, p.den)
+
+
+def _inversion_sums(u: ParamSeq, ns: Sequence[int]) -> list[MultiPoly]:
+    """inv_formula_sum(n, u) for each n in ns, sharing the inner sums.
+
+    With s^(n-k) = s^(n-m) s^(m-k), the inner sum over k does not depend
+    on n:
+
+        I(m) = sum_{k=0}^{m} (-1)^k (binomial(2m,m-k) - binomial(2m,m-k-1))
+                                * 2^(m-k) * s^(m-k) * u[k](b, s^2)
+        total(n) = sum_{m=0}^{n} (-1)^(n+m) binomial(n,m)/binomial(2m,m) * s^(n-m) * I(m)
+    """
+    top = max(ns)
+    us = [_embed_sqrt(u[k]) for k in range(top + 1)]
+    spow = [MultiPoly.monomial(RING_BS, (0, j), 1) for j in range(top + 1)]
+
+    def inner_weight(m: int, k: int) -> int:
+        return (-1) ** k * (binomial(2 * m, m - k) - binomial(2 * m, m - k - 1)) * 2 ** (m - k)
+
+    inner = sum_of_products(
+        RING_BS,
+        ([(spow[m - k], us[k], inner_weight(m, k)) for k in range(m + 1)] for m in range(top + 1)),
+    )
+
+    def outer_weight(n: int, m: int) -> Fraction:
+        return Fraction((-1) ** (n + m) * binomial(n, m), binomial(2 * m, m))
+
+    return sum_of_products(
+        RING_BS,
+        ([(spow[n - m], inner[m], outer_weight(n, m)) for m in range(n + 1)] for n in ns),
+    )
 
 
 def inv_formula_sum(n: int, u: ParamSeq) -> MultiPoly:
@@ -197,19 +225,7 @@ def inv_formula_sum(n: int, u: ParamSeq) -> MultiPoly:
     The half-integer powers of c appear as odd powers of s; they must cancel
     identically in the total (checked by the caller).
     """
-    us = [_embed_sqrt(u[k]) for k in range(n + 1)]
-    total = MultiPoly.zero(RING_BS)
-    for m in range(n + 1):
-        pref = Fraction(binomial(n, m), binomial(2 * m, m))
-        inner = MultiPoly.zero(RING_BS)
-        for k in range(m + 1):
-            c = (binomial(2 * m, m - k) - binomial(2 * m, m - k - 1)) * 2 ** (m - k)
-            if (n + m + k) % 2:
-                c = -c
-            spow = MultiPoly.monomial(RING_BS, (0, n - k), 1)
-            inner = inner + us[k] * spow * c
-        total = total + inner * pref
-    return total
+    return _inversion_sums(u, [n])[0]
 
 
 def w_inv(n: int, u: ParamSeq) -> ParamSeq:
@@ -221,15 +237,14 @@ def w_inv(n: int, u: ParamSeq) -> ParamSeq:
     if len(u) < n + 1:
         raise ValueError(f"need u terms up to index {n}, have {len(u) - 1}")
     terms = []
-    for m in range(n + 1):
-        raw = inv_formula_sum(m, u)
+    for m, raw in enumerate(_inversion_sums(u, range(n + 1))):
         even, odd = split_sqrt_parity(raw)
         if not odd.is_zero():
             raise IdentityViolationError(
                 f"inversion sum at n={m}: odd sqrt powers survive: {odd.text()}"
             )
-        reduced = MultiPoly(
-            RING_BC, {(i, j // 2): coef for (i, j), coef in even.terms.items()}
+        reduced = MultiPoly._new(
+            RING_BC, {(i, j // 2): coef for (i, j), coef in even.num.items()}, even.den
         )
         terms.append(reduced)
     return ParamSeq(RING_BC, terms, "inversion-formula")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .multipoly import MultiPoly, UPoly, VarSet
+from .multipoly import MultiPoly, UPoly, VarSet, sum_of_products
 from .scalars import binomial, factorial
 from .sequences import RING_B, RING_BC, gen_u, gen_w, poch_product
 
@@ -71,16 +71,9 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        zero = MultiPoly.zero(self.vs)
-        out = [zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.vs, self.order, out)
+        a, b = self.coeffs, other.coeffs
+        groups = ([(a[i], b[d - i], 1) for i in range(d + 1)] for d in range(self.order + 1))
+        return TruncSeries(self.vs, self.order, sum_of_products(self.vs, groups))
 
     def scale(self, factor) -> "TruncSeries":
         """Coefficientwise multiplication by a scalar or MultiPoly."""
@@ -150,22 +143,19 @@ def inv_sqrt(a: TruncSeries) -> TruncSeries:
     if a.coeffs[0] != one:
         raise ValueError("inv_sqrt requires constant term exactly 1")
     n = a.order
-    zero = MultiPoly.zero(a.vs)
-    # reciprocal r of a
-    r = [one] + [zero] * n
+    # reciprocal r of a: r[k] = -sum_{j=1}^{k} a[j] r[k-j]
+    r = [one]
     for k in range(1, n + 1):
-        acc = zero
-        for j in range(1, k + 1):
-            if not a.coeffs[j].is_zero():
-                acc = acc + a.coeffs[j] * r[k - j]
-        r[k] = -acc
-    # square root s of r
-    s = [one] + [zero] * n
+        rows = [(a.coeffs[j], r[k - j], -1) for j in range(1, k + 1)]
+        r += sum_of_products(a.vs, [rows])
+    # square root s of r: s[k] = (r[k] - sum_{i=1}^{k-1} s[i] s[k-i]) / 2,
+    # each mirror pair (i, k-i) taken once
+    half = Fraction(1, 2)
+    s = [one]
     for k in range(1, n + 1):
-        acc = r[k]
-        for i in range(1, k):
-            acc = acc - s[i] * s[k - i]
-        s[k] = acc / 2
+        rows = [(r[k], one, half)]
+        rows += [(s[i], s[k - i], -half if 2 * i == k else -1) for i in range(1, k // 2 + 1)]
+        s += sum_of_products(a.vs, [rows])
     return TruncSeries(a.vs, n, s)
 
 
@@ -188,26 +178,20 @@ class OdeOperator:
         return max((k for k, _ in self.terms), default=0)
 
     def apply(self, y: TruncSeries) -> TruncSeries:
+        """The residual sum_k p_k(t) * D^k y, truncated to its trustworthy
+        order y.order - max_order."""
         if y.vs != self.vs:
             raise ValueError("VarSet mismatch")
-        n = y.order
-        kmax = self.max_order
-        if n < kmax:
+        top = y.order - self.max_order
+        if top < 0:
             raise ValueError("series order too small for this operator")
-        zero = MultiPoly.zero(self.vs)
-        out = [zero] * (n + 1)
+        groups: list[list] = [[] for _ in range(top + 1)]
         for k, poly in self.terms:
-            # k-th derivative coefficients, exact through index n - k
-            dk = list(y.coeffs)
-            for _ in range(k):
-                dk = [(i + 1) * dk[i + 1] for i in range(len(dk) - 1)]
             for j, cj in enumerate(poly.coeffs):
-                if cj.is_zero():
-                    continue
-                for i, di in enumerate(dk):
-                    if i + j <= n and not di.is_zero():
-                        out[i + j] = out[i + j] + cj * di
-        return TruncSeries(self.vs, n - kmax, out[: n - kmax + 1])
+                # coefficient i of the k-th derivative is (i+1)...(i+k) * y[i+k]
+                for i in range(top + 1 - j):
+                    groups[i + j].append((cj, y.coeffs[i + k], factorial(i + k) // factorial(i)))
+        return TruncSeries(self.vs, top, sum_of_products(self.vs, groups))
 
 
 def base_ode(vs: VarSet = RING_BC) -> OdeOperator:
@@ -246,11 +230,6 @@ def symmetric_square_ode(vs: VarSet = RING_BC) -> OdeOperator:
             (0, UPoly(vs, [zero, -b * 4, zero, -c * 8])),
         ),
     )
-
-
-def ode_residual(op: OdeOperator, y: TruncSeries) -> TruncSeries:
-    """Apply the operator and truncate to the trustworthy order."""
-    return op.apply(y)
 
 
 # -- series built from the sequences ----------------------------------------------
@@ -416,13 +395,13 @@ def derivation_identity_check(f: TruncSeries, k: int) -> IdentityReport:
 
 def verify_ode_g(order: int) -> IdentityReport:
     """Residual of the pinned second-order operator on the base series."""
-    res = ode_residual(base_ode(), base_series(order))
+    res = base_ode().apply(base_series(order))
     zero = TruncSeries.zeros(RING_BC, res.order)
     return _report("ode-g", res.order, res, zero, note=f"series order {order}")
 
 
 def verify_ode_product(order: int) -> IdentityReport:
     """Residual of the pinned third-order operator on the product series."""
-    res = ode_residual(symmetric_square_ode(), product_series(order))
+    res = symmetric_square_ode().apply(product_series(order))
     zero = TruncSeries.zeros(RING_BC, res.order)
     return _report("ode-G", res.order, res, zero, note=f"series order {order}")

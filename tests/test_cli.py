@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from conftest import DATA_DIR, REPO_ROOT, SPECS_DIR, run_cli
+from recint.multipoly import MAX_DEGREE
+from recint.reclang import parse_poly_list, parse_spec
 
 USEQ = str(SPECS_DIR / "useq.spec")
 WSEQ = str(SPECS_DIR / "wseq.spec")
@@ -249,3 +251,56 @@ class TestNestingLimit:
         code, _, err = run_cli("brackets", "--n", "2", "--", "-" + tuple_text)
         assert code == 2
         assert "nested deeper than" in err
+
+
+class TestDegreeLimit:
+    """Exponents, degrees, lags and leading powers past MAX_DEGREE are parse
+    errors (exit 2), caught before a power or product of that size is built."""
+
+    D = MAX_DEGREE
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"t^{D + 1}", f"t^{D} * t", f"(t^2)^{D // 2 + 1}", f"t, t^{D + 1}"],
+        ids=["exponent", "product", "power", "second"],
+    )
+    def test_brackets_tuple(self, text):
+        code, out, err = run_cli("brackets", "--", text)
+        assert code == 2
+        assert out == ""
+        assert f"exceeds the limit {MAX_DEGREE}" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            f"n*w[n] = w[n-{D + 1}]",
+            f"n^{D + 1}*w[n] = w[n-1]",
+            f"n*w[n] = n^{D + 1}*w[n-1]",
+            f"n*w[n] = b^{D}*n*w[n-1]",
+        ],
+        ids=["lag", "lead-power", "exponent", "product"],
+    )
+    def test_spec_file(self, rec, tmp_path):
+        spec = tmp_path / "big.spec"
+        spec.write_text(f"ring b;\nseq w;\nrec: {rec};\n")
+        for command in ("gen", "certify", "expand"):
+            code, out, err = run_cli(command, "--spec", str(spec))
+            assert code == 2
+            assert out == ""
+            assert f"exceeds the limit {MAX_DEGREE}" in err
+            assert len(err.strip().splitlines()) == 1
+
+    def test_at_the_limit_still_parses(self):
+        (p,) = parse_poly_list(f"t^{self.D}", ("t",))
+        assert p.total_degree() == self.D
+        spec = parse_spec(f"seq w;\nrec: n^{self.D}*w[n] = w[n-{self.D}];\n")
+        assert (spec.lead_power, spec.order) == (self.D, self.D)
+
+    def test_overlong_integer_literal(self):
+        # longer than int() converts from a string: a parse error, not a ValueError
+        for text in ("t^" + "9" * 5000, "9" * 5000 + "*t"):
+            code, _, err = run_cli("brackets", "--", text)
+            assert code == 2
+            assert "integer literal too long" in err

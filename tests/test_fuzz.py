@@ -1,0 +1,110 @@
+"""Fuzzing of the spec and tuple parsers and of the CLI, with hypothesis.
+
+Whatever the input, the parsers return or raise SpecSyntaxError, and
+`recint brackets` and `recint gen` exit with a code of the exit-code
+contract (0 ok, 1 mismatch, 2 usage/parse, 3 I/O) and print no traceback.
+
+Inputs mix arbitrary text with text assembled from the grammar's own
+pieces.  Every piece ends in a space, so digits never run together: the
+exponents, lags and levels stay small and each example is cheap.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from recint.cli import main
+from recint.reclang import SpecSyntaxError, parse_poly_list, parse_spec
+
+FUZZ = settings(max_examples=100, deadline=None)
+
+POLY_PIECES = tuple(
+    f"{p} "
+    for p in (
+        *"tbcn0123579",
+        *"+-*^(),",
+        "t^3",
+        "t^5",
+        "3*t",
+        "1/2",
+        "x",
+        "[",
+        "]",
+        "#",
+        "",
+    )
+)
+REC_PIECES = POLY_PIECES + ("w[n-1] ", "w[n-2] ", "w[n-3] ", "w[n] ", "w[n-0] ", "n*", "b*", "c*")
+
+
+def assembled(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=14).map("".join)
+
+
+def inputs(pieces):
+    return st.one_of(assembled(pieces), st.text(max_size=40))
+
+
+@st.composite
+def spec_texts(draw):
+    if draw(st.booleans()):
+        return draw(st.text(max_size=60))
+    ring = draw(st.sampled_from(("", "ring b c;", "ring b;", "ring n;", "ring b b;")))
+    seq = draw(st.sampled_from(("seq w;", "", "seq b;")))
+    head = draw(st.sampled_from(("n*w[n]", "n^2*w[n]", "n^0*w[n]", "w[n]", "n*w[n-1]")))
+    rhs = draw(assembled(REC_PIECES))
+    end = draw(st.sampled_from((";", "", ";;", "; rec: n*w[n] = w[n-1];")))
+    return f"{ring}\n{seq}\nrec: {head} = {rhs}{end}\n"
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@FUZZ
+@given(text=spec_texts())
+def test_parse_spec_raises_only_syntax_errors(text):
+    try:
+        parse_spec(text)
+    except SpecSyntaxError:
+        pass
+
+
+@FUZZ
+@given(text=inputs(POLY_PIECES))
+def test_parse_poly_list_raises_only_syntax_errors(text):
+    try:
+        parse_poly_list(text, ("t",))
+    except SpecSyntaxError:
+        pass
+
+
+@FUZZ
+@given(
+    text=inputs(POLY_PIECES),
+    n=st.integers(-1, 2),
+    fmt=st.sampled_from(("table", "json", "csv")),
+    permissive=st.booleans(),
+)
+def test_brackets_keeps_the_exit_code_contract(text, n, fmt, permissive):
+    argv = ["brackets", "--n", str(n), "--format", fmt]
+    if permissive:
+        argv.append("--permissive")
+    code, err = run(argv + ["--", text])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@FUZZ
+@given(text=spec_texts(), n=st.integers(-1, 6), fmt=st.sampled_from(("table", "json", "csv")))
+def test_gen_keeps_the_exit_code_contract(tmp_path_factory, text, n, fmt):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.spec"
+    path.write_text(text, encoding="utf-8")
+    code, err = run(["gen", "--spec", str(path), "--n", str(n), "--format", fmt])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

@@ -8,6 +8,7 @@ carry mixed denominators.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,6 +20,7 @@ from recint.multipoly import (  # noqa: E402
     VarSet,
     exact_div_linear,
     linear_form,
+    sum_of_products,
 )
 from recint.sequences import gen_u, gen_w  # noqa: E402
 
@@ -107,6 +109,90 @@ def test_exact_div_linear(seed):
     assert not rem.is_zero
     with pytest.raises(InexactDivisionError):
         exact_div_linear(inexact, weights)
+
+
+def to_expr(p: MultiPoly, gens):
+    total = sympy.Integer(0)
+    for exps, c in p.terms.items():
+        total += sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+            *(g**e for g, e in zip(gens, exps))
+        )
+    return total
+
+
+def expr_coeffs(expr, gens) -> dict:
+    if not gens:  # a constant; sympy has no Poly without generators
+        return {(): Fraction(int(expr.p), int(expr.q))} if expr else {}
+    return coeffs_of(sympy.Poly(expr, *gens, domain=QQ))
+
+
+def normalised(p: MultiPoly) -> bool:
+    """The representation invariant: nonzero int numerators over one positive
+    den, in lowest terms, with den == 1 for zero."""
+    return (
+        p.den > 0
+        and all(isinstance(c, int) and c for c in p.num.values())
+        and gcd(p.den, *p.num.values()) == 1
+        and (p.den == 1 or bool(p.num))
+    )
+
+
+def rand_groups(rng: random.Random, vs: VarSet) -> list:
+    """Groups of (a, b, r) rows drawn from a shared pool: mixed denominators,
+    integer, rational and zero weights, zero operands, empty groups."""
+    pool = [rand_poly(rng, vs) for _ in range(4)] + [MultiPoly.zero(vs)]
+
+    def row():
+        weight = rng.choice((0, 1, rng.randint(-9, 9), rand_scalar(rng)))
+        return rng.choice(pool), rng.choice(pool), weight
+
+    return [[row() for _ in range(rng.randint(0, 5))] for _ in range(rng.randint(0, 4))]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sum_of_products(seed):
+    rng = random.Random(seed)
+    vs = VarSet(tuple(f"x{i}" for i in range(seed % 4)))  # 0 to 3 variables
+    gens = sympy.symbols(vs.names)
+    groups = rand_groups(rng, vs)
+    out = sum_of_products(vs, groups)
+    assert len(out) == len(groups)
+    for group, got in zip(groups, out):
+        expected = sympy.expand(
+            sum(
+                (
+                    sympy.Rational(r.numerator, r.denominator)
+                    * to_expr(a, gens)
+                    * to_expr(b, gens)
+                    for a, b, r in group
+                ),
+                sympy.Integer(0),
+            )
+        )
+        assert dict(got.terms) == expr_coeffs(expected, gens)
+        assert normalised(got)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sum_of_products_cancels_to_exact_zero(seed):
+    rng, vs, _, p, q = case(seed)
+    r = rand_scalar(rng)
+    other = rand_poly(rng, vs)
+    zero, half = sum_of_products(
+        vs,
+        [
+            [(p, q, r), (other, p, 3), (q, p, -r), (p, other, -3)],
+            [(p, q, Fraction(1, 3)), (p, q, Fraction(1, 6))],
+        ],
+    )
+    assert zero.is_zero() and zero.den == 1 and normalised(zero)
+    assert half == p * q / 2 and normalised(half)
+
+
+def test_sum_of_products_without_rows():
+    vs = VarSet.of("x")
+    assert sum_of_products(vs, []) == []
+    assert sum_of_products(vs, [[], []]) == [MultiPoly.zero(vs)] * 2
 
 
 def sympy_sequences(n: int):

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recint.multipoly import MultiPoly, VarSet
+from recint.multipoly import MultiPoly, UPoly, VarSet
 from recint.scalars import binomial
 from recint.sequences import RING_BC, gen_u, gen_w
 from recint.series import (
+    OdeOperator,
     TruncSeries,
     base_ode,
     base_series,
     derivation_identity_check,
     inv_sqrt,
-    ode_residual,
     product_series,
     symmetric_square_ode,
     verify_clausen,
@@ -155,12 +155,12 @@ class TestInvSqrt:
 
 class TestPinnedOperators:
     def test_base_residual_vanishes(self):
-        res = ode_residual(base_ode(), base_series(20))
+        res = base_ode().apply(base_series(20))
         assert res.order == 18
         assert res.is_zero()
 
     def test_product_residual_vanishes(self):
-        res = ode_residual(symmetric_square_ode(), product_series(20))
+        res = symmetric_square_ode().apply(product_series(20))
         assert res.order == 17
         assert res.is_zero()
 
@@ -171,7 +171,7 @@ class TestPinnedOperators:
             12,
             [c + 1 if k == 7 else c for k, c in enumerate(g.coeffs)],
         )
-        assert not ode_residual(base_ode(), poisoned).is_zero()
+        assert not base_ode().apply(poisoned).is_zero()
 
     def test_residual_linearity(self):
         rng = random.Random(99)
@@ -183,7 +183,7 @@ class TestPinnedOperators:
             b = TruncSeries(
                 RING_BC, 8, [MultiPoly.const(RING_BC, rng.randint(-9, 9)) for _ in range(9)]
             )
-            assert ode_residual(op, a + b) == ode_residual(op, a) + ode_residual(op, b)
+            assert op.apply(a + b) == op.apply(a) + op.apply(b)
 
     def test_operator_rejects_small_series(self):
         with pytest.raises(ValueError):
@@ -192,6 +192,87 @@ class TestPinnedOperators:
     def test_max_order(self):
         assert base_ode().max_order == 2
         assert symmetric_square_ode().max_order == 3
+
+
+def naive_mul(x: TruncSeries, y: TruncSeries) -> TruncSeries:
+    """Reference product: out[i + j] += x[i] * y[j], one MultiPoly at a time."""
+    out = [MultiPoly.zero(x.vs)] * (x.order + 1)
+    for i, a in enumerate(x.coeffs):
+        for j in range(x.order + 1 - i):
+            out[i + j] = out[i + j] + a * y.coeffs[j]
+    return TruncSeries(x.vs, x.order, out)
+
+
+def naive_apply(op: OdeOperator, y: TruncSeries) -> TruncSeries:
+    """Reference operator: differentiate k times, multiply term by term, truncate."""
+    n = y.order
+    out = [MultiPoly.zero(op.vs)] * (n + 1)
+    for k, poly in op.terms:
+        dk = list(y.coeffs)
+        for _ in range(k):
+            dk = [(i + 1) * dk[i + 1] for i in range(len(dk) - 1)]
+        for j, cj in enumerate(poly.coeffs):
+            for i, di in enumerate(dk):
+                if i + j <= n:
+                    out[i + j] = out[i + j] + cj * di
+    top = n - op.max_order
+    return TruncSeries(op.vs, top, out[: top + 1])
+
+
+def random_poly(rng: random.Random) -> MultiPoly:
+    """A sparse polynomial in b, c with mixed denominators; zero one time in four."""
+    if rng.random() < 0.25:
+        return MultiPoly.zero(RING_BC)
+    terms = {
+        (rng.randint(0, 3), rng.randint(0, 2)): Fraction(
+            rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 35))
+        )
+        for _ in range(rng.randint(1, 4))
+    }
+    return MultiPoly(RING_BC, terms)
+
+
+def random_series(rng: random.Random, order: int) -> TruncSeries:
+    return TruncSeries(RING_BC, order, [random_poly(rng) for _ in range(order + 1)])
+
+
+class TestAgainstNaiveReference:
+    """The fused products equal the term-by-term reference loops exactly."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_product(self, seed):
+        rng = random.Random(seed)
+        order = rng.randint(0, 9)
+        x, y = random_series(rng, order), random_series(rng, order)
+        assert x * y == naive_mul(x, y)
+        assert x * x == naive_mul(x, x)
+
+    def test_product_of_pinned_series(self):
+        g = base_series(14)
+        assert g * g.reflect() == naive_mul(g, g.reflect())
+        theta = g.theta().theta().theta()
+        assert g * theta == naive_mul(g, theta)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_apply(self, seed):
+        rng = random.Random(seed)
+        y = random_series(rng, rng.randint(3, 9))
+        for op in (base_ode(), symmetric_square_ode()):
+            assert op.apply(y) == naive_apply(op, y)
+        ks = rng.sample(range(4), rng.randint(1, 3))
+        op = OdeOperator(
+            RING_BC,
+            tuple(
+                (k, UPoly(RING_BC, [random_poly(rng) for _ in range(rng.randint(0, 4))]))
+                for k in ks
+            ),
+        )
+        assert op.apply(y) == naive_apply(op, y)
+
+    def test_apply_to_pinned_series(self):
+        assert base_ode().apply(base_series(16)) == naive_apply(base_ode(), base_series(16))
+        op, y = symmetric_square_ode(), product_series(16)
+        assert op.apply(y) == naive_apply(op, y)
 
 
 class TestSeriesBuilders:
