@@ -21,14 +21,13 @@ def main() -> int:
                     help="comma-separated odd polynomials in t (default: built-in suite)")
     ap.add_argument("--bound", type=int, default=8, help="level bound for d <= 2")
     ap.add_argument("--bound3", type=int, default=6, help="level bound for d >= 3")
-    ap.add_argument("--jobs", type=int, default=1, help="worker threads per level")
     args = ap.parse_args()
 
     worst = 0
     for text in args.tuples:
         q = QTuple([to_upoly(p, "t") for p in parse_poly_list(text, ("t",))])
         bound = args.bound3 if q.d >= 3 else args.bound
-        cert = certify_table(q, bound, jobs=args.jobs)
+        cert = certify_table(q, bound)
         status = "certified" if cert.certified else "NOT CERTIFIED"
         print(f"({cert.tuple_text})  d={q.d}  bound={bound}  entries={cert.entry_count}  {status}")
         print(f"  max v2 defect per level: {cert.level_max_defect}   slope ~ {cert.slope:.2f}")

@@ -17,7 +17,6 @@ the corresponding monomial tuple, evaluated at the integer weights.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,7 +28,7 @@ from .multipoly import (
     VarSet,
     denom_profile,
     exact_div_linear,
-    linear_form,
+    sum_of_products,
 )
 from .scalars import binomial, factorial
 
@@ -109,9 +108,7 @@ class BracketTable:
     """Lazily built table of bracket entries for one Q tuple.
 
     Entries are memoized over the full dependency cone of every queried
-    point; construction is by level |m|, and within a level the points are
-    independent, so they may be computed by a small thread pool without
-    affecting the results.
+    point; construction is by level |m|.
     """
 
     def __init__(self, q: QTuple):
@@ -121,6 +118,7 @@ class BracketTable:
             (0,) * q.d: MultiPoly.one(self.vs)
         }
         self.levels_done = 0
+        self._units = [tuple(int(j == i) for j in range(q.d)) for i in range(q.d)]
 
     # -- access --------------------------------------------------------------
 
@@ -143,33 +141,32 @@ class BracketTable:
                     self.entries[p] = self._compute(p)
 
     def _compute(self, m: tuple[int, ...]) -> MultiPoly:
-        num = MultiPoly.zero(self.vs)
-        half = Fraction(1, 2)
+        rows = []
         for i in range(self.q.d):
             if m[i] == 0:
                 continue
             prev = self.entries[m[:i] + (m[i] - 1,) + m[i + 1 :]]
             if prev.is_zero():
                 continue
-            arg = linear_form(self.vs, [Fraction(w) - (half if j == i else 0) for j, w in enumerate(m)])
-            num = num + self.q.polys[i].eval_poly(arg) * prev
+            # <m, x> - x_i/2 as sum((2 m_j - [i == j]) x_j) / 2; the x_i
+            # numerator is odd, so this is already in lowest terms
+            form = {self._units[j]: 2 * w - (j == i) for j, w in enumerate(m) if w}
+            arg = MultiPoly._new(self.vs, form, 2)
+            rows.append((self.q.polys[i].eval_poly(arg), prev, 1))
+        (num,) = sum_of_products(self.vs, [rows])
         try:
             return exact_div_linear(num, m)
         except InexactDivisionError as e:
             raise BracketDivisionError(m, e.remainder) from e
 
-    def extend_to_level(self, bound: int, jobs: int = 1):
-        """Complete all levels |m| <= bound; deterministic regardless of jobs."""
+    def extend_to_level(self, bound: int):
+        """Complete all levels |m| <= bound."""
         while self.levels_done < bound:
             level = self.levels_done + 1
             points = [p for p in _simplex_level(self.q.d, level) if p not in self.entries]
-            if jobs > 1 and len(points) > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    values = list(pool.map(self._compute, points))
-            else:
-                values = [self._compute(p) for p in points]
-            for p, v in zip(points, values):
-                self.entries[p] = v
+            # a level is stored whole or, if one of its points raises, not at all
+            values = [self._compute(p) for p in points]
+            self.entries.update(zip(points, values))
             self.levels_done = level
 
     # -- export ----------------------------------------------------------------
@@ -269,7 +266,7 @@ class BracketCertification:
         }
 
 
-def certify_table(q: QTuple, bound: int, jobs: int = 1, table: BracketTable | None = None) -> BracketCertification:
+def certify_table(q: QTuple, bound: int, table: BracketTable | None = None) -> BracketCertification:
     """Build levels 0..bound and check the power-of-2 denominator guarantee.
 
     For odd tuples a violation (non-2-power denominator or inexact division)
@@ -283,7 +280,7 @@ def certify_table(q: QTuple, bound: int, jobs: int = 1, table: BracketTable | No
     inexact_at = None
     inexact_rem = None
     try:
-        table.extend_to_level(bound, jobs=jobs)
+        table.extend_to_level(bound)
     except BracketDivisionError as e:
         if q.is_odd():
             raise Theorem3ViolationError(str(e)) from e

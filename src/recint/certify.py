@@ -96,7 +96,9 @@ def certify(spec: RecurrenceSpec, n: int) -> IntegralityReport:
             in_ring = False
         if not prof.two_adic_only:
             in_half = False
-        if denom_profile(term * lcm_upto(k)).lcm_denominator != 1:
+        # term is in lowest terms, so lcm(1..k) * term is integral exactly
+        # when term.den divides lcm(1..k)
+        if lcm_upto(k) % term.den:
             dn_ok = False
 
     if spec.lead_power == 1:

@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, needs_spec=False)
     p.add_argument("--n", type=int, default=6, help="level bound |m| <= n")
     p.add_argument("--permissive", action="store_true", help="allow non-odd polynomials")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads per table level")
 
     p = sub.add_parser("certify", help="integrality report for a spec")
     common(p, needs_spec=True)
@@ -239,12 +238,12 @@ def cmd_brackets(args) -> int:
     except ValueError as e:
         print(f"recint: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if args.n < 0 or args.jobs < 1:
-        print("recint: --n must be nonnegative and --jobs positive", file=sys.stderr)
+    if args.n < 0:
+        print("recint: --n must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
     table = br.BracketTable(q)
     try:
-        cert = br.certify_table(q, args.n, jobs=args.jobs, table=table)
+        cert = br.certify_table(q, args.n, table=table)
     except br.Theorem3ViolationError as e:
         print(f"recint: CRITICAL: {e}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -17,6 +17,7 @@ convention and arithmetic is exact.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -32,6 +33,14 @@ MAX_NESTING = 100
 #: parser checks it before it builds a power or a product, so input over the
 #: limit is a parse error instead of a dense list of that many coefficients.
 MAX_DEGREE = 1000
+
+#: Largest coefficient size, in bits, that a spec or CLI tuple expression may
+#: build.  The spec parser bounds a power p^k by k * bits(|p|) and a product
+#: p * q by bits(|p|) + bits(|q|), where |p| is the sum of the absolute values
+#: of p's coefficients, and checks the bound before it computes the power or
+#: the product; so ((2^1000)^1000)^10 is a parse error instead of a
+#: ten-million-bit constant.  100,000 bits is about 30,000 decimal digits.
+MAX_COEF_BITS = 100_000
 
 
 class InexactDivisionError(ArithmeticError):
@@ -126,6 +135,23 @@ def _unpacked(vs: VarSet, acc: dict[int, int], width: int, den: int) -> MultiPol
     if 0 in acc.values():
         acc = {k: c for k, c in acc.items() if c}
     return MultiPoly._make(vs, dict(zip(_unpack(acc, width, len(vs)), acc.values())), den)
+
+
+#: How many digits str() converts at most, 0 for no limit; Python versions
+#: before 3.10.7 have no limit and no such function.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int n >= 0 of any size.  str() refuses ints of more than
+    _max_str_digits() digits, so longer ones are split around a power of ten
+    into two halves that convert the same way."""
+    limit = _max_str_digits()
+    if not limit or n.bit_length() <= 3 * limit:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits (log10(2) > 3/10)
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 class MultiPoly:
@@ -423,6 +449,9 @@ class MultiPoly:
         if not self.num:
             return "0"
         den = self.den
+        limit = 3 * _max_str_digits()  # bits that str() always converts
+        wide = limit and max(den, *map(abs, self.num.values())).bit_length() > limit
+        digits = _decimal if wide else str
         pieces = []
         for exps in sorted(self.num, key=_grlex_key, reverse=True):
             coef = self.num[exps]
@@ -433,7 +462,7 @@ class MultiPoly:
                 for name, e in zip(self.vs.names, exps)
                 if e
             )
-            mag = str(p) if q == 1 else f"{p}/{q}"
+            mag = digits(p) if q == 1 else f"{digits(p)}/{digits(q)}"
             if not mono:
                 body = mag
             elif p == 1 and q == 1:
@@ -748,20 +777,46 @@ class UPoly:
 
     def eval_scalar(self, x: Fraction | int) -> MultiPoly:
         """Evaluate the indeterminate at a rational; coefficients survive."""
-        x = Fraction(x)
-        acc = MultiPoly.zero(self.vs)
-        for coef in reversed(self.coeffs):
-            acc = acc * x + coef
-        return acc
+        return self.eval_poly(MultiPoly.const(self.vs, x))
 
     def eval_poly(self, arg: MultiPoly) -> MultiPoly:
-        """Evaluate the indeterminate at a polynomial (Horner).  Coefficients
-        are cast into the argument's VarSet, so they must only use variables
-        available there (constants always work)."""
-        acc = MultiPoly.zero(arg.vs)
-        for coef in reversed(self.coeffs):
-            acc = acc * arg + coef.cast(arg.vs)
-        return acc
+        """Evaluate the indeterminate at a polynomial.  Coefficients are cast
+        into the argument's VarSet, so they must only use variables available
+        there (constants always work).
+
+        Horner on packed integer numerators.  With arg = A / a and every
+        coefficient c_j = C_j / L over the lcm L of their denominators, step j
+        keeps N_j = a^(deg - j) * L * H_j, where H_j = sum(c_i * arg^(i - j)
+        for i >= j), as N_j = N_(j+1) * A + a^(deg - j) * C_j.  No N_j has an
+        exponent above deg * top(arg) + top(coefficients), which fixes the
+        field width up front; N_0 / (a^deg * L) is normalised once.
+        """
+        vs = arg.vs
+        if not self.coeffs:
+            return MultiPoly.zero(vs)
+        coeffs = self.coeffs if vs == self.vs else [c.cast(vs) for c in self.coeffs]
+        deg = len(coeffs) - 1
+        cols = list(zip(*arg.num))
+        top = deg * max(map(max, cols), default=0)
+        top += max((max(map(max, zip(*c.num)), default=0) for c in coeffs), default=0)
+        width = top.bit_length()
+        packed_arg = list(zip(_pack(cols, width, len(arg.num)), arg.num.values()))
+        den = lcm(*(c.den for c in coeffs))
+        a = arg.den
+        acc: dict[int, int] = {}
+        for j in range(deg, -1, -1):
+            if j < deg:
+                prev, acc = acc, {}
+                _pair_sums(acc, prev.items(), packed_arg)
+                den *= a
+            c = coeffs[j]
+            if c.num:
+                # den is a^(deg - j) * L here, so C_j's factor is den / c.den
+                f = den // c.den
+                get = acc.get
+                for k, v in zip(_pack(list(zip(*c.num)), width, len(c.num)), c.num.values()):
+                    acc[k] = get(k, 0) + v * f
+        return _unpacked(vs, acc, width, den)
 
     def to_multipoly(self, indet: str) -> MultiPoly:
         """Flatten into a MultiPoly over vs + (indet,), indet appended last."""
@@ -821,9 +876,18 @@ def denom_profile(p: MultiPoly) -> DenomProfile:
 def exact_div_linear(p: MultiPoly, m: Sequence[int]) -> MultiPoly:
     """Divide p exactly by the linear form sum(m[i] * x_i).
 
-    Synthetic division on the first variable with a nonzero weight; raises
-    InexactDivisionError carrying the remainder when the division is not
-    exact.  At least one weight must be nonzero.
+    Synthetic division on the pivot, the first variable with a nonzero
+    weight.  Level k is the part of p of degree k in the pivot.  From the
+    top level down, level k divided by the pivot weight is the quotient's
+    level k - 1, and that times the rest of the form is subtracted from
+    level k - 1.  Level 0 must come out empty; otherwise
+    InexactDivisionError carries it as the remainder.  At least one weight
+    must be nonzero.
+
+    One pass over the packed integer numerators of p: the levels and the
+    quotient live over p.den * f, where f grows by |m_pivot| / gcd(m_pivot,
+    level numerators) only at a level whose numerators the pivot weight
+    does not divide.  The quotient is normalised once.
     """
     if len(m) != len(p.vs):
         raise ValueError("weight vector length does not match variable count")
@@ -833,30 +897,45 @@ def exact_div_linear(p: MultiPoly, m: Sequence[int]) -> MultiPoly:
     if p.is_zero():
         return p
 
-    mp = Fraction(m[pivot])
-    rest = linear_form(p.vs, [0 if i == pivot else w for i, w in enumerate(m)])
+    vs, nvars = p.vs, len(p.vs)
+    # every level and quotient term has total degree at most that of p
+    width = p.total_degree().bit_length()
+    shift = width * (nvars - 1 - pivot)
+    steps = [(1 << width * (nvars - 1 - i), -w) for i, w in enumerate(m) if w and i != pivot]
+    cols = list(zip(*p.num))
+    levels: dict[int, dict[int, int]] = {}
+    for key, k, c in zip(_pack(cols, width, len(p.num)), cols[pivot], p.num.values()):
+        levels.setdefault(k, {})[key - (k << shift)] = c
 
-    # split p by pivot exponent, zeroing the pivot slot in each part
-    parts: dict[int, dict[tuple[int, ...], int]] = {}
-    for exps, c in p.num.items():
-        k = exps[pivot]
-        stripped = exps[:pivot] + (0,) + exps[pivot + 1 :]
-        parts.setdefault(k, {})[stripped] = c
-    polys = {k: MultiPoly._make(p.vs, t, p.den) for k, t in parts.items()}
-    deg = max(polys)
-
-    zero = MultiPoly.zero(p.vs)
-    quot: list[tuple[dict[tuple[int, ...], int], int]] = []
-    cur = polys.get(deg, zero)
-    for k in range(deg, 0, -1):
-        qk = cur * (1 / mp)
-        quot.append(
-            ({exps[:pivot] + (k - 1,) + exps[pivot + 1 :]: c for exps, c in qk.num.items()}, qk.den)
-        )
-        cur = polys.get(k - 1, zero) - qk * rest
-    if not cur.is_zero():
+    mp = m[pivot]
+    f = 1
+    quot = []  # (pivot exponent, numerators over p.den * f_k, f_k)
+    cur = levels[max(levels)]
+    for k in range(max(levels), 0, -1):
+        # cur / mp = (cur / h) / g, with h carrying the sign of mp and g > 0
+        h = gcd(mp, *cur.values())
+        if mp < 0:
+            h = -h
+        f *= mp // h
+        q = {key: c // h for key, c in cur.items() if c}
+        quot.append((k - 1, q, f))
+        cur = levels.get(k - 1, {})
+        if f != 1:
+            cur = {key: c * f for key, c in cur.items()}
+        get = cur.get
+        for key, c in q.items():
+            for step, w in steps:
+                k2 = key + step
+                cur[k2] = get(k2, 0) + c * w
+    if any(cur.values()):
+        remainder = _unpacked(vs, cur, width, p.den * f)
         raise InexactDivisionError(
-            f"linear division by weights {tuple(m)} leaves remainder {cur.text()}",
-            remainder=cur,
+            f"linear division by weights {tuple(m)} leaves remainder {remainder.text()}",
+            remainder=remainder,
         )
-    return _join(p.vs, quot)
+    acc: dict[int, int] = {}
+    for k, q, fk in quot:
+        s, off = f // fk, k << shift
+        for key, c in q.items():
+            acc[key + off] = c * s
+    return _unpacked(vs, acc, width, p.den * f)

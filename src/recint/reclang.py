@@ -13,7 +13,9 @@ variables times one back-reference seq[n - i] with i >= 1; integer
 literals, + - * ^ and parentheses; whitespace-insensitive; # starts a
 comment.  Parentheses and chained unary signs nest at most MAX_NESTING
 deep; exponents, degrees, lags and the leading power of n are at most
-MAX_DEGREE.  The initial term seq[0] is implicitly 1 and not writable.
+MAX_DEGREE, and the coefficients that powers and products build are at
+most MAX_COEF_BITS bits long.  The initial term seq[0] is implicitly 1 and
+not writable.
 
 The canonical pretty-printer sorts ring variables and expands every
 coefficient polynomial, so parse -> print -> parse is stable and the
@@ -26,7 +28,16 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .multipoly import MAX_DEGREE, MAX_NESTING, MultiPoly, UPoly, VarSet, to_upoly
+from .multipoly import (
+    MAX_COEF_BITS,
+    MAX_DEGREE,
+    MAX_NESTING,
+    MultiPoly,
+    UPoly,
+    VarSet,
+    sum_of_products,
+    to_upoly,
+)
 from .sequences import ParamSeq
 
 
@@ -141,6 +152,19 @@ def _degree(value: dict) -> int:
     return max(p.total_degree() for p in value.values())
 
 
+def _coef_bits(value: dict) -> int:
+    """Bit length of the largest sum of absolute coefficient values among
+    value's polynomials: products of these sums bound products' coefficients."""
+    return max(sum(map(abs, p.num.values())).bit_length() for p in value.values())
+
+
+def _coef_bounded(tok: Token, bits: int):
+    if bits > MAX_COEF_BITS:
+        raise SpecSyntaxError(
+            tok.line, tok.col, f"coefficients of up to {bits} bits exceed the limit {MAX_COEF_BITS}"
+        )
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], allow_refs: bool, vs: VarSet, seq_name: str | None):
         self.tokens = tokens
@@ -215,6 +239,7 @@ class _Parser:
                 self.fail(op, "cannot raise a sequence reference to a power")
             k = _bounded(exp, _int_value(exp), "exponent")
             _bounded(op, max(_degree(value), 0) * k, "degree")
+            _coef_bounded(op, _coef_bits(value) * k)
             return {None: value[None] ** k}
         return value
 
@@ -272,6 +297,7 @@ class _Parser:
         if (set(a) - {None}) and (set(b) - {None}):
             self.fail(self.peek(), "recurrence must be linear in the sequence")
         _bounded(self.peek(), _degree(a) + _degree(b), "degree")
+        _coef_bounded(self.peek(), _coef_bits(a) + _coef_bits(b))
         if set(b) - {None}:
             a, b = b, a
         scal = b.get(None, MultiPoly.zero(self.vs))
@@ -487,15 +513,10 @@ def run_spec(spec: RecurrenceSpec, n: int) -> ParamSeq:
     if n < 0:
         raise ValueError("negative length")
     ring = spec.ring
-    qs = [spec.q_upoly(i) for i in range(1, spec.order + 1)]
+    qs = [(i, spec.q_upoly(i)) for i, qi in enumerate(spec.q, start=1) if not qi.is_zero()]
     terms = [MultiPoly.one(ring)]
     for k in range(1, n + 1):
-        acc = MultiPoly.zero(ring)
-        for i, qi in enumerate(qs, start=1):
-            if i > k:
-                break
-            if qi.is_zero():
-                continue
-            acc = acc + qi.eval_scalar(k) * terms[k - i]
-        terms.append(acc / Fraction(k) ** spec.lead_power)
+        scale = Fraction(1, k**spec.lead_power)
+        rows = [(qi.eval_scalar(k), terms[k - i], scale) for i, qi in qs if i <= k]
+        terms.extend(sum_of_products(ring, [rows]))
     return ParamSeq(ring, terms, "spec")

@@ -214,15 +214,6 @@ class TestCertification:
         with pytest.raises(Theorem3ViolationError):
             certify_table(q, 1, table=table)
 
-    def test_jobs_do_not_change_results(self):
-        q = q_tuple(T, T3)
-        serial_table = BracketTable(q)
-        serial = certify_table(q, 5, jobs=1, table=serial_table)
-        threaded_table = BracketTable(q)
-        threaded = certify_table(q, 5, jobs=4, table=threaded_table)
-        assert serial.to_dict() == threaded.to_dict()
-        assert serial_table.export() == threaded_table.export()
-
     def test_export_sorted_by_level(self):
         q = q_tuple(T, T)
         table = BracketTable(q)

@@ -2,10 +2,13 @@
 
 import json
 
+import pytest
+
 from conftest import SPECS_DIR
 from recint.certify import certify
 from recint.multipoly import denom_profile
 from recint.reclang import parse_spec, run_spec
+from recint.scalars import lcm_upto
 
 
 def load(name: str):
@@ -55,6 +58,25 @@ class TestBaseSpec:
         # the scaled-integrality flag flips exactly between n = 3 and n = 4
         assert certify(load("wseq.spec"), 3).dn_scaled_integral
         assert not certify(load("wseq.spec"), 4).dn_scaled_integral
+
+
+class TestScaledIntegrality:
+    """dn_scaled_integral reads whether term.den divides lcm(1..k); the term
+    is in lowest terms, so that is when lcm(1..k) * term is integral."""
+
+    @pytest.mark.parametrize("name", ["wseq.spec", "useq.spec", "apery.spec"])
+    def test_divisibility_matches_the_scaled_term(self, name):
+        spec = load(name)
+        terms = run_spec(spec, 40).terms
+        scaled = [denom_profile(t * lcm_upto(k)).lcm_denominator == 1 for k, t in enumerate(terms)]
+        assert [lcm_upto(k) % t.den == 0 for k, t in enumerate(terms)] == scaled
+        for n in (3, 4, 40):
+            assert certify(spec, n).dn_scaled_integral == all(scaled[: n + 1])
+        if name == "wseq.spec":
+            # false exactly from k = 4 on: the cases where the predicate fails
+            assert scaled == [k < 4 for k in range(41)]
+        else:
+            assert all(scaled)
 
 
 class TestPlainPipeline:

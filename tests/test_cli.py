@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from conftest import DATA_DIR, REPO_ROOT, SPECS_DIR, run_cli
-from recint.multipoly import MAX_DEGREE
+from conftest import DATA_DIR, REPO_ROOT, SPECS_DIR, digits_value, run_cli
+from recint.multipoly import MAX_COEF_BITS, MAX_DEGREE
 from recint.reclang import parse_poly_list, parse_spec
 
 USEQ = str(SPECS_DIR / "useq.spec")
@@ -124,12 +124,6 @@ class TestBrackets:
         code, _, err = run_cli("brackets", "t^", "--n", "2")
         assert code == 2
         assert "tuple" in err
-
-    def test_jobs_do_not_change_output(self):
-        one = run_cli("brackets", "t^3-3*t, t", "--n", "5", "--jobs", "1")
-        four = run_cli("brackets", "t^3-3*t, t", "--n", "5", "--jobs", "3")
-        assert one == four
-        assert one[0] == 0
 
 
 class TestCertify:
@@ -304,3 +298,68 @@ class TestDegreeLimit:
             code, _, err = run_cli("brackets", "--", text)
             assert code == 2
             assert "integer literal too long" in err
+
+
+class TestCoefficientLimit:
+    """Powers and products whose coefficient bound passes MAX_COEF_BITS are
+    parse errors (exit 2), caught before the number is built.  The bound of
+    p^k is k * bit_length(|p|), and of p * q bit_length(|p|) + bit_length(|q|),
+    where |p| is the sum of the absolute values of p's coefficients."""
+
+    # bounds: 2381 bits * 42 = 100,002 for the power; in the product,
+    # t * 2^50000 * 2^49000 is 2^99000 t (99,001 bits), and 99,001 + 1,000
+    # (the bits of 2^999) = 100,001
+    POWER = f"({2**2380})^42*t"
+    PRODUCT = "t*(2^50)^1000*(2^49)^1000*2^999"
+
+    def test_cases_are_sized_for_the_limit(self):
+        assert MAX_COEF_BITS == 100_000
+
+    @pytest.mark.parametrize(
+        "text", [POWER, PRODUCT, f"t, {PRODUCT}"], ids=["power", "product", "second"]
+    )
+    def test_brackets_tuple(self, text):
+        code, out, err = run_cli("brackets", "--permissive", "--n", "0", "--", text)
+        assert code == 2
+        assert out == ""
+        assert f"exceed the limit {MAX_COEF_BITS}" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "rhs", [f"({2**2380})^42*b", "b*(2^50)^1000*(2^49)^1000*2^999"], ids=["power", "product"]
+    )
+    def test_spec_file(self, rhs, tmp_path):
+        spec = tmp_path / "big.spec"
+        spec.write_text(f"ring b;\nseq w;\nrec: n*w[n] = {rhs}*w[n-1];\n")
+        for command in ("gen", "certify", "expand"):
+            code, out, err = run_cli(command, "--spec", str(spec))
+            assert code == 2
+            assert out == ""
+            assert f"exceed the limit {MAX_COEF_BITS}" in err
+
+    def test_at_the_limit_still_parses(self):
+        # bounds exactly at the limit: 2500 bits * 40, and 99,001 + 999
+        (p,) = parse_poly_list(f"({2**2499})^40*t", ("t",))
+        assert p.num == {(1,): 2**99960}
+        (p,) = parse_poly_list("t*(2^50)^1000*(2^49)^1000*2^998", ("t",))
+        assert p.num == {(1,): 2**99998}
+
+    def test_long_coefficients_print(self, tmp_path):
+        # a[5] = 10^5000 has more digits than str() converts by default
+        spec = tmp_path / "tens.spec"
+        spec.write_text("seq a;\nrec: n*a[n] = 10^1000*n*a[n-1];\n")
+        code, out, err = run_cli("gen", "--spec", str(spec), "--n", "5", "--format", "csv")
+        assert (code, err) == (0, "")
+        last = out.splitlines()[-1].split(",")
+        assert last[:2] == ["5", "1" + "0" * 5000]
+
+    def test_apery_to_3000(self):
+        code, out, err = run_cli("gen", "--spec", APERY, "--n", "3000", "--format", "csv")
+        assert (code, err) == (0, "")
+        a = [1, 5]
+        for n in range(2, 3001):
+            a.append(((2 * n - 1) * (17 * n * n - 17 * n + 5) * a[-1] - (n - 1) ** 3 * a[-2]) // n**3)
+        n, poly, den, _ = out.splitlines()[-1].split(",")
+        assert (n, den) == ("3000", "1")
+        assert len(poly) > 4300 and digits_value(poly) == a[3000]

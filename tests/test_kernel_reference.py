@@ -1,0 +1,229 @@
+"""Integer kernels against plain MultiPoly references.
+
+UPoly.eval_poly, exact_div_linear and run_spec work on packed integer
+numerators.  The references below are the straightforward versions built
+from MultiPoly ring operations (Horner with `*` and `+`, synthetic division
+slice by slice, the recurrence loop term by term); the kernels must give
+equal polynomials, and equal remainders when a division is inexact.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import CORPUS, SPECS_DIR
+from recint.brackets import BracketTable, QTuple, q_from_coeffs
+from recint.multipoly import (
+    InexactDivisionError,
+    MultiPoly,
+    UPoly,
+    VarSet,
+    exact_div_linear,
+    linear_form,
+)
+from recint.reclang import parse_spec, run_spec
+
+DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 9, 12, 35)
+SEEDS = range(60)
+
+
+def rand_poly(rng: random.Random, vs: VarSet, max_exp: int = 4, max_terms: int = 6) -> MultiPoly:
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = tuple(rng.randint(0, max_exp) for _ in vs)
+        terms[exps] = Fraction(rng.randint(-30, 30), rng.choice(DENOMINATORS))
+    return MultiPoly(vs, terms)
+
+
+def rand_varset(rng: random.Random, low: int = 0) -> VarSet:
+    return VarSet(tuple(f"x{i}" for i in range(rng.randint(low, 3))))
+
+
+# -- references -------------------------------------------------------------------
+
+
+def horner_eval_poly(u: UPoly, arg: MultiPoly) -> MultiPoly:
+    acc = MultiPoly.zero(arg.vs)
+    for coef in reversed(u.coeffs):
+        acc = acc * arg + coef.cast(arg.vs)
+    return acc
+
+
+def slice_div_linear(p: MultiPoly, m) -> MultiPoly:
+    """Synthetic division with one MultiPoly per pivot slice."""
+    pivot = next(i for i, w in enumerate(m) if w)
+    if p.is_zero():
+        return p
+    mp = Fraction(m[pivot])
+    rest = linear_form(p.vs, [0 if i == pivot else w for i, w in enumerate(m)])
+    parts: dict[int, dict] = {}
+    for exps, c in p.terms.items():
+        stripped = exps[:pivot] + (0,) + exps[pivot + 1 :]
+        parts.setdefault(exps[pivot], {})[stripped] = c
+    polys = {k: MultiPoly(p.vs, t) for k, t in parts.items()}
+    deg = max(polys)
+    zero = MultiPoly.zero(p.vs)
+    quot = zero
+    cur = polys[deg]
+    for k in range(deg, 0, -1):
+        qk = cur * (1 / mp)
+        lift = {exps[:pivot] + (k - 1,) + exps[pivot + 1 :]: c for exps, c in qk.terms.items()}
+        quot = quot + MultiPoly(p.vs, lift)
+        cur = polys.get(k - 1, zero) - qk * rest
+    if not cur.is_zero():
+        raise InexactDivisionError("remainder", remainder=cur)
+    return quot
+
+
+def loop_run_spec(spec, n: int) -> list[MultiPoly]:
+    """The recurrence one MultiPoly product and sum at a time."""
+    ring = spec.ring
+    qs = [spec.q_upoly(i) for i in range(1, spec.order + 1)]
+    terms = [MultiPoly.one(ring)]
+    for k in range(1, n + 1):
+        acc = MultiPoly.zero(ring)
+        for i, qi in enumerate(qs, start=1):
+            if i > k:
+                break
+            qk = MultiPoly.zero(ring)
+            for coef in reversed(qi.coeffs):
+                qk = qk * k + coef
+            acc = acc + qk * terms[k - i]
+        terms.append(acc / Fraction(k) ** spec.lead_power)
+    return terms
+
+
+def rand_weights(rng: random.Random, d: int) -> list[int]:
+    """Weights with zeros, negatives and a pivot that need not come first."""
+    m = [rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(d)]
+    if not any(m):
+        m[rng.randrange(d)] = rng.choice((-4, -3, -2, -1, 1, 2, 3, 5, 6))
+    return m
+
+
+# -- eval_poly ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_eval_poly_matches_horner(seed):
+    rng = random.Random(seed)
+    vs = rand_varset(rng)
+    u = UPoly(vs, [rand_poly(rng, vs, 3) for _ in range(rng.randint(0, 5))])
+    for arg in (
+        rand_poly(rng, vs, 2, 4),
+        MultiPoly.const(vs, Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))),
+        MultiPoly.zero(vs),
+    ):
+        assert u.eval_poly(arg) == horner_eval_poly(u, arg)
+    x = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+    assert u.eval_scalar(x) == horner_eval_poly(u, MultiPoly.const(vs, x))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_eval_poly_casts_coefficients(seed):
+    # coefficients over fewer variables than the argument, as for the Q
+    # polynomials of a bracket table
+    rng = random.Random(seed)
+    vs = VarSet(tuple(f"x{i}" for i in range(1, rng.randint(2, 4))))
+    sub = VarSet(vs.names[1:])
+    u = UPoly(sub, [rand_poly(rng, sub, 3) for _ in range(rng.randint(1, 5))])
+    arg = rand_poly(rng, vs, 3, 4)
+    assert u.eval_poly(arg) == horner_eval_poly(u, arg)
+
+
+def test_eval_poly_constant_and_empty():
+    vs = VarSet.of("x", "y")
+    arg = linear_form(vs, [Fraction(3, 2), -1])
+    const = UPoly(vs, [Fraction(-5, 6)])
+    assert const.eval_poly(arg) == MultiPoly.const(vs, Fraction(-5, 6))
+    assert UPoly(vs, []).eval_poly(arg).is_zero()
+    assert UPoly(VarSet.of(), [1, 0, 1]).eval_poly(MultiPoly.zero(vs)) == MultiPoly.one(vs)
+
+
+def test_eval_poly_high_power_of_a_late_variable():
+    # deg * top(arg) + top(coefficients) = 4 * 2 + 0: the field must hold 8
+    vs = VarSet.of("x", "y")
+    arg = MultiPoly(vs, {(0, 2): Fraction(1, 3), (1, 0): 1})
+    u = UPoly(VarSet.of(), [0, 0, 0, 0, 1])
+    assert u.eval_poly(arg) == horner_eval_poly(u, arg)
+    assert u.eval_poly(arg).num[(0, 8)] == 1
+
+
+# -- exact_div_linear --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_exact_div_matches_slices(seed):
+    rng = random.Random(seed)
+    vs = rand_varset(rng, low=1)
+    m = rand_weights(rng, len(vs))
+    p = rand_poly(rng, vs) * linear_form(vs, m)
+    assert exact_div_linear(p, m) == slice_div_linear(p, m)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inexact_div_has_the_same_remainder(seed):
+    rng = random.Random(seed)
+    vs = rand_varset(rng, low=1)
+    m = rand_weights(rng, len(vs))
+    p = rand_poly(rng, vs) * linear_form(vs, m) + rand_poly(rng, vs, 3, 3)
+    try:
+        expected = slice_div_linear(p, m)
+    except InexactDivisionError as e:
+        with pytest.raises(InexactDivisionError) as exc:
+            exact_div_linear(p, m)
+        assert exc.value.remainder == e.remainder
+        assert not exc.value.remainder.is_zero()
+    else:
+        assert exact_div_linear(p, m) == expected
+
+
+def test_pivot_weight_not_dividing_the_numerators():
+    # x^2 / (2x) = x/2, and the quotients below, need a denominator that the
+    # dividend does not carry, so the pivot weight does not divide its levels
+    vs = VarSet.of("w", "x", "y")
+    x = MultiPoly.variable(vs, "x")
+    y = MultiPoly.variable(vs, "y")
+    assert exact_div_linear(x * x, (0, 2, 0)) == x * Fraction(1, 2)
+    for m in ((0, -3, 2), (0, 6, -4), (0, 4, 1)):
+        q = x * Fraction(5, 7) + y * Fraction(1, 3) + 1
+        p = q * linear_form(vs, m)
+        assert exact_div_linear(p, m) == slice_div_linear(p, m) == q
+
+
+def test_bracket_entries_match_references():
+    # the table's own arithmetic, entry by entry: sum_i Q_i(<m,x> - x_i/2) *
+    # <Q>_{m-e_i} by Horner and products, then divided slice by slice
+    q = QTuple([q_from_coeffs(c) for c in ([0, -3, 0, 1], [0, 1], [0, 0, 0, 2])])
+    table = BracketTable(q)
+    table.extend_to_level(4)
+    vs = table.vs
+    for m, entry in table.entries.items():
+        if not any(m):
+            continue
+        num = MultiPoly.zero(vs)
+        for i, qi in enumerate(q.polys):
+            if m[i]:
+                prev = table.entries[m[:i] + (m[i] - 1,) + m[i + 1 :]]
+                weights = [Fraction(w) - (Fraction(1, 2) if j == i else 0) for j, w in enumerate(m)]
+                num = num + horner_eval_poly(qi, linear_form(vs, weights)) * prev
+        assert slice_div_linear(num, m) == entry
+
+
+# -- run_spec ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_run_spec_matches_plain_loop(name):
+    spec = parse_spec((SPECS_DIR / name).read_text())
+    n = 14
+    assert run_spec(spec, n).terms == loop_run_spec(spec, n)
+
+
+def test_run_spec_lead_power_three():
+    spec = parse_spec((SPECS_DIR / "apery.spec").read_text())
+    assert spec.lead_power == 3
+    terms = run_spec(spec, 12).terms
+    assert terms == loop_run_spec(spec, 12)
+    assert [t.constant_value() for t in terms[:5]] == [1, 5, 73, 1445, 33001]

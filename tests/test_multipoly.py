@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import digits_value
 from recint.multipoly import (
     MAX_NESTING,
     DenomProfile,
@@ -243,6 +245,40 @@ class TestCanonicalText:
         assert parse_poly(text, XY) == MultiPoly.variable(XY, "x") * (-1) ** depth
         with pytest.raises(ValueError, match="nested deeper than"):
             parse_poly("-" + text, XY)
+
+
+class TestLongCoefficients:
+    """text() prints coefficients longer than str() converts (4,300 digits
+    by default) without changing the interpreter's limit."""
+
+    def test_five_thousand_digit_constant(self):
+        c = 3**10481
+        limit = sys.get_int_max_str_digits()
+        text = MultiPoly.const(XY, c).text()
+        assert sys.get_int_max_str_digits() == limit
+        assert 5000 <= len(text) < 5010 and text[0] != "0"
+        assert digits_value(text) == c
+        assert MultiPoly.const(XY, -c).text() == "-" + text
+
+    @pytest.mark.parametrize(
+        "c",
+        [10**4299, 10**4300, 10**5000, 10**5000 + 1, 2**20000 - 1],
+        ids=["4300-digits", "4301-digits", "power-of-ten", "zeros-inside", "all-ones"],
+    )
+    def test_around_the_limit(self, c):
+        text = MultiPoly.const(X, c).text()
+        assert digits_value(text) == c
+        assert len(text) == math.floor(math.log10(c)) + 1
+
+    def test_rational_coefficients_and_monomials(self):
+        num, den = 7**6000 + 2, 2**17000
+        p = MultiPoly(XY, {(1, 2): Fraction(num, den), (0, 0): Fraction(-5, 3)})
+        head, tail = p.text().split(" - ")
+        assert tail == "5/3"
+        mag, mono = head.split("*", 1)
+        assert mono == "x*y^2"
+        p_text, q_text = mag.split("/")
+        assert (digits_value(p_text), digits_value(q_text)) == (num, den)
 
 
 class TestUPoly:
