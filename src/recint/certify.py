@@ -15,12 +15,11 @@ underlying theorem, not a bug in the input.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from math import lcm
 
-from .multipoly import denom_profile
+from .multipoly import _decimal, denom_profile, json_text
 from .reclang import RecurrenceSpec, run_spec, spec_hash, to_odd_form
-from .scalars import lcm_upto
 
 
 @dataclass
@@ -59,7 +58,7 @@ class IntegralityReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json_text(self.to_dict())
 
     def table_lines(self) -> list[str]:
         flags = (
@@ -74,7 +73,7 @@ class IntegralityReport:
             lines.append(f"  note: {self.reason}")
         lines.append(f"{'n':>4} {'denominator':>16} {'v2_defect':>9}")
         for rec in self.per_term:
-            lines.append(f"{rec['n']:>4} {rec['denominator']:>16} {rec['v2_defect']:>9}")
+            lines.append(f"{rec['n']:>4} {_decimal(rec['denominator']):>16} {rec['v2_defect']:>9}")
         return lines
 
 
@@ -86,6 +85,7 @@ def certify(spec: RecurrenceSpec, n: int) -> IntegralityReport:
     in_ring = True
     in_half = True
     dn_ok = True
+    scale = 1  # lcm(1..k), kept as a running lcm
     for k, term in enumerate(seq.terms):
         prof = denom_profile(term)
         per_term.append(
@@ -98,7 +98,8 @@ def certify(spec: RecurrenceSpec, n: int) -> IntegralityReport:
             in_half = False
         # term is in lowest terms, so lcm(1..k) * term is integral exactly
         # when term.den divides lcm(1..k)
-        if lcm_upto(k) % term.den:
+        scale = lcm(scale, max(k, 1))
+        if scale % term.den:
             dn_ok = False
 
     if spec.lead_power == 1:

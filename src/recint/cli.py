@@ -3,7 +3,8 @@
 Subcommands: gen, verify, brackets, certify, expand.  All output is
 deterministic (fixed key order, sorted records) so runs are byte-for-byte
 reproducible.  Exit codes: 0 success / identity verified, 1 mathematical
-mismatch or violation found, 2 usage or parse error, 3 I/O error.
+mismatch or violation found, 2 usage or parse error, 3 I/O error, 4 internal
+error (an unexpected exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from . import brackets as br
 from . import series
 from .certify import certify
-from .multipoly import MultiPoly, VarSet, to_upoly
+from .multipoly import MAX_ORDER, MultiPoly, VarSet, _decimal, json_text, to_upoly
 from .reclang import (
     SpecSyntaxError,
     parse_poly_list,
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 IDENTITY_NAMES = (
     "id3",
@@ -114,6 +116,9 @@ def _read_spec(path: str):
     except OSError as e:
         print(f"recint: cannot read {path}: {e}", file=sys.stderr)
         return None, EXIT_IO
+    except UnicodeDecodeError as e:
+        print(f"recint: {path}: not UTF-8 text: byte {e.start} cannot be decoded", file=sys.stderr)
+        return None, EXIT_USAGE
     try:
         return parse_spec(text), EXIT_OK
     except SpecSyntaxError as e:
@@ -126,7 +131,7 @@ def _format_records(records: list[dict], fmt: str, summary: dict | None = None) 
         doc: dict = {"records": records}
         if summary is not None:
             doc["summary"] = summary
-        return json.dumps(doc, indent=2)
+        return json_text(doc)
     if fmt == "csv":
         buf = io.StringIO()
         if records:
@@ -155,10 +160,24 @@ def _cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (list, tuple)):
         return json.dumps(v)
+    if isinstance(v, int):
+        return _decimal(v)
     return str(v)
 
 
+def _too_large(args) -> bool:
+    """Report and refuse an --n or --order above MAX_ORDER."""
+    for flag in ("n", "order"):
+        value = getattr(args, flag, None)
+        if value is not None and value > MAX_ORDER:
+            print(f"recint: --{flag} {value} exceeds the limit {MAX_ORDER}", file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_gen(args) -> int:
+    if _too_large(args):
+        return EXIT_USAGE
     spec, code = _read_spec(args.spec)
     if code != EXIT_OK:
         return code
@@ -177,6 +196,8 @@ def _seq_report(name: str, n: int, lhs, rhs) -> series.IdentityReport:
 
 
 def cmd_verify(args) -> int:
+    if _too_large(args):
+        return EXIT_USAGE
     name = args.identity
     n = args.n if args.n is not None else (args.order if args.order is not None else 40)
     if n < 0:
@@ -256,6 +277,8 @@ def cmd_brackets(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if _too_large(args):
+        return EXIT_USAGE
     spec, code = _read_spec(args.spec)
     if code != EXIT_OK:
         return code
@@ -276,6 +299,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    if _too_large(args):
+        return EXIT_USAGE
     spec, code = _read_spec(args.spec)
     if code != EXIT_OK:
         return code
@@ -330,7 +355,12 @@ def main(argv=None) -> int:
         "certify": cmd_certify,
         "expand": cmd_expand,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except Exception as e:  # a fault in recint itself, not in the input
+        detail = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"recint: internal error: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

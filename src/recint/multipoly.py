@@ -17,6 +17,8 @@ convention and arithmetic is exact.
 
 from __future__ import annotations
 
+import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +43,11 @@ MAX_DEGREE = 1000
 #: the product; so ((2^1000)^1000)^10 is a parse error instead of a
 #: ten-million-bit constant.  100,000 bits is about 30,000 decimal digits.
 MAX_COEF_BITS = 100_000
+
+#: Largest sequence index (--n) or truncation order (--order) that the gen,
+#: certify, expand and verify commands accept.  They check it before they do
+#: any work, so one flag cannot ask for unbounded time and memory.
+MAX_ORDER = 5000
 
 
 class InexactDivisionError(ArithmeticError):
@@ -143,15 +150,47 @@ _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _decimal(n: int) -> str:
-    """str(n) for an int n >= 0 of any size.  str() refuses ints of more than
+    """str(n) for an int n of any size.  str() refuses ints of more than
     _max_str_digits() digits, so longer ones are split around a power of ten
     into two halves that convert the same way."""
     limit = _max_str_digits()
     if not limit or n.bit_length() <= 3 * limit:
         return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
     k = n.bit_length() * 3 // 20  # about half the digits (log10(2) > 3/10)
     high, low = divmod(n, 10**k)
     return _decimal(high) + _decimal(low).zfill(k)
+
+
+def json_text(doc) -> str:
+    """json.dumps(doc, indent=2), with ints of any size written as JSON numbers.
+
+    json converts ints with str(), which refuses ints of more than
+    _max_str_digits() digits.  When it does, every int over 3 times that many
+    bits is swapped for a placeholder string "\\0<i>", and in one pass over
+    the text each placeholder for the _decimal digits of int i; the
+    interpreter's limit is left unchanged.
+    """
+    try:
+        return json.dumps(doc, indent=2)
+    except ValueError:  # an int too long for str()
+        pass
+    limit = _max_str_digits()
+    digits: list[str] = []
+
+    def swap(v):
+        if isinstance(v, dict):
+            return {k: swap(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [swap(x) for x in v]
+        if type(v) is int and v.bit_length() > 3 * limit:
+            digits.append(_decimal(v))
+            return f"\0{len(digits) - 1}"
+        return v
+
+    text = json.dumps(swap(doc), indent=2)
+    return re.sub(r'"\\u0000(\d+)"', lambda m: digits[int(m.group(1))], text)
 
 
 class MultiPoly:

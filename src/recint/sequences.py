@@ -253,13 +253,20 @@ def w_inv(n: int, u: ParamSeq) -> ParamSeq:
 # -- specializations -------------------------------------------------------------
 
 
-def poch_product(n: int) -> MultiPoly:
-    """prod_{i=0}^{n-1} (i*(i+1) - b) over Z[b]: the collapsed Pochhammer pair."""
+def poch_products(n: int) -> list[MultiPoly]:
+    """[poch_product(0), ..., poch_product(n)], as one running product."""
     acc = MultiPoly.one(RING_B)
     bvar = MultiPoly.variable(RING_B, "b")
+    out = [acc]
     for i in range(n):
         acc = acc * (MultiPoly.const(RING_B, i * (i + 1)) - bvar)
-    return acc
+        out.append(acc)
+    return out
+
+
+def poch_product(n: int) -> MultiPoly:
+    """prod_{i=0}^{n-1} (i*(i+1) - b) over Z[b]: the collapsed Pochhammer pair."""
+    return poch_products(n)[n]
 
 
 def u_c0(n: int) -> MultiPoly:

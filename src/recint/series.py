@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .multipoly import MultiPoly, UPoly, VarSet, sum_of_products
 from .scalars import binomial, factorial
-from .sequences import RING_B, RING_BC, gen_u, gen_w, poch_product
+from .sequences import RING_B, RING_BC, gen_u, gen_w, poch_products
 
 
 class TruncSeries:
@@ -71,9 +72,7 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        groups = ([(a[i], b[d - i], 1) for i in range(d + 1)] for d in range(self.order + 1))
-        return TruncSeries(self.vs, self.order, sum_of_products(self.vs, groups))
+        return TruncSeries(self.vs, self.order, _dot(self.vs, self.order, [(self, other, 1)]))
 
     def scale(self, factor) -> "TruncSeries":
         """Coefficientwise multiplication by a scalar or MultiPoly."""
@@ -131,6 +130,66 @@ class TruncSeries:
     def __repr__(self):
         parts = [f"({c.text()})*t^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()]
         return f"TruncSeries[{' + '.join(parts) or '0'} + O(t^{self.order + 1})]"
+
+
+def _dot(
+    vs: VarSet, order: int, pairs: Sequence[tuple["TruncSeries", "TruncSeries", Fraction | int]]
+) -> list[MultiPoly]:
+    """Coefficients of sum(s * x * y for x, y, s in pairs) through the order,
+    for series x, y and rational weights s: the one series product.
+
+    Each distinct coefficient is split once into factor * primitive part; the
+    primitive part has integer numerators of content 1 and a positive
+    coefficient at its lexicographically largest exponent.  In each degree,
+    the rows x[i] * y[d - i] whose primitive parts are equal as an unordered
+    pair (equal numerator dicts, not just equal signatures) become one row
+    whose weight is the sum of theirs; rows whose weight cancels to exactly
+    zero are dropped, and the rest are one sum_of_products group.  So the
+    mirror pairs of a square or of g * g(-t), and theta-scaled copies of a
+    coefficient, are multiplied once per degree.
+    """
+    parts: dict[int, tuple[Fraction | int, int]] = {}  # id -> (factor, class)
+    classes: dict[tuple, list[int]] = {}  # signature -> classes
+    prims: list[MultiPoly] = []  # class -> primitive part
+
+    def split(p: MultiPoly) -> tuple[Fraction | int, int]:
+        if id(p) in parts:
+            return parts[id(p)]
+        lead = max(p.num)
+        g = gcd(*p.num.values())
+        if p.num[lead] < 0:
+            g = -g
+        prim = p.num if g == 1 else {e: c // g for e, c in p.num.items()}
+        bucket = classes.setdefault((lead, p.num[lead] // g, len(prim)), [])
+        for cls in bucket:
+            if prims[cls].num == prim:
+                break
+        else:
+            cls = len(prims)
+            prims.append(p if g == 1 and p.den == 1 else MultiPoly._new(vs, prim, 1))
+            bucket.append(cls)
+        parts[id(p)] = (g if p.den == 1 else Fraction(g, p.den), cls)
+        return parts[id(p)]
+
+    weights: list[dict[tuple[int, int], Fraction | int]] = [{} for _ in range(order + 1)]
+    for x, y, s in pairs:
+        ys = [(j, *split(c)) for j, c in enumerate(y.coeffs) if c.num]
+        for i, c in enumerate(x.coeffs):
+            if not c.num:
+                continue
+            fx, cx = split(c)
+            sx = s * fx
+            for j, fy, cy in ys:
+                if i + j > order:
+                    break
+                w = weights[i + j]
+                key = (cx, cy) if cx <= cy else (cy, cx)
+                if key in w:
+                    w[key] += sx * fy
+                else:
+                    w[key] = sx * fy
+    groups = ([(prims[a], prims[b], r) for (a, b), r in w.items() if r] for w in weights)
+    return sum_of_products(vs, groups)
 
 
 def inv_sqrt(a: TruncSeries) -> TruncSeries:
@@ -338,7 +397,7 @@ def verify_hg_c0(order: int) -> IdentityReport:
 
     (sum P[n] t^n / n!) * (sum P[n] (-t)^n / n!) = sum P[n] binomial(2n, n) t^(2n)
     """
-    pochs = [poch_product(n) for n in range(order + 1)]
+    pochs = poch_products(order)
     a = TruncSeries(
         RING_B, order, [p * Fraction(1, factorial(n)) for n, p in enumerate(pochs)]
     )
@@ -354,7 +413,7 @@ def verify_hg_c0(order: int) -> IdentityReport:
 def verify_clausen(order: int) -> IdentityReport:
     """Clausen-type square: (sum P[n] t^n / n!^2)^2
     = sum P[n] binomial(2n, n) (t (1 - t))^n / n!^2."""
-    pochs = [poch_product(n) for n in range(order + 1)]
+    pochs = poch_products(order)
     f = TruncSeries(
         RING_B, order, [p * Fraction(1, factorial(n) ** 2) for n, p in enumerate(pochs)]
     )
@@ -378,6 +437,11 @@ def derivation_identity_check(f: TruncSeries, k: int) -> IdentityReport:
     f * theta^(2k+1)(f) = (1/2) theta( sum_{j=0}^{2k} (-1)^j theta^j(f) theta^(2k-j)(f) )
 
     theta is degree-preserving, so both sides are exact at the full order.
+    The sum on the right is one _dot over its 2k+1 pairs.  The identity holds
+    for any commutative bilinear Cauchy product, so fusing the sum relies on
+    nothing that 2k+1 separate products and 2k additions did not; the factor
+    d/2 in degree d is applied afterwards by theta and scale, so the two
+    sides still reach the kernel with different weights.
     """
     if k < 0:
         raise ValueError("negative order")
@@ -385,10 +449,8 @@ def derivation_identity_check(f: TruncSeries, k: int) -> IdentityReport:
     for _ in range(2 * k + 1):
         powers.append(powers[-1].theta())
     lhs = f * powers[2 * k + 1]
-    acc = TruncSeries.zeros(f.vs, f.order)
-    for j in range(2 * k + 1):
-        prod = powers[j] * powers[2 * k - j]
-        acc = acc - prod if j % 2 else acc + prod
+    pairs = [(powers[j], powers[2 * k - j], -1 if j % 2 else 1) for j in range(2 * k + 1)]
+    acc = TruncSeries(f.vs, f.order, _dot(f.vs, f.order, pairs))
     rhs = acc.theta().scale(Fraction(1, 2))
     return _report("derivation", f.order, lhs, rhs, note=f"k={k}")
 

@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from conftest import DATA_DIR, REPO_ROOT, SPECS_DIR, digits_value, run_cli
-from recint.multipoly import MAX_COEF_BITS, MAX_DEGREE
+from recint import cli
+from recint.multipoly import MAX_COEF_BITS, MAX_DEGREE, MAX_ORDER, _decimal
+from recint.scalars import factorial
 from recint.reclang import parse_poly_list, parse_spec
 
 USEQ = str(SPECS_DIR / "useq.spec")
@@ -363,3 +366,131 @@ class TestCoefficientLimit:
         n, poly, den, _ = out.splitlines()[-1].split(",")
         assert (n, den) == ("3000", "1")
         assert len(poly) > 4300 and digits_value(poly) == a[3000]
+
+
+class TestLongDenominators:
+    """Denominators too long for str() reach every output format as digits.
+
+    n*a[n] = a[n-1] gives a[n] = 1/n!, and 1700! has 4,756 digits, more than
+    the interpreter converts by default."""
+
+    N = 1700
+    DEN = _decimal(factorial(N))
+
+    @pytest.fixture(scope="class")
+    def spec(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fac") / "fac.spec"
+        path.write_text("seq a;\nrec: n*a[n] = a[n-1];\n")
+        return str(path)
+
+    def test_case_is_past_the_str_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert len(self.DEN) == 4756
+        assert limit == 0 or len(self.DEN) > limit
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_gen_text(self, spec, fmt):
+        code, out, err = run_cli("gen", "--spec", spec, "--n", str(self.N), "--format", fmt)
+        assert (code, err) == (0, "")
+        last = out.splitlines()[-1]
+        fields = last.split(",") if fmt == "csv" else last.split()
+        assert fields[:3] == [str(self.N), f"1/{self.DEN}", self.DEN]
+
+    def test_gen_json(self, spec):
+        code, out, err = run_cli("gen", "--spec", spec, "--n", str(self.N), "--format", "json")
+        assert (code, err) == (0, "")
+        records = json.loads(out, parse_int=str)["records"]
+        assert records[-1]["n"] == str(self.N)
+        assert records[-1]["denominator"] == self.DEN
+        assert records[10]["denominator"] == "3628800"
+
+    def test_certify_table(self, spec):
+        code, out, err = run_cli("certify", "--spec", spec, "--n", str(self.N))
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[-(self.N + 1) :]
+        assert rows[-1].split()[:2] == [str(self.N), self.DEN]
+        assert rows[10].split()[:2] == ["10", "3628800"]
+
+    def test_certify_json(self, spec):
+        code, out, err = run_cli("certify", "--spec", spec, "--n", str(self.N), "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out, parse_int=str)
+        assert doc["per_term"][-1]["denominator"] == self.DEN
+        assert doc["n_checked"] == str(self.N)
+        assert doc["dn_scaled_integral"] is False
+
+    def test_certify_csv(self, spec):
+        code, out, err = run_cli("certify", "--spec", spec, "--n", str(self.N), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].split(",")[:2] == [str(self.N), self.DEN]
+
+
+class TestTopLevelGuard:
+    """Input that cannot be decoded is a usage error (exit 2); any other
+    unexpected exception is an internal error (exit 4).  Both print one
+    stderr line and no traceback."""
+
+    @pytest.mark.parametrize("command", ["gen", "certify", "expand"])
+    def test_non_utf8_spec(self, command, tmp_path):
+        spec = tmp_path / "latin.spec"
+        spec.write_bytes(b"seq a;\nrec: n*a[n] = a[n-1]; # caf\xe9 \xff\n")
+        code, out, err = run_cli(command, "--spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert "not UTF-8" in err and "latin.spec" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unexpected_exception(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("unexpected\nstate")
+
+        monkeypatch.setattr(cli, "cmd_verify", broken)
+        code, out, err = run_cli("verify", "id3", "--order", "4")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "recint: internal error: RuntimeError: unexpected state\n"
+
+
+class TestOrderLimit:
+    """--n and --order above MAX_ORDER exit 2 before any work is done.  Only
+    values just above the limit are run."""
+
+    OVER = str(MAX_ORDER + 1)
+
+    def test_limit_admits_documented_sizes(self):
+        # apery --n 3000 (README, TestCoefficientLimit) is the largest size used
+        assert 3000 <= MAX_ORDER == 5000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--spec", USEQ, "--n", OVER),
+            ("certify", "--spec", WSEQ, "--n", OVER),
+            ("expand", "--spec", USEQ, "--n", OVER),
+            ("verify", "id3", "--order", OVER),
+            ("verify", "derivation", "--n", OVER),
+            ("verify", "conv", "--order", "4", "--n", OVER),
+            ("gen", "--spec", str(DATA_DIR / "no-such.spec"), "--n", OVER),
+        ],
+        ids=["gen", "certify", "expand", "verify-order", "verify-n", "verify-both", "before-io"],
+    )
+    def test_just_above_the_limit(self, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == f"recint: --{argv[-2][2:]} {self.OVER} exceeds the limit {MAX_ORDER}\n"
+
+    def test_at_the_limit_is_accepted(self, monkeypatch):
+        # the check passes MAX_ORDER itself through to the command
+        seen = []
+        run_spec = cli.run_spec
+
+        def short_run(spec, n):
+            seen.append(n)
+            return run_spec(spec, 0)
+
+        monkeypatch.setattr(cli, "run_spec", short_run)
+        code, _, err = run_cli("gen", "--spec", USEQ, "--n", str(MAX_ORDER))
+        assert (code, err, seen) == (0, "", [MAX_ORDER])

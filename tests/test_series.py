@@ -13,6 +13,7 @@ from recint.sequences import RING_BC, gen_u, gen_w
 from recint.series import (
     OdeOperator,
     TruncSeries,
+    _dot,
     base_ode,
     base_series,
     derivation_identity_check,
@@ -236,6 +237,51 @@ def random_series(rng: random.Random, order: int) -> TruncSeries:
     return TruncSeries(RING_BC, order, [random_poly(rng) for _ in range(order + 1)])
 
 
+def proportional_bases(rng: random.Random) -> list[MultiPoly]:
+    """Three base polynomials: p with 2-4 terms, q with p's exponents but not
+    proportional to p, and an unrelated r; all have rational coefficients."""
+
+    def coef():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 5, 6)))
+
+    exps = {(rng.randint(0, 3), rng.randint(0, 2)) for _ in range(rng.randint(2, 4))}
+    while len(exps) < 2:
+        exps.add((rng.randint(0, 3), rng.randint(0, 2)))
+    p = MultiPoly(RING_BC, {e: coef() for e in exps})
+    while True:
+        q = MultiPoly(RING_BC, {e: coef() for e in exps})
+        if len({q.terms[e] / p.terms[e] for e in exps}) > 1:
+            break
+    r = MultiPoly(RING_BC, {(rng.randint(0, 3), rng.randint(0, 2)): coef() for _ in range(3)})
+    return [p, q, r]
+
+
+def proportional_series(rng: random.Random, order: int, bases: list[MultiPoly]) -> TruncSeries:
+    """Coefficients are zero or rational multiples, of either sign, of the bases."""
+    coeffs = []
+    for _ in range(order + 1):
+        if rng.random() < 0.2:
+            coeffs.append(MultiPoly.zero(RING_BC))
+        else:
+            scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.choice((1, 2, 3, 7, 12)))
+            coeffs.append(rng.choice(bases) * scale)
+    return TruncSeries(RING_BC, order, coeffs)
+
+
+def unfused_derivation_sum(f: TruncSeries, k: int) -> TruncSeries:
+    """sum_j (-1)^j theta^j(f) theta^(2k-j)(f) as 2k+1 separate products and
+    2k additions: the loop derivation_identity_check used before the sum was
+    fused, with naive_mul for each product."""
+    powers = [f]
+    for _ in range(2 * k):
+        powers.append(powers[-1].theta())
+    acc = TruncSeries.zeros(f.vs, f.order)
+    for j in range(2 * k + 1):
+        prod = naive_mul(powers[j], powers[2 * k - j])
+        acc = acc - prod if j % 2 else acc + prod
+    return acc
+
+
 class TestAgainstNaiveReference:
     """The fused products equal the term-by-term reference loops exactly."""
 
@@ -252,6 +298,49 @@ class TestAgainstNaiveReference:
         assert g * g.reflect() == naive_mul(g, g.reflect())
         theta = g.theta().theta().theta()
         assert g * theta == naive_mul(g, theta)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_proportional_coefficients(self, seed):
+        # products whose coefficient pairs merge: multiples of 2-3 bases,
+        # squares, g * g(-t) and theta^j-scaled copies
+        rng = random.Random(1000 + seed)
+        order = rng.randint(3, 10)
+        bases = proportional_bases(rng)[: rng.choice((2, 3))]
+        x, y = proportional_series(rng, order, bases), proportional_series(rng, order, bases)
+        assert x * y == naive_mul(x, y)
+        assert x * x == naive_mul(x, x)
+        assert x * x.reflect() == naive_mul(x, x.reflect())
+        assert x.reflect() * y == naive_mul(x.reflect(), y)
+        tx = x
+        for _ in range(3):
+            tx = tx.theta()
+            assert x * tx == naive_mul(x, tx)
+            assert tx * y.reflect() == naive_mul(tx, y.reflect())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_odd_degrees_cancel_to_exact_zero(self, seed):
+        rng = random.Random(2000 + seed)
+        x = proportional_series(rng, rng.randint(3, 11), proportional_bases(rng))
+        prod = x * x.reflect()
+        assert prod == naive_mul(x, x.reflect())
+        for k in range(1, x.order + 1, 2):
+            assert prod.coeffs[k].num == {} and prod.coeffs[k].den == 1
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_fused_derivation_sum(self, k):
+        rng = random.Random(3000 + k)
+        cases = (
+            base_series(8),
+            proportional_series(rng, 9, proportional_bases(rng)),
+            random_series(rng, 7),
+        )
+        for f in cases:
+            powers = [f]
+            for _ in range(2 * k):
+                powers.append(powers[-1].theta())
+            pairs = [(powers[j], powers[2 * k - j], -1 if j % 2 else 1) for j in range(2 * k + 1)]
+            fused = TruncSeries(f.vs, f.order, _dot(f.vs, f.order, pairs))
+            assert fused == unfused_derivation_sum(f, k)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_apply(self, seed):
