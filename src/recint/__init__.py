@@ -15,7 +15,6 @@ from .brackets import (
     OddFormExpansion,
     QTuple,
     Theorem3ViolationError,
-    bracket,
     build_expansion,
     certify_table,
     decompose_odd,
@@ -31,14 +30,13 @@ from .multipoly import (
     VarSet,
     denom_profile,
     exact_div_linear,
-    linear_form,
-    parse_poly,
     to_upoly,
 )
 from .reclang import (
     OddFormReport,
     RecurrenceSpec,
     SpecSyntaxError,
+    parse_poly,
     parse_spec,
     pretty_print,
     run_spec,

@@ -100,10 +100,6 @@ def q_monomial(halfdeg: int) -> UPoly:
     return UPoly(SCALARS, coeffs)
 
 
-def q_from_coeffs(coeffs: Sequence[int]) -> UPoly:
-    return UPoly(SCALARS, coeffs)
-
-
 class BracketTable:
     """Lazily built table of bracket entries for one Q tuple.
 
@@ -203,13 +199,6 @@ def _simplex_level(d: int, level: int) -> list[tuple[int, ...]]:
 def _box_level(m: tuple[int, ...], level: int) -> Iterable[tuple[int, ...]]:
     """Points p <= m componentwise with |p| == level, sorted."""
     return sorted(p for p in _simplex_level(len(m), level) if all(a <= b for a, b in zip(p, m)))
-
-
-def bracket(q: QTuple, m: Sequence[int], table: BracketTable | None = None) -> MultiPoly:
-    """One-shot bracket evaluation (builds a throwaway table unless given one)."""
-    if table is None:
-        table = BracketTable(q)
-    return table.entry(m)
 
 
 def r3_closed_form(m: Sequence[int]) -> Fraction:
@@ -407,19 +396,6 @@ def _multisets(atoms: Sequence[Atom], n: int) -> list[list[tuple[Atom, int]]]:
     return out
 
 
-class _TableCache:
-    """Bracket tables shared across multisets, keyed by the Q monomial tuple."""
-
-    def __init__(self):
-        self.tables: dict[tuple[int, ...], BracketTable] = {}
-
-    def get(self, halfdegs: tuple[int, ...]) -> BracketTable:
-        if halfdegs not in self.tables:
-            q = QTuple([q_monomial(j) for j in halfdegs])
-            self.tables[halfdegs] = BracketTable(q)
-        return self.tables[halfdegs]
-
-
 @dataclass
 class ExpansionTerm:
     """One multiset's contribution to the expansion of u[n]."""
@@ -430,19 +406,22 @@ class ExpansionTerm:
 
 
 def expand_terms(
-    expansion: OddFormExpansion, n: int, cache: _TableCache | None = None
+    expansion: OddFormExpansion, n: int, cache: dict[tuple[int, ...], BracketTable] | None = None
 ) -> list[ExpansionTerm]:
     """All bracket-weighted contributions to u[n], in deterministic order."""
     if n < 0:
         raise ValueError("negative index")
-    cache = cache or _TableCache()
+    if cache is None:
+        cache = {}  # halfdegs of the Q monomial tuple -> its table
     terms = []
     for multiset in _multisets(expansion.atoms, n):
         halfdegs = tuple(atom.halfdeg for atom, _ in multiset)
         point = tuple(mult for _, mult in multiset)
         weights = tuple(atom.weight for atom, _ in multiset)
         if multiset:
-            table = cache.get(halfdegs)
+            if halfdegs not in cache:
+                cache[halfdegs] = BracketTable(QTuple([q_monomial(j) for j in halfdegs]))
+            table = cache[halfdegs]
             poly = table.entry(point)
             value = poly.eval({f"x{k + 1}": w for k, w in enumerate(weights)})
         else:
@@ -461,14 +440,10 @@ def expand_terms(
 
 
 def expand_via_brackets(
-    expansion: OddFormExpansion, n: int, cache: _TableCache | None = None
+    expansion: OddFormExpansion, n: int, cache: dict[tuple[int, ...], BracketTable] | None = None
 ) -> MultiPoly:
     """u[n] reconstructed purely from bracket tables and atom coefficients."""
     total = MultiPoly.zero(expansion.ring)
     for term in expand_terms(expansion, n, cache):
         total = total + term.contribution
     return total
-
-
-def expansion_cache() -> _TableCache:
-    return _TableCache()

@@ -249,6 +249,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_brackets(args) -> int:
+    if _too_large(args):
+        return EXIT_USAGE
     try:
         polys = parse_poly_list(args.tuple, ("t",))
     except SpecSyntaxError as e:

@@ -31,22 +31,25 @@ from typing import Iterable, Mapping, Sequence
 MAX_NESTING = 100
 
 #: Largest exponent, total degree, sequence lag (the i of seq[n - i]) and
-#: leading power of n that a spec or CLI tuple expression may use.  The spec
-#: parser checks it before it builds a power or a product, so input over the
-#: limit is a parse error instead of a dense list of that many coefficients.
+#: leading power of n that parsed polynomial text may use.  The parser
+#: (reclang) checks it before it builds a power or a product, so input over
+#: the limit is a parse error instead of a dense list of that many
+#: coefficients.
 MAX_DEGREE = 1000
 
-#: Largest coefficient size, in bits, that a spec or CLI tuple expression may
-#: build.  The spec parser bounds a power p^k by k * bits(|p|) and a product
-#: p * q by bits(|p|) + bits(|q|), where |p| is the sum of the absolute values
-#: of p's coefficients, and checks the bound before it computes the power or
-#: the product; so ((2^1000)^1000)^10 is a parse error instead of a
-#: ten-million-bit constant.  100,000 bits is about 30,000 decimal digits.
+#: Largest coefficient size, in bits, that parsed polynomial text may build.
+#: With |p| = max(sum of |numerators|, denominator) of p, the parser bounds a
+#: power p^k by k * bits(|p|) and a product or quotient p * q by
+#: bits(|p|) + bits(|q|), and checks the bound before it computes the power,
+#: the product or the quotient; so ((2^1000)^1000)^10 is a parse error
+#: instead of a ten-million-bit constant.  A sum is checked once built.
+#: 100,000 bits is about 30,000 decimal digits.
 MAX_COEF_BITS = 100_000
 
 #: Largest sequence index (--n) or truncation order (--order) that the gen,
-#: certify, expand and verify commands accept.  They check it before they do
-#: any work, so one flag cannot ask for unbounded time and memory.
+#: certify, expand, verify and brackets commands accept.  They check it
+#: before they do any work, so one flag cannot ask for unbounded time and
+#: memory.
 MAX_ORDER = 5000
 
 
@@ -483,7 +486,8 @@ class MultiPoly:
 
     def text(self) -> str:
         """Canonical form: monomials in descending graded-lex order, explicit
-        * and ^, rational coefficients as p/q.  Round-trips through parse_poly.
+        * and ^, rational coefficients as p/q.  Round-trips through
+        reclang.parse_poly within the parser's limits.
         """
         if not self.num:
             return "0"
@@ -580,157 +584,6 @@ def sum_of_products(
             _pair_sums(acc, left, packed[id(b)])
         out.append(_unpacked(vs, acc, width, den))
     return out
-
-
-def linear_form(vs: VarSet, coeffs: Sequence[Fraction | int]) -> MultiPoly:
-    """The linear polynomial sum(coeffs[i] * vs[i])."""
-    if len(coeffs) != len(vs):
-        raise ValueError("coefficient count does not match variable count")
-    terms = {}
-    for i, c in enumerate(coeffs):
-        e = [0] * len(vs)
-        e[i] = 1
-        terms[tuple(e)] = c
-    return MultiPoly(vs, terms)
-
-
-# -- canonical text parser ----------------------------------------------------
-
-
-class _PolyParser:
-    """Recursive-descent parser for canonical polynomial text.
-
-    Grammar: sums/differences of products of powers, integer and p/q rational
-    literals, parentheses.  Division is accepted only by a constant.
-    Parentheses and chained unary signs nest at most MAX_NESTING deep.
-    """
-
-    def __init__(self, text: str, vs: VarSet):
-        self.text = text
-        self.vs = vs
-        self.pos = 0
-        self.depth = 0
-
-    def fail(self, msg: str):
-        raise ValueError(f"polynomial parse error at char {self.pos}: {msg}")
-
-    def nest(self):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.fail(f"nested deeper than {MAX_NESTING} levels")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.fail("expected integer")
-        return int(self.text[start : self.pos])
-
-    def take_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def parse(self) -> MultiPoly:
-        p = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail(f"unexpected trailing input {self.text[self.pos:]!r}")
-        return p
-
-    def expr(self) -> MultiPoly:
-        depth = self.depth
-        ch = self.peek()
-        sign = 1
-        while ch in "+-":
-            self.pos += 1
-            self.nest()
-            if ch == "-":
-                sign = -sign
-            ch = self.peek()
-        total = self.term() * sign
-        self.depth = depth
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                total = total + self.term()
-            elif ch == "-":
-                self.pos += 1
-                total = total - self.term()
-            else:
-                return total
-
-    def term(self) -> MultiPoly:
-        p = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                p = p * self.factor()
-            elif ch == "/":
-                self.pos += 1
-                d = self.factor()
-                if not (isinstance(d, MultiPoly) and d.is_constant()):
-                    self.fail("division only by a nonzero constant")
-                c = d.constant_value()
-                if not c:
-                    self.fail("division by zero")
-                p = p * (1 / c)
-            else:
-                return p
-
-    def factor(self) -> MultiPoly:
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            return base ** self.take_int()
-        return base
-
-    def atom(self) -> MultiPoly:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            self.nest()
-            p = self.expr()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-            self.depth -= 1
-            return p
-        if ch == "-":
-            self.pos += 1
-            self.nest()
-            p = -self.atom()
-            self.depth -= 1
-            return p
-        if ch.isdigit():
-            return MultiPoly.const(self.vs, self.take_int())
-        if ch.isalpha() or ch == "_":
-            name = self.take_name()
-            if name not in self.vs.names:
-                self.fail(f"unknown variable {name!r}")
-            return MultiPoly.variable(self.vs, name)
-        self.fail(f"unexpected character {ch!r}")
-
-
-def parse_poly(text: str, vs: VarSet) -> MultiPoly:
-    """Parse canonical polynomial text back into a MultiPoly."""
-    return _PolyParser(text, vs).parse()
 
 
 # -- univariate layer ----------------------------------------------------------

@@ -10,12 +10,18 @@ whose left side is n (optionally a power of n) times the current term:
 
 Expressions are sums of terms, each a polynomial in n and the ring
 variables times one back-reference seq[n - i] with i >= 1; integer
-literals, + - * ^ and parentheses; whitespace-insensitive; # starts a
-comment.  Parentheses and chained unary signs nest at most MAX_NESTING
-deep; exponents, degrees, lags and the leading power of n are at most
-MAX_DEGREE, and the coefficients that powers and products build are at
-most MAX_COEF_BITS bits long.  The initial term seq[0] is implicitly 1 and
-not writable.
+literals, + - * / ^ and parentheses, where / divides only by a nonzero
+constant (so p/q literals read as rationals); whitespace-insensitive; #
+starts a comment.  Unary minus binds tighter than * and / but looser than
+^.  Parentheses and chained unary signs nest at most MAX_NESTING deep;
+exponents, degrees, lags and the leading power of n are at most
+MAX_DEGREE, and the coefficients and denominators that powers, products,
+quotients and sums build are at most MAX_COEF_BITS bits long.  The initial
+term seq[0] is implicitly 1 and not writable.
+
+The same grammar, without sequence references, reads CLI tuples
+(parse_poly_list) and single polynomials (parse_poly, the inverse of
+MultiPoly.text within these limits).
 
 The canonical pretty-printer sorts ring variables and expands every
 coefficient polynomial, so parse -> print -> parse is stable and the
@@ -59,7 +65,7 @@ class Token:
     col: int
 
 
-_OPS = set(";:=[]()+-*^,")
+_OPS = set(";:=[]()+-*/^,")
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -123,10 +129,6 @@ class RecurrenceSpec:
     def ring(self) -> VarSet:
         return VarSet(self.ring_vars)
 
-    @property
-    def full_vars(self) -> VarSet:
-        return VarSet(self.ring_vars + ("n",))
-
     def q_upoly(self, i: int) -> UPoly:
         """q_i as a univariate polynomial in n over the ring variables."""
         return to_upoly(self.q[i - 1], "n")
@@ -153,9 +155,10 @@ def _degree(value: dict) -> int:
 
 
 def _coef_bits(value: dict) -> int:
-    """Bit length of the largest sum of absolute coefficient values among
-    value's polynomials: products of these sums bound products' coefficients."""
-    return max(sum(map(abs, p.num.values())).bit_length() for p in value.values())
+    """Bit length of the largest max(sum of |numerators|, denominator) among
+    value's polynomials: products of these bound products' numerators and
+    denominators alike."""
+    return max(max(sum(map(abs, p.num.values())), p.den).bit_length() for p in value.values())
 
 
 def _coef_bounded(tok: Token, bits: int):
@@ -209,16 +212,21 @@ class _Parser:
         total = self._scaled(self.parse_term(), sign)
         self.depth = depth
         while self.peek().kind == "op" and self.peek().value in "+-":
-            neg = self.next().value == "-"
+            op = self.next()
             term = self.parse_term()
-            total = self._merge(total, self._scaled(term, -1 if neg else 1))
+            total = self._merge(op, total, self._scaled(term, -1 if op.value == "-" else 1))
         return total
 
     def parse_term(self) -> dict:
         value = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().value == "*":
-            self.next()
+        while self.peek().kind == "op" and self.peek().value in "*/":
+            op = self.next()
             rhs = self.parse_factor()
+            if op.value == "/":
+                p = rhs.get(None)
+                if set(rhs) != {None} or not p.is_constant() or p.is_zero():
+                    self.fail(op, "division only by a nonzero constant")
+                rhs = {None: MultiPoly.const(self.vs, 1 / p.constant_value())}
             value = self._product(value, rhs)
         return value
 
@@ -287,10 +295,13 @@ class _Parser:
             return value
         return {k: -p for k, p in value.items()}
 
-    def _merge(self, a: dict, b: dict) -> dict:
+    def _merge(self, op: Token, a: dict, b: dict) -> dict:
+        # a sum of two bounded operands is cheap to build, but fractions over
+        # coprime denominators would grow without bound over many terms
         out = dict(a)
         for k, p in b.items():
             out[k] = out[k] + p if k in out else p
+            _coef_bounded(op, _coef_bits({k: out[k]}))
         return out
 
     def _product(self, a: dict, b: dict) -> dict:
@@ -419,9 +430,20 @@ def parse_spec(text: str) -> RecurrenceSpec:
     )
 
 
+def parse_poly(text: str, vs: VarSet) -> MultiPoly:
+    """One polynomial expression over vs, in the spec grammar without
+    sequence references; reads MultiPoly.text() back."""
+    parser = _Parser(_tokenize(text), allow_refs=False, vs=vs, seq_name=None)
+    value = parser.parse_expr()
+    tok = parser.next()
+    if tok.kind != "end":
+        parser.fail(tok, f"expected end of input, found {tok.value!r}")
+    return value[None]
+
+
 def parse_poly_list(text: str, varnames: tuple[str, ...]) -> list[MultiPoly]:
-    """Comma-separated polynomial expressions via the same sub-grammar
-    (integer literals, + - * ^, parentheses); used for CLI tuple input."""
+    """Comma-separated polynomial expressions in the same grammar; used for
+    CLI tuple input."""
     tokens = _tokenize(text)
     vs = VarSet(varnames)
     parser = _Parser(tokens, allow_refs=False, vs=vs, seq_name=None)

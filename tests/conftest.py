@@ -1,7 +1,7 @@
 """Shared test helpers.
 
-Exposes the repo paths, an in-process CLI runner, and the acceptance-line
-collector: acceptance tests append one PASS/FAIL line per criterion and the
+Exposes the repo paths, an in-process CLI runner, a linear-form builder,
+and the acceptance-line collector: acceptance tests append one PASS/FAIL line per criterion and the
 terminal-summary hook prints them as a block at the end of the run.
 """
 
@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SPECS_DIR = REPO_ROOT / "specs"
@@ -35,6 +37,20 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def linear_form(vs, coeffs: Sequence[Fraction | int]):
+    """The linear polynomial sum(coeffs[i] * vs[i]) as a MultiPoly over vs."""
+    from recint.multipoly import MultiPoly
+
+    if len(coeffs) != len(vs):
+        raise ValueError("coefficient count does not match variable count")
+    terms = {}
+    for i, c in enumerate(coeffs):
+        e = [0] * len(vs)
+        e[i] = 1
+        terms[tuple(e)] = c
+    return MultiPoly(vs, terms)
 
 
 def digits_value(text: str) -> int:

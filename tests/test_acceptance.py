@@ -17,12 +17,10 @@ from recint import series
 from recint.brackets import (
     BracketTable,
     QTuple,
-    bracket,
     build_expansion,
     certify_table,
     expand_terms,
     expand_via_brackets,
-    expansion_cache,
     q_monomial,
     x_varset,
     r3_closed_form,
@@ -204,10 +202,12 @@ def test_criterion_09_bracket_suite_certifies():
     suite = [("t", 8), ("t^3", 8), ("t, t", 8), ("t, t^3", 8), ("t^3 - 3*t, t", 8), ("t^5, t^3, t", 6)]
     certs = [(text, certify_table(_q(text), bound)) for text, bound in suite]
     all_ok = all(c.certified for _, c in certs)
-    spot_cubic = bracket(_q("t^3"), (2,)) == MultiPoly.monomial(
+    spot_cubic = BracketTable(_q("t^3")).entry((2,)) == MultiPoly.monomial(
         x_varset(1), (4,), Fraction(27, 128)
     )
-    spot_pair = bracket(_q("t, t"), (1, 1)) == MultiPoly.const(x_varset(2), Fraction(3, 4))
+    spot_pair = BracketTable(_q("t, t")).entry((1, 1)) == MultiPoly.const(
+        x_varset(2), Fraction(3, 4)
+    )
     entries = sum(c.entry_count for _, c in certs)
     conclude(
         "9",
@@ -251,7 +251,7 @@ def test_criterion_11_bracket_expansion_reconstructs_product_terms():
     odd = to_odd_form(spec)
     expansion = build_expansion(odd.p, spec.ring)
     u = gen_u(8)
-    cache = expansion_cache()
+    cache = {}
     bad = [n for n in range(9) if expand_via_brackets(expansion, n, cache) != u[n]]
     hand = expand_terms(expansion, 1, cache)
     hand_ok = (

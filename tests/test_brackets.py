@@ -10,29 +10,27 @@ from recint.brackets import (
     Atom,
     BracketDivisionError,
     BracketTable,
+    SCALARS,
     QTuple,
     Theorem3ViolationError,
-    bracket,
     build_expansion,
     certify_table,
     decompose_odd,
     expand_terms,
     expand_via_brackets,
-    expansion_cache,
-    q_from_coeffs,
     q_monomial,
     r3_closed_form,
     x_varset,
 )
-from recint.multipoly import MultiPoly, UPoly, VarSet, denom_profile, parse_poly
-from recint.reclang import parse_spec, run_spec, to_odd_form
+from recint.multipoly import MultiPoly, UPoly, VarSet, denom_profile
+from recint.reclang import parse_poly, parse_spec, run_spec, to_odd_form
 from recint.sequences import gen_u
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def q_tuple(*coeff_lists, permissive=False) -> QTuple:
-    return QTuple([q_from_coeffs(cs) for cs in coeff_lists], permissive=permissive)
+    return QTuple([UPoly(SCALARS, cs) for cs in coeff_lists], permissive=permissive)
 
 
 T = [0, 1]
@@ -128,7 +126,7 @@ class TestBracketRecursion:
         assert a == swapped
 
     def test_one_shot_helper(self):
-        assert bracket(q_tuple(T), (3,)).constant_value() == Fraction(5, 16)
+        assert BracketTable(q_tuple(T)).entry((3,)).constant_value() == Fraction(5, 16)
 
     def test_inexact_division_reported(self):
         q = q_tuple([1, 0, 1], permissive=True)  # constant term breaks division
@@ -250,10 +248,20 @@ class TestOddFormExpansion:
         assert odd.applicable
         expansion = build_expansion(odd.p, spec.ring)
         assert [(a.weight, a.halfdeg) for a in expansion.atoms] == [(1, 0), (1, 1), (2, 0)]
-        cache = expansion_cache()
+        cache = {}
         u = gen_u(6)
         for n in range(7):
             assert expand_via_brackets(expansion, n, cache) == u[n]
+
+    def test_empty_cache_is_shared(self):
+        spec = parse_spec((SPECS / "useq.spec").read_text())
+        expansion = build_expansion(to_odd_form(spec).p, spec.ring)
+        cache = {}
+        expand_terms(expansion, 2, cache)
+        tables = dict(cache)
+        assert (0,) in tables and (0, 1) in tables
+        expand_terms(expansion, 2, cache)
+        assert all(cache[k] is t for k, t in tables.items())
 
     def test_hand_checked_first_expansion(self):
         spec = parse_spec((SPECS / "useq.spec").read_text())
@@ -278,7 +286,7 @@ class TestOddFormExpansion:
             assert odd.applicable, name
             expansion = build_expansion(odd.p, spec.ring)
             direct = run_spec(spec, 5)
-            cache = expansion_cache()
+            cache = {}
             for n in range(6):
                 assert expand_via_brackets(expansion, n, cache) == direct[n], (name, n)
 

@@ -368,6 +368,36 @@ class TestCoefficientLimit:
         assert len(poly) > 4300 and digits_value(poly) == a[3000]
 
 
+class TestDivision:
+    """Spec files and tuples divide only by a nonzero constant."""
+
+    @pytest.mark.parametrize(
+        "rhs", ["w[n-1]/b", "w[n-1]/0", "w[n-1]/(1-1)", "2/w[n-1]"],
+        ids=["variable", "zero", "zero-sum", "reference"],
+    )
+    def test_other_divisors_are_parse_errors(self, rhs, tmp_path):
+        spec = tmp_path / "div.spec"
+        spec.write_text(f"ring b;\nseq w;\nrec: n*w[n] = {rhs};\n")
+        code, out, err = run_cli("gen", "--spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert "division only by a nonzero constant" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_division_by_a_constant(self, tmp_path):
+        spec = tmp_path / "half.spec"
+        spec.write_text("seq w;\nrec: n*w[n] = w[n-1]/2;\n")
+        code, out, err = run_cli("gen", "--spec", str(spec), "--n", "2", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("2,1/8,8,")
+        code, out, _ = run_cli("brackets", "6*t/2", "--n", "1")
+        assert code == 0
+        assert "tuple: 3*t\n" in out
+        code, _, err = run_cli("brackets", "t/2", "--n", "1")
+        assert code == 2
+        assert "non-integer coefficient" in err
+
+
 class TestLongDenominators:
     """Denominators too long for str() reach every output format as digits.
 
@@ -471,8 +501,18 @@ class TestOrderLimit:
             ("verify", "derivation", "--n", OVER),
             ("verify", "conv", "--order", "4", "--n", OVER),
             ("gen", "--spec", str(DATA_DIR / "no-such.spec"), "--n", OVER),
+            ("brackets", "t", "--n", OVER),
         ],
-        ids=["gen", "certify", "expand", "verify-order", "verify-n", "verify-both", "before-io"],
+        ids=[
+            "gen",
+            "certify",
+            "expand",
+            "verify-order",
+            "verify-n",
+            "verify-both",
+            "before-io",
+            "brackets",
+        ],
     )
     def test_just_above_the_limit(self, argv):
         start = time.perf_counter()

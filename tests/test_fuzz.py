@@ -1,8 +1,9 @@
 """Fuzzing of the spec and tuple parsers and of the CLI, with hypothesis.
 
-Whatever the input, the parsers return or raise SpecSyntaxError, and
-`recint brackets` and `recint gen` exit with a code of the exit-code
-contract (0 ok, 1 mismatch, 2 usage/parse, 3 I/O) and print no traceback.
+Whatever the input, the parsers (spec, tuple and single polynomial) return
+or raise SpecSyntaxError, and `recint brackets` and `recint gen` exit with
+a code of the exit-code contract (0 ok, 1 mismatch, 2 usage/parse, 3 I/O)
+and print no traceback.
 
 Inputs mix arbitrary text with text assembled from the grammar's own
 pieces.  Every piece ends in a space, so digits never run together: the
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recint.cli import main
-from recint.reclang import SpecSyntaxError, parse_poly_list, parse_spec
+from recint.multipoly import VarSet
+from recint.reclang import SpecSyntaxError, parse_poly, parse_poly_list, parse_spec
 
 FUZZ = settings(max_examples=100, deadline=None)
 
@@ -36,6 +38,7 @@ POLY_PIECES = tuple(
         "",
     )
 )
+DIV_PIECES = POLY_PIECES + ("/ ", "/0 ", "/(1-1) ", "/2 ", "/t ")
 REC_PIECES = POLY_PIECES + ("w[n-1] ", "w[n-2] ", "w[n-3] ", "w[n] ", "w[n-0] ", "n*", "b*", "c*")
 
 
@@ -80,6 +83,15 @@ def test_parse_spec_raises_only_syntax_errors(text):
 def test_parse_poly_list_raises_only_syntax_errors(text):
     try:
         parse_poly_list(text, ("t",))
+    except SpecSyntaxError:
+        pass
+
+
+@FUZZ
+@given(text=inputs(DIV_PIECES))
+def test_parse_poly_raises_only_syntax_errors(text):
+    try:
+        parse_poly(text, VarSet.of("b", "t"))
     except SpecSyntaxError:
         pass
 

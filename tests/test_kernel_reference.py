@@ -12,15 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, SPECS_DIR
-from recint.brackets import BracketTable, QTuple, q_from_coeffs
+from conftest import CORPUS, SPECS_DIR, linear_form
+from recint.brackets import SCALARS, BracketTable, QTuple
 from recint.multipoly import (
     InexactDivisionError,
     MultiPoly,
     UPoly,
     VarSet,
     exact_div_linear,
-    linear_form,
 )
 from recint.reclang import parse_spec, run_spec
 
@@ -195,7 +194,7 @@ def test_pivot_weight_not_dividing_the_numerators():
 def test_bracket_entries_match_references():
     # the table's own arithmetic, entry by entry: sum_i Q_i(<m,x> - x_i/2) *
     # <Q>_{m-e_i} by Horner and products, then divided slice by slice
-    q = QTuple([q_from_coeffs(c) for c in ([0, -3, 0, 1], [0, 1], [0, 0, 0, 2])])
+    q = QTuple([UPoly(SCALARS, c) for c in ([0, -3, 0, 1], [0, 1], [0, 0, 0, 2])])
     table = BracketTable(q)
     table.extend_to_level(4)
     vs = table.vs

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import digits_value
+from conftest import digits_value, linear_form
 from recint.multipoly import (
     MAX_NESTING,
     DenomProfile,
@@ -19,10 +19,9 @@ from recint.multipoly import (
     VarSet,
     denom_profile,
     exact_div_linear,
-    linear_form,
-    parse_poly,
     to_upoly,
 )
+from recint.reclang import parse_poly
 
 XYZ = VarSet.of("x", "y", "z")
 XY = VarSet.of("x", "y")

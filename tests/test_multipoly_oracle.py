@@ -14,12 +14,12 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from conftest import linear_form  # noqa: E402
 from recint.multipoly import (  # noqa: E402
     InexactDivisionError,
     MultiPoly,
     VarSet,
     exact_div_linear,
-    linear_form,
     sum_of_products,
 )
 from recint.sequences import gen_u, gen_w  # noqa: E402

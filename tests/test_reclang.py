@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, SPECS_DIR
-from recint.multipoly import MultiPoly, UPoly, VarSet, parse_poly
+from recint.multipoly import MultiPoly, UPoly, VarSet
 from recint.reclang import (
     RecurrenceSpec,
     SpecSyntaxError,
+    parse_poly,
     parse_poly_list,
     parse_spec,
     pretty_print,
@@ -33,7 +34,7 @@ class TestParsing:
         assert spec.seq_name == "w"
         assert spec.lead_power == 1
         assert spec.order == 3
-        vs = spec.full_vars
+        vs = spec.q[0].vs
         assert spec.q[0] == parse_poly("b - n*(n - 1)", vs)
         assert spec.q[1].is_zero()
         assert spec.q[2] == parse_poly("c", vs)
@@ -299,3 +300,63 @@ class TestPolyList:
             parse_poly_list("t, , t", ("t",))
         with pytest.raises(SpecSyntaxError):
             parse_poly_list("x", ("t",))
+
+
+class TestPolyGrammar:
+    """parse_poly reads one expression in the spec grammar, limits included."""
+
+    XY = VarSet.of("x", "y")
+
+    def poly(self, text: str) -> MultiPoly:
+        return parse_poly(text, self.XY)
+
+    def test_unary_minus_binds_looser_than_power(self):
+        x, y = MultiPoly.variable(self.XY, "x"), MultiPoly.variable(self.XY, "y")
+        assert self.poly("y*-x^2") == -(x**2 * y)
+        assert self.poly("x - -x^2") == x**2 + x
+        assert self.poly("2*-x^2") == x**2 * -2
+
+    @pytest.mark.parametrize("text", ["x/y", "x/0", "x/(1-1)", "x/(y - y + x)"])
+    def test_division_by_anything_else(self, text):
+        with pytest.raises(SpecSyntaxError, match="division only by a nonzero constant"):
+            self.poly(text)
+
+    def test_comments_and_trailing_input(self):
+        assert self.poly("x # comment\n + 1") == self.poly("x + 1")
+        with pytest.raises(SpecSyntaxError, match="expected end of input"):
+            self.poly("x y")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x^1001", "exponent 1001 exceeds the limit"),
+            ("(2^1000)^1000", "exceed the limit 100000"),
+        ],
+        ids=["degree", "coefficients"],
+    )
+    def test_limits(self, text, message):
+        with pytest.raises(SpecSyntaxError, match=message):
+            self.poly(text)
+
+    def test_quotients_count_toward_the_coefficient_limit(self):
+        # 1 bit for x, and 99,901 for the denominator 2^99900, twice over
+        p = self.poly("x/(2^999)^100")
+        assert p.den == 2**99900
+        with pytest.raises(SpecSyntaxError, match="up to 199802 bits exceed the limit"):
+            self.poly("x/(2^999)^100/(2^999)^100")
+
+    def test_sums_count_toward_the_coefficient_limit(self):
+        # each term is in bounds (about 63,000 bits), but coprime
+        # denominators multiply in a sum
+        third, fifth = "1/(3^400)^100", "1/(5^266)^100"
+        assert self.poly(f"{third} + {third}") == self.poly(f"2*{third}")
+        with pytest.raises(SpecSyntaxError, match="exceed the limit 100000"):
+            self.poly(f"{third} + {fifth}")
+
+    def test_rational_spec_round_trips(self):
+        vs = VarSet(("b", "c", "n"))
+        q = (parse_poly("b + 1/4", vs), MultiPoly.zero(vs), MultiPoly.const(vs, -1))
+        spec = RecurrenceSpec(ring_vars=("b", "c"), seq_name="w", lead_power=1, q=q)
+        printed = pretty_print(spec)
+        assert "(b + 1/4)*w[n-1]" in printed
+        assert parse_spec(printed) == spec

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from recint.multipoly import MultiPoly, denom_profile, parse_poly
+from recint.multipoly import MultiPoly, denom_profile
+from recint.reclang import parse_poly
 from recint.scalars import factorial, lcm_upto
 from recint.sequences import (
     RING_BC,
