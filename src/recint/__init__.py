@@ -34,6 +34,7 @@ from .multipoly import (
 )
 from .reclang import (
     OddFormReport,
+    ParamSeq,
     RecurrenceSpec,
     SpecSyntaxError,
     parse_poly,
@@ -47,7 +48,6 @@ from .scalars import VAL2_INF, Rational, binomial, factorial, lcm_upto, val2
 from .sequences import (
     IdentityViolationError,
     IntegralityViolationError,
-    ParamSeq,
     RING_B,
     RING_BC,
     RING_BS,

@@ -321,10 +321,14 @@ def cmd_expand(args) -> int:
     total = MultiPoly.zero(spec.ring)
     records = []
     for t in terms:
+        v = t.bracket_value  # str() refuses over 4,300 digits by default
+        bracket = _decimal(v.numerator)
+        if v.denominator != 1:
+            bracket += f"/{_decimal(v.denominator)}"
         records.append(
             {
                 "multiset": [list(entry) for entry in t.multiset],
-                "bracket": str(t.bracket_value),
+                "bracket": bracket,
                 "contribution": t.contribution.text(),
             }
         )

@@ -44,7 +44,6 @@ from .multipoly import (
     sum_of_products,
     to_upoly,
 )
-from .sequences import ParamSeq
 
 
 class SpecSyntaxError(ValueError):
@@ -66,6 +65,7 @@ class Token:
 
 
 _OPS = set(";:=[]()+-*/^,")
+_DIGITS = set("0123456789")  # ASCII only: str.isdigit() also admits "²" and "٣"
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -84,10 +84,10 @@ def _tokenize(text: str) -> list[Token]:
         elif ch == "#":
             while i < len(text) and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             start = i
             startcol = col
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i] in _DIGITS:
                 i += 1
                 col += 1
             tokens.append(Token("int", text[start:i], line, startcol))
@@ -525,20 +525,47 @@ def to_odd_form(spec: RecurrenceSpec) -> OddFormReport:
 # -- running ------------------------------------------------------------------------------
 
 
-def run_spec(spec: RecurrenceSpec, n: int) -> ParamSeq:
-    """Generate seq[0..n] over the fraction field of the ring.
+@dataclass
+class ParamSeq:
+    """A finite prefix of a parametric sequence: one MultiPoly per index."""
+
+    ring: VarSet
+    terms: list[MultiPoly]
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __getitem__(self, n: int) -> MultiPoly:
+        return self.terms[n]
+
+
+class SpecRunner:
+    """seq[0..n] of one spec, each term computed once and kept: the one
+    recurrence loop behind run_spec, gen_w and gen_u.
 
     seq[0] = 1; each later term divides by n^lead_power exactly (the division
     is by a scalar, so it always succeeds over rationals; integrality is the
     certifier's question, not the runner's).
     """
-    if n < 0:
-        raise ValueError("negative length")
-    ring = spec.ring
-    qs = [(i, spec.q_upoly(i)) for i, qi in enumerate(spec.q, start=1) if not qi.is_zero()]
-    terms = [MultiPoly.one(ring)]
-    for k in range(1, n + 1):
-        scale = Fraction(1, k**spec.lead_power)
-        rows = [(qi.eval_scalar(k), terms[k - i], scale) for i, qi in qs if i <= k]
-        terms.extend(sum_of_products(ring, [rows]))
-    return ParamSeq(ring, terms, "spec")
+
+    def __init__(self, spec: RecurrenceSpec):
+        self.ring = spec.ring
+        self.lead_power = spec.lead_power
+        self.q = [(i, spec.q_upoly(i)) for i, qi in enumerate(spec.q, start=1) if not qi.is_zero()]
+        self.terms = [MultiPoly.one(self.ring)]
+
+    def upto(self, n: int) -> ParamSeq:
+        """seq[0..n] over the fraction field of the ring."""
+        if n < 0:
+            raise ValueError("negative length")
+        terms = self.terms
+        for k in range(len(terms), n + 1):
+            scale = Fraction(1, k**self.lead_power)
+            rows = [(qi.eval_scalar(k), terms[k - i], scale) for i, qi in self.q if i <= k]
+            terms.extend(sum_of_products(self.ring, [rows]))
+        return ParamSeq(self.ring, terms[: n + 1])
+
+
+def run_spec(spec: RecurrenceSpec, n: int) -> ParamSeq:
+    """Generate seq[0..n] with a fresh SpecRunner."""
+    return SpecRunner(spec).upto(n)

@@ -1,11 +1,10 @@
 """Parametric sequence generators and the exact transforms between them.
 
-The two core families live over the ring Z[b, c]:
-
-  w: n*w[n] + (n*(n-1) - b)*w[n-1] - c*w[n-3] = 0,  w[0] = 1
-  u: n*u[n] - 2*(2*n-1)*(n*(n-1) - b)*u[n-1] + 4*c*(n-1)*u[n-2] = 0,  u[0] = 1
-
-u is the coefficient sequence of the even product series built from the
+The two core families w and u live over the ring Z[b, c].  WSEQ_TEXT and
+USEQ_TEXT state their recurrences in the spec language (those of
+specs/wseq.spec and specs/useq.spec; w[0] = u[0] = 1), and gen_w and gen_u
+run them on reclang's SpecRunner, the one recurrence engine.  u is the
+coefficient sequence of the even product series built from the
 w-generating series; u_conv, u_bin and w_inv are the independent routes
 between the two families that the test suite plays against each other.
 Apery's integer sequence rides along as the classical stress case.
@@ -13,11 +12,11 @@ Apery's integer sequence rides along as the classical stress case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .multipoly import MultiPoly, VarSet, denom_profile, sum_of_products
+from .reclang import ParamSeq, SpecRunner, parse_spec
 from .scalars import binomial, factorial
 
 RING_BC = VarSet.of("b", "c")
@@ -25,8 +24,22 @@ RING_B = VarSet.of("b")
 #: Square-root cover of RING_BC used by w_inv: s stands in for sqrt(c).
 RING_BS = VarSet.of("b", "s")
 
-_B = MultiPoly.variable(RING_BC, "b")
 _C = MultiPoly.variable(RING_BC, "c")
+
+WSEQ_TEXT = """\
+ring b c;
+seq w;
+rec: n*w[n] = (b - n*(n - 1))*w[n-1] + c*w[n-3];
+"""
+
+USEQ_TEXT = """\
+ring b c;
+seq u;
+rec: n*u[n] = 2*(2*n - 1)*(n*(n - 1) - b)*u[n-1] - 4*c*(n - 1)*u[n-2];
+"""
+
+_W = SpecRunner(parse_spec(WSEQ_TEXT))
+_U = SpecRunner(parse_spec(USEQ_TEXT))
 
 
 class IntegralityViolationError(ArithmeticError):
@@ -37,64 +50,14 @@ class IdentityViolationError(ArithmeticError):
     """A structural cancellation demanded by a closed formula failed."""
 
 
-@dataclass
-class ParamSeq:
-    """A finite prefix of a parametric sequence: one MultiPoly per index."""
-
-    ring: VarSet
-    terms: list[MultiPoly]
-    provenance: str
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, n: int) -> MultiPoly:
-        return self.terms[n]
-
-
-class _SeqCache:
-    """Incremental generator cache: terms are computed once, on demand."""
-
-    def __init__(self, first: MultiPoly, step):
-        self.terms = [first]
-        self.step = step
-
-    def upto(self, n: int) -> list[MultiPoly]:
-        while len(self.terms) <= n:
-            self.terms.append(self.step(len(self.terms), self.terms))
-        return self.terms[: n + 1]
-
-
-def _w_step(n: int, w: list[MultiPoly]) -> MultiPoly:
-    acc = (_B - n * (n - 1)) * w[n - 1]
-    if n >= 3:
-        acc = acc + _C * w[n - 3]
-    return acc / n
-
-
-def _u_step(n: int, u: list[MultiPoly]) -> MultiPoly:
-    acc = (_B - n * (n - 1)) * u[n - 1] * (-2 * (2 * n - 1))
-    if n >= 2:
-        acc = acc - _C * u[n - 2] * (4 * (n - 1))
-    return acc / n
-
-
-_W_CACHE = _SeqCache(MultiPoly.one(RING_BC), _w_step)
-_U_CACHE = _SeqCache(MultiPoly.one(RING_BC), _u_step)
-
-
 def gen_w(n: int) -> ParamSeq:
     """w[0..n] from the three-term recurrence."""
-    if n < 0:
-        raise ValueError("negative length")
-    return ParamSeq(RING_BC, _W_CACHE.upto(n), "recurrence")
+    return _W.upto(n)
 
 
 def gen_u(n: int) -> ParamSeq:
     """u[0..n] from the two-term recurrence."""
-    if n < 0:
-        raise ValueError("negative length")
-    return ParamSeq(RING_BC, _U_CACHE.upto(n), "recurrence")
+    return _U.upto(n)
 
 
 def gen_apery(n: int) -> list[int]:
@@ -143,7 +106,7 @@ def u_conv(n: int, w: ParamSeq) -> ParamSeq:
         [(w[m], w[m], (-1) ** m)] + [(w[k], w[2 * m - k], 2 * (-1) ** k) for k in range(m)]
         for m in range(n + 1)
     )
-    return ParamSeq(w.ring, sum_of_products(w.ring, groups), "convolution")
+    return ParamSeq(w.ring, sum_of_products(w.ring, groups))
 
 
 def u_bin(n: int, w: ParamSeq) -> ParamSeq:
@@ -165,7 +128,7 @@ def u_bin(n: int, w: ParamSeq) -> ParamSeq:
     groups = (
         [(ck[k], w[m - 2 * k], weight(m, k)) for k in range(m // 2 + 1)] for m in range(n + 1)
     )
-    return ParamSeq(RING_BC, sum_of_products(RING_BC, groups), "binomial-formula")
+    return ParamSeq(RING_BC, sum_of_products(RING_BC, groups))
 
 
 def _embed_sqrt(p: MultiPoly) -> MultiPoly:
@@ -247,7 +210,7 @@ def w_inv(n: int, u: ParamSeq) -> ParamSeq:
             RING_BC, {(i, j // 2): coef for (i, j), coef in even.num.items()}, even.den
         )
         terms.append(reduced)
-    return ParamSeq(RING_BC, terms, "inversion-formula")
+    return ParamSeq(RING_BC, terms)
 
 
 # -- specializations -------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -164,6 +166,21 @@ class TestExpand:
         code, _, err = run_cli("expand", "--spec", APERY, "--n", "2")
         assert code == 2
         assert "n^3" in err
+
+    def test_long_bracket_values_print(self, tmp_path):
+        # p_1(t) = (2t)^999, so v[8] = prod (2k-1)^999 / 8! is 2^7992 times the
+        # one bracket, whose numerator has 6,299 digits
+        spec = tmp_path / "wide.spec"
+        spec.write_text("ring b;\nseq v;\nrec: n*v[n] = (2*n - 1)^999*v[n-1];\n")
+        expected = Fraction(
+            math.prod((2 * k - 1) ** 999 for k in range(1, 9)), factorial(8) * 2**7992
+        )
+        code, out, err = run_cli("expand", "--spec", str(spec), "--n", "8", "--format", "json")
+        assert (code, err) == (0, "")
+        (record,) = json.loads(out)["records"]
+        num, den = record["bracket"].split("/")
+        assert len(num) > 4300
+        assert (digits_value(num), digits_value(den)) == (expected.numerator, expected.denominator)
 
 
 class TestOutput:

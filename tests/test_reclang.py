@@ -20,7 +20,9 @@ from recint.reclang import (
     spec_hash,
     to_odd_form,
 )
-from recint.sequences import gen_apery, gen_u, gen_w
+from recint.sequences import RING_BC, USEQ_TEXT, WSEQ_TEXT, gen_apery
+from test_point_oracle import SEEDS, point, u_values
+from test_series_oracle import w_values
 
 
 def load(name: str) -> str:
@@ -152,6 +154,13 @@ class TestPrinting:
             assert again == spec, name
             assert pretty_print(again) == printed, name
 
+    @pytest.mark.parametrize(
+        "text, name", [(WSEQ_TEXT, "wseq.spec"), (USEQ_TEXT, "useq.spec")], ids=["w", "u"]
+    )
+    def test_embedded_specs_match_the_files(self, text, name):
+        # gen_w and gen_u run the recurrences embedded in recint.sequences
+        assert pretty_print(parse_spec(text)) == pretty_print(parse_spec(load(name)))
+
     def test_hash_identifies_recurrence(self):
         w1 = parse_spec(load("wseq.spec"))
         w2 = parse_spec(pretty_print(w1))
@@ -239,20 +248,27 @@ class TestOddForm:
 
 
 class TestRunner:
+    # gen_w and gen_u run on run_spec's engine: the reference is the scalar
+    # recurrence at the point oracle's seeded points
     def test_w_spec_matches_generator(self):
         spec = parse_spec(load("wseq.spec"))
         out = run_spec(spec, 10)
-        w = gen_w(10)
-        ring = spec.ring
-        for n in range(11):
-            assert out[n] == w[n].cast(ring)
+        assert out.ring == RING_BC
+        for seed in SEEDS:
+            b, c = point(seed)
+            w = w_values(b, c, 10)
+            for n in range(11):
+                assert out[n].eval({"b": b, "c": c}) == w[n]
 
     def test_u_spec_matches_generator(self):
         spec = parse_spec(load("useq.spec"))
         out = run_spec(spec, 10)
-        u = gen_u(10)
-        for n in range(11):
-            assert out[n] == u[n].cast(spec.ring)
+        assert out.ring == RING_BC
+        for seed in SEEDS:
+            b, c = point(seed)
+            u = u_values(b, c, 10)
+            for n in range(11):
+                assert out[n].eval({"b": b, "c": c}) == u[n]
 
     def test_apery_spec_matches_generator(self):
         spec = parse_spec(load("apery.spec"))
@@ -335,6 +351,18 @@ class TestPolyGrammar:
         ids=["degree", "coefficients"],
     )
     def test_limits(self, text, message):
+        with pytest.raises(SpecSyntaxError, match=message):
+            self.poly(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x^²", "unexpected character '²'"),
+            ("٣*x", "unexpected character '٣'"),
+        ],
+        ids=["superscript-exponent", "arabic-indic-digit"],
+    )
+    def test_digits_are_ascii(self, text, message):
         with pytest.raises(SpecSyntaxError, match=message):
             self.poly(text)
 

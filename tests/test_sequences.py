@@ -182,7 +182,7 @@ class TestTransforms:
             )
             for _ in range(6)
         ]
-        fake = type(gen_u(0))(RING_BC, fake_terms, "random")
+        fake = type(gen_u(0))(RING_BC, fake_terms)
         for n in range(7):
             _, odd = split_sqrt_parity(inv_formula_sum(n, fake))
             assert odd.is_zero()
@@ -191,7 +191,7 @@ class TestTransforms:
         # what a wrong input does break is the equality with the scaled
         # base sequence, not the parity cancellation
         u = gen_u(4)
-        poisoned = type(u)(u.ring, list(u.terms), u.provenance)
+        poisoned = type(u)(u.ring, list(u.terms))
         poisoned.terms[1] = poisoned.terms[1] + 1
         out = w_inv(4, poisoned)
         w = gen_w(4)
