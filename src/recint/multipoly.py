@@ -22,6 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -98,10 +99,6 @@ class VarSet:
 
     def __iter__(self):
         return iter(self.names)
-
-
-def _grlex_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
 
 
 def _pack(cols: list[tuple[int, ...]], width: int, count: int) -> Sequence[int]:
@@ -488,39 +485,48 @@ class MultiPoly:
         """Canonical form: monomials in descending graded-lex order, explicit
         * and ^, rational coefficients as p/q.  Round-trips through
         reclang.parse_poly within the parser's limits.
+
+        Two C-level sorts give the order (descending exponents, then a stable
+        sort by descending total degree); monomial strings come from a bounded
+        cache, and no gcd is taken when den == 1.
         """
-        if not self.num:
+        num, den, names = self.num, self.den, self.vs.names
+        if not num:
             return "0"
-        den = self.den
         limit = 3 * _max_str_digits()  # bits that str() always converts
-        wide = limit and max(den, *map(abs, self.num.values())).bit_length() > limit
+        wide = limit and max(den, *map(abs, num.values())).bit_length() > limit
         digits = _decimal if wide else str
-        pieces = []
-        for exps in sorted(self.num, key=_grlex_key, reverse=True):
-            coef = self.num[exps]
-            g = gcd(coef, den)
-            p, q = abs(coef) // g, den // g
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.vs.names, exps)
-                if e
-            )
-            mag = digits(p) if q == 1 else f"{digits(p)}/{digits(q)}"
-            if not mono:
-                body = mag
-            elif p == 1 and q == 1:
-                body = mono
+        order = sorted(num, reverse=True)
+        order.sort(key=sum, reverse=True)
+        out = []
+        for exps in order:
+            coef = num[exps]
+            out.append(" - " if coef < 0 else " + ")
+            p, q = abs(coef), 1
+            if den != 1:
+                g = gcd(p, den)
+                p, q = p // g, den // g
+            mono = _monomial(names, exps)
+            if q != 1:
+                mag = f"{digits(p)}/{digits(q)}"
+            elif p == 1 and mono:
+                out.append(mono)
+                continue
             else:
-                body = f"{mag}*{mono}"
-            pieces.append(("-" if coef < 0 else "+", body))
-        sign, body = pieces[0]
-        out = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+                mag = digits(p)
+            out.append(f"{mag}*{mono}" if mono else mag)
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __repr__(self):
         return f"MultiPoly({self.text()!r} over {self.vs.names})"
+
+
+@lru_cache(maxsize=1 << 14)
+def _monomial(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
+    """The monomial of exponent vector exps over the variables names, as
+    text() prints it ("" for the constant monomial)."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
 
 
 def _join(vs: VarSet, parts: list[tuple[dict[tuple[int, ...], int], int]]) -> MultiPoly:
@@ -647,17 +653,13 @@ class UPoly:
         return UPoly(self.vs, [c * factor for c in self.coeffs])
 
     def compose_affine(self, shift: Fraction | int) -> "UPoly":
-        """Return q(t) = self(t + shift), by Horner over t + shift."""
-        shift = Fraction(shift)
-        res: list[MultiPoly] = []
-        for coef in reversed(self.coeffs):
-            new = [MultiPoly.zero(self.vs) for _ in range(len(res) + 1)]
-            for k, ck in enumerate(res):
-                new[k + 1] = new[k + 1] + ck
-                new[k] = new[k] + ck * shift
-            new[0] = new[0] + coef
-            res = new
-        return UPoly(self.vs, res)
+        """Return q(t) = self(t + shift): eval_poly (packed Horner) at t + shift,
+        with t a variable appended to vs under a name vs does not use."""
+        t = "t"
+        while t in self.vs.names:
+            t += "_"
+        full = VarSet(self.vs.names + (t,))
+        return to_upoly(self.eval_poly(MultiPoly.variable(full, t) + Fraction(shift)), t)
 
     def is_odd(self) -> bool:
         """True when only odd powers of the indeterminate occur."""

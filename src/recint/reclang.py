@@ -551,7 +551,7 @@ class SpecRunner:
     def __init__(self, spec: RecurrenceSpec):
         self.ring = spec.ring
         self.lead_power = spec.lead_power
-        self.q = [(i, spec.q_upoly(i)) for i, qi in enumerate(spec.q, start=1) if not qi.is_zero()]
+        self.q = [(i, qi) for i, qi in enumerate(spec.q, start=1) if not qi.is_zero()]
         self.terms = [MultiPoly.one(self.ring)]
 
     def upto(self, n: int) -> ParamSeq:
@@ -561,9 +561,20 @@ class SpecRunner:
         terms = self.terms
         for k in range(len(terms), n + 1):
             scale = Fraction(1, k**self.lead_power)
-            rows = [(qi.eval_scalar(k), terms[k - i], scale) for i, qi in self.q if i <= k]
+            rows = [(_q_at(qi, self.ring, k), terms[k - i], scale) for i, qi in self.q if i <= k]
             terms.extend(sum_of_products(self.ring, [rows]))
         return ParamSeq(self.ring, terms[: n + 1])
+
+
+def _q_at(q: MultiPoly, ring: VarSet, k: int) -> MultiPoly:
+    """A q_i of a spec (over ring + (n,)) at the integer n = k, over ring: one
+    pass over the integer numerators."""
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for e, c in q.num.items():
+        r = e[:-1]
+        acc[r] = get(r, 0) + c * k ** e[-1]
+    return MultiPoly._make(ring, {r: c for r, c in acc.items() if c}, q.den)
 
 
 def run_spec(spec: RecurrenceSpec, n: int) -> ParamSeq:

@@ -1,14 +1,18 @@
 """Integer kernels against plain MultiPoly references.
 
-UPoly.eval_poly, exact_div_linear and run_spec work on packed integer
-numerators.  The references below are the straightforward versions built
+UPoly.eval_poly, UPoly.compose_affine, exact_div_linear, run_spec (with its
+q_i(k) evaluation) and MultiPoly.text work on packed integer numerators or
+cached pieces.  The references below are the straightforward versions built
 from MultiPoly ring operations (Horner with `*` and `+`, synthetic division
-slice by slice, the recurrence loop term by term); the kernels must give
-equal polynomials, and equal remainders when a division is inexact.
+slice by slice, the recurrence loop term by term) or, for text(), the
+one-key sort and per-term join; the kernels must give equal polynomials (or
+equal strings), and equal remainders when a division is inexact.
 """
 
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,9 +23,11 @@ from recint.multipoly import (
     MultiPoly,
     UPoly,
     VarSet,
+    _decimal,
+    _max_str_digits,
     exact_div_linear,
 )
-from recint.reclang import parse_spec, run_spec
+from recint.reclang import _q_at, parse_poly, parse_spec, run_spec
 
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 9, 12, 35)
 SEEDS = range(60)
@@ -93,6 +99,52 @@ def loop_run_spec(spec, n: int) -> list[MultiPoly]:
     return terms
 
 
+def reference_text(p: MultiPoly) -> str:
+    """text() as one sort on a (total degree, exponents) key, a gcd and a
+    monomial join per term, and one string concatenation per term."""
+    if not p.num:
+        return "0"
+    den = p.den
+    limit = 3 * _max_str_digits()
+    wide = limit and max(den, *map(abs, p.num.values())).bit_length() > limit
+    digits = _decimal if wide else str
+    pieces = []
+    for exps in sorted(p.num, key=lambda e: (sum(e), e), reverse=True):
+        coef = p.num[exps]
+        g = gcd(coef, den)
+        num, q = abs(coef) // g, den // g
+        mono = "*".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(p.vs.names, exps) if e
+        )
+        mag = digits(num) if q == 1 else f"{digits(num)}/{digits(q)}"
+        if not mono:
+            body = mag
+        elif num == 1 and q == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        pieces.append(("-" if coef < 0 else "+", body))
+    sign, body = pieces[0]
+    out = body if sign == "+" else f"-{body}"
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def horner_compose_affine(u: UPoly, shift) -> UPoly:
+    """u(t + shift) by Horner with one MultiPoly per coefficient."""
+    shift = Fraction(shift)
+    res: list[MultiPoly] = []
+    for coef in reversed(u.coeffs):
+        new = [MultiPoly.zero(u.vs) for _ in range(len(res) + 1)]
+        for k, ck in enumerate(res):
+            new[k + 1] = new[k + 1] + ck
+            new[k] = new[k] + ck * shift
+        new[0] = new[0] + coef
+        res = new
+    return UPoly(u.vs, res)
+
+
 def rand_weights(rng: random.Random, d: int) -> list[int]:
     """Weights with zeros, negatives and a pivot that need not come first."""
     m = [rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(d)]
@@ -147,6 +199,98 @@ def test_eval_poly_high_power_of_a_late_variable():
     u = UPoly(VarSet.of(), [0, 0, 0, 0, 1])
     assert u.eval_poly(arg) == horner_eval_poly(u, arg)
     assert u.eval_poly(arg).num[(0, 8)] == 1
+
+
+# -- text ------------------------------------------------------------------------------
+
+
+def assert_text(p: MultiPoly):
+    text = p.text()
+    assert text == reference_text(p)
+    assert parse_poly(text, p.vs) == p
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_text_matches_reference(seed):
+    rng = random.Random(seed)
+    vs = rand_varset(rng)
+    for _ in range(4):
+        assert_text(rand_poly(rng, vs, rng.randint(0, 5), rng.randint(0, 12)))
+
+
+def test_text_edge_cases():
+    xy = VarSet.of("x", "y")
+    for terms in (
+        {(2, 0): 1, (1, 1): -1, (0, 1): 1, (0, 0): -1},  # unit coefficients
+        {(0, 0): Fraction(-7, 3)},  # a constant
+        {(3, 0): Fraction(1, 2), (0, 3): Fraction(-1, 2), (1, 0): Fraction(4, 2)},
+        {},  # zero
+    ):
+        assert_text(MultiPoly(xy, terms))
+    assert MultiPoly(xy, {(0, 0): -1}).text() == "-1"
+    none = VarSet.of()
+    for value in (0, 1, -1, Fraction(5, 6)):
+        assert_text(MultiPoly.const(none, value))
+
+
+def test_text_keys_monomials_by_variable_order():
+    # the same exponent vector over the same names in another order is
+    # another monomial, so the cache must not hand one VarSet's string to the other
+    terms = {(2, 1): 1, (0, 3): -2, (1, 0): 1}
+    xy = MultiPoly(VarSet.of("x", "y"), terms)
+    yx = MultiPoly(VarSet.of("y", "x"), terms)
+    assert xy.text() == "x^2*y - 2*y^3 + x"
+    assert yx.text() == "y^2*x - 2*x^3 + y"
+    for p in (xy, yx, xy, yx):
+        assert_text(p)
+
+
+def test_text_coefficients_longer_than_str_converts():
+    vs = VarSet.of("x", "y")
+    big = 10**4400 + 7
+    p = MultiPoly(vs, {(1, 1): big, (0, 2): Fraction(-1, big * 3), (0, 0): 1})
+    text = p.text()
+    assert text == reference_text(p)
+    # reading the text back needs int() of a 4,401-digit literal, which the
+    # interpreter's default limit refuses; lift the limit for the parse only
+    limit = _max_str_digits()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert parse_poly(text, vs) == p
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+# -- compose_affine ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compose_affine_matches_horner(seed):
+    rng = random.Random(seed)
+    vs = rand_varset(rng)
+    u = UPoly(vs, [rand_poly(rng, vs, 3) for _ in range(rng.randint(0, 7))])
+    shift = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+    assert u.compose_affine(shift) == horner_compose_affine(u, shift)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_compose_affine_on_corpus_q(name):
+    spec = parse_spec((SPECS_DIR / name).read_text())
+    for i in range(1, spec.order + 1):
+        u = spec.q_upoly(i)
+        assert u.compose_affine(Fraction(i, 2)) == horner_compose_affine(u, Fraction(i, 2))
+
+
+def test_compose_affine_over_a_ring_with_t():
+    # the auxiliary indeterminate must not collide with a ring variable
+    vs = VarSet.of("s", "t", "t_")
+    rng = random.Random(5)
+    u = UPoly(vs, [rand_poly(rng, vs, 2) for _ in range(5)])
+    for shift in (Fraction(1, 2), -3, 0):
+        assert u.compose_affine(shift) == horner_compose_affine(u, shift)
+    assert u.compose_affine(Fraction(1, 2)).vs == vs
 
 
 # -- exact_div_linear --------------------------------------------------------------------
@@ -226,3 +370,24 @@ def test_run_spec_lead_power_three():
     terms = run_spec(spec, 12).terms
     assert terms == loop_run_spec(spec, 12)
     assert [t.constant_value() for t in terms[:5]] == [1, 5, 73, 1445, 33001]
+
+
+RATIONAL_SPECS = (
+    "ring b; seq v; rec: n*v[n] = (n/2 + 1/3)*v[n-1] + b*(n^2/5 - 7)*v[n-3];",
+    "ring a b; seq v; rec: n^3*v[n] = (a*n^3/4 - 2/3)*v[n-1] - b^2*n*v[n-2];",
+)
+
+
+@pytest.mark.parametrize("text", [(SPECS_DIR / name).read_text() for name in CORPUS] + list(RATIONAL_SPECS))
+def test_q_at_matches_eval_scalar(text):
+    spec = parse_spec(text)
+    for i, q in enumerate(spec.q, start=1):
+        u = spec.q_upoly(i)
+        for k in range(41):
+            assert _q_at(q, spec.ring, k) == u.eval_scalar(k)
+
+
+@pytest.mark.parametrize("text", RATIONAL_SPECS)
+def test_run_spec_rational_coefficients(text):
+    spec = parse_spec(text)
+    assert run_spec(spec, 12).terms == loop_run_spec(spec, 12)
