@@ -17,7 +17,7 @@ the corresponding monomial tuple, evaluated at the integer weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -239,20 +239,8 @@ class BracketCertification:
     certified: bool
 
     def to_dict(self) -> dict:
-        return {
-            "tuple": self.tuple_text,
-            "odd_tuple": self.odd_tuple,
-            "bound": self.bound,
-            "entry_count": self.entry_count,
-            "level_max_defect": self.level_max_defect,
-            "slope": self.slope,
-            "all_pow2": self.all_pow2,
-            "even_degree_ok": self.even_degree_ok,
-            "inexact_at": self.inexact_at,
-            "inexact_remainder": self.inexact_remainder,
-            "violations": self.violations,
-            "certified": self.certified,
-        }
+        d = asdict(self)
+        return {"tuple": d.pop("tuple_text"), **d}
 
 
 def certify_table(q: QTuple, bound: int, table: BracketTable | None = None) -> BracketCertification:

@@ -15,7 +15,7 @@ underlying theorem, not a bug in the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import lcm
 
 from .multipoly import _decimal, denom_profile, json_text
@@ -39,26 +39,8 @@ class IntegralityReport:
     per_term: list[dict]
     critical: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "spec_hash": self.spec_hash,
-            "seq_name": self.seq_name,
-            "ring_vars": list(self.ring_vars),
-            "n_checked": self.n_checked,
-            "pipeline": self.pipeline,
-            "theorem2_applicable": self.theorem2_applicable,
-            "offenders": self.offenders,
-            "reason": self.reason,
-            "in_ring": self.in_ring,
-            "in_ring_half": self.in_ring_half,
-            "dn_scaled_integral": self.dn_scaled_integral,
-            "v2_defects": self.v2_defects,
-            "per_term": self.per_term,
-            "critical": self.critical,
-        }
-
     def to_json(self) -> str:
-        return json_text(self.to_dict())
+        return json_text(asdict(self))  # field order is the key order
 
     def table_lines(self) -> list[str]:
         flags = (

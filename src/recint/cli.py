@@ -108,22 +108,30 @@ def _emit(text: str, out_path: str | None) -> int:
     return EXIT_OK
 
 
-def _read_spec(path: str):
-    """Returns (spec, exit_code); spec is None when exit_code != EXIT_OK."""
+def _read_spec(args):
+    """The prologue of gen, certify and expand: the --n limit, then the spec
+    file, then the sign of --n.  Returns (spec, exit_code); spec is None when
+    exit_code != EXIT_OK."""
+    if _too_large(args):
+        return None, EXIT_USAGE
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.spec, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        print(f"recint: cannot read {path}: {e}", file=sys.stderr)
+        print(f"recint: cannot read {args.spec}: {e}", file=sys.stderr)
         return None, EXIT_IO
     except UnicodeDecodeError as e:
-        print(f"recint: {path}: not UTF-8 text: byte {e.start} cannot be decoded", file=sys.stderr)
+        print(f"recint: {args.spec}: not UTF-8 text: byte {e.start} cannot be decoded", file=sys.stderr)
         return None, EXIT_USAGE
     try:
-        return parse_spec(text), EXIT_OK
+        spec = parse_spec(text)
     except SpecSyntaxError as e:
-        print(f"recint: {path}: {e}", file=sys.stderr)
+        print(f"recint: {args.spec}: {e}", file=sys.stderr)
         return None, EXIT_USAGE
+    if args.n < 0:
+        print("recint: --n must be nonnegative", file=sys.stderr)
+        return None, EXIT_USAGE
+    return spec, EXIT_OK
 
 
 def _format_records(records: list[dict], fmt: str, summary: dict | None = None) -> str:
@@ -176,14 +184,9 @@ def _too_large(args) -> bool:
 
 
 def cmd_gen(args) -> int:
-    if _too_large(args):
-        return EXIT_USAGE
-    spec, code = _read_spec(args.spec)
+    spec, code = _read_spec(args)
     if code != EXIT_OK:
         return code
-    if args.n < 0:
-        print("recint: --n must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     seq = run_spec(spec, args.n)
     return _emit(_format_records(seq_records(seq), args.format), args.out)
 
@@ -279,14 +282,9 @@ def cmd_brackets(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if _too_large(args):
-        return EXIT_USAGE
-    spec, code = _read_spec(args.spec)
+    spec, code = _read_spec(args)
     if code != EXIT_OK:
         return code
-    if args.n < 0:
-        print("recint: --n must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     report = certify(spec, args.n)
     if args.format == "json":
         text = report.to_json()
@@ -301,14 +299,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    if _too_large(args):
-        return EXIT_USAGE
-    spec, code = _read_spec(args.spec)
+    spec, code = _read_spec(args)
     if code != EXIT_OK:
         return code
-    if args.n < 0:
-        print("recint: --n must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     odd = to_odd_form(spec)
     if not odd.applicable:
         detail = odd.reason or "; ".join(

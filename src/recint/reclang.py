@@ -19,9 +19,11 @@ MAX_DEGREE, and the coefficients and denominators that powers, products,
 quotients and sums build are at most MAX_COEF_BITS bits long.  The initial
 term seq[0] is implicitly 1 and not writable.
 
-The same grammar, without sequence references, reads CLI tuples
-(parse_poly_list) and single polynomials (parse_poly, the inverse of
-MultiPoly.text within these limits).
+One parser, _Parser, reads every token: parse_spec runs the ring, seq and
+rec statements on it and then hands it the right side of rec:.  The same
+grammar, without sequence references, reads CLI tuples (parse_poly_list)
+and single polynomials (parse_poly, the inverse of MultiPoly.text within
+these limits).
 
 The canonical pretty-printer sorts ring variables and expands every
 coefficient polynomial, so parse -> print -> parse is stable and the
@@ -169,10 +171,9 @@ def _coef_bounded(tok: Token, bits: int):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], allow_refs: bool, vs: VarSet, seq_name: str | None):
+    def __init__(self, tokens: list[Token], vs: VarSet | None, seq_name: str | None):
         self.tokens = tokens
         self.pos = 0
-        self.allow_refs = allow_refs
         self.vs = vs
         self.seq_name = seq_name
         self.depth = 0
@@ -198,6 +199,10 @@ class _Parser:
         if tok.kind != "op" or tok.value != op:
             self.fail(tok, f"expected {op!r}, found {tok.value!r}")
         return tok
+
+    def expect_name(self, name: str, msg: str):
+        if (tok := self.next()).kind != "name" or tok.value != name:
+            self.fail(tok, msg)
 
     # values are dicts {None: poly} | {shift: poly, ...}; None marks the
     # pure polynomial part, integer keys mark coefficients of seq[n-shift]
@@ -263,19 +268,15 @@ class _Parser:
             return inner
         if tok.kind == "name":
             if tok.value == self.seq_name:
-                if not self.allow_refs:
-                    self.fail(tok, f"sequence reference {tok.value!r} not allowed here")
-                return {self._parse_ref_index(tok): MultiPoly.one(self.vs)}
+                return {self._parse_ref_index(): MultiPoly.one(self.vs)}
             if tok.value in self.vs.names:
                 return {None: MultiPoly.variable(self.vs, tok.value)}
             self.fail(tok, f"unknown variable {tok.value!r}")
         self.fail(tok, f"unexpected token {tok.value!r}")
 
-    def _parse_ref_index(self, nametok: Token) -> int:
+    def _parse_ref_index(self) -> int:
         self.expect_op("[")
-        ntok = self.next()
-        if ntok.kind != "name" or ntok.value != "n":
-            self.fail(ntok, "sequence index must have the form n - <int>")
+        self.expect_name("n", "sequence index must have the form n - <int>")
         tok = self.next()
         if tok.kind == "op" and tok.value == "]":
             self.fail(tok, f"{self.seq_name}[n] cannot appear on the right side")
@@ -317,113 +318,80 @@ class _Parser:
 
 def parse_spec(text: str) -> RecurrenceSpec:
     """Parse a complete spec file into its canonical RecurrenceSpec."""
-    tokens = _tokenize(text)
-    pos = 0
-    ring_names: list[str] | None = None
+    p = _Parser(_tokenize(text), vs=None, seq_name=None)
+    ring: list[str] | None = None
     seq_name: str | None = None
-    rec_parsed = False
     lead_power = 1
-    coeffs: dict[int, MultiPoly] = {}
-    vs: VarSet | None = None
-
-    def fail(tok: Token, msg: str):
-        raise SpecSyntaxError(tok.line, tok.col, msg)
-
-    while tokens[pos].kind != "end":
-        tok = tokens[pos]
+    coeffs: dict[int, MultiPoly] | None = None
+    while (tok := p.next()).kind != "end":
         if tok.kind != "name":
-            fail(tok, f"expected a statement, found {tok.value!r}")
+            p.fail(tok, f"expected a statement, found {tok.value!r}")
         if tok.value == "ring":
-            if ring_names is not None:
-                fail(tok, "duplicate ring statement")
-            if rec_parsed or seq_name is not None:
-                fail(tok, "ring statement must come first")
-            pos += 1
-            names = []
-            while tokens[pos].kind == "name":
-                name = tokens[pos].value
-                if name == "n":
-                    fail(tokens[pos], "n is reserved and cannot be a ring variable")
-                if name in names:
-                    fail(tokens[pos], f"duplicate ring variable {name!r}")
-                names.append(name)
-                pos += 1
-            if not names:
-                fail(tokens[pos], "ring statement needs at least one variable")
-            if tokens[pos].kind != "op" or tokens[pos].value != ";":
-                fail(tokens[pos], "expected ';'")
-            pos += 1
-            ring_names = names
+            if ring is not None:
+                p.fail(tok, "duplicate ring statement")
+            if seq_name is not None:  # a rec statement needs a seq statement before it
+                p.fail(tok, "ring statement must come first")
+            ring = []
+            while p.peek().kind == "name":
+                name = p.next()
+                if name.value == "n":
+                    p.fail(name, "n is reserved and cannot be a ring variable")
+                if name.value in ring:
+                    p.fail(name, f"duplicate ring variable {name.value!r}")
+                ring.append(name.value)
+            if not ring:
+                p.fail(p.peek(), "ring statement needs at least one variable")
+            p.expect_op(";")
         elif tok.value == "seq":
             if seq_name is not None:
-                fail(tok, "duplicate seq statement")
-            pos += 1
-            nametok = tokens[pos]
-            if nametok.kind != "name":
-                fail(nametok, "expected a sequence name")
-            if nametok.value == "n" or (ring_names and nametok.value in ring_names):
-                fail(nametok, f"sequence name {nametok.value!r} collides with a variable")
-            seq_name = nametok.value
-            pos += 1
-            if tokens[pos].kind != "op" or tokens[pos].value != ";":
-                fail(tokens[pos], "expected ';'")
-            pos += 1
+                p.fail(tok, "duplicate seq statement")
+            name = p.next()
+            if name.kind != "name":
+                p.fail(name, "expected a sequence name")
+            if name.value == "n" or name.value in (ring or ()):
+                p.fail(name, f"sequence name {name.value!r} collides with a variable")
+            seq_name = name.value
+            p.expect_op(";")
         elif tok.value == "rec":
-            if rec_parsed:
-                fail(tok, "duplicate rec statement")
+            if coeffs is not None:
+                p.fail(tok, "duplicate rec statement")
             if seq_name is None:
-                fail(tok, "rec statement requires a prior seq statement")
-            pos += 1
-            if tokens[pos].kind != "op" or tokens[pos].value != ":":
-                fail(tokens[pos], "expected ':'")
-            pos += 1
-            sorted_ring = tuple(sorted(ring_names or []))
-            vs = VarSet(sorted_ring + ("n",))
-            parser = _Parser(tokens, allow_refs=True, vs=vs, seq_name=seq_name)
-            parser.pos = pos
+                p.fail(tok, "rec statement requires a prior seq statement")
+            p.expect_op(":")
             # left side: n[^k]*seq[n]
-            ntok = parser.next()
-            if ntok.kind != "name" or ntok.value != "n":
-                parser.fail(ntok, "left side must start with n")
-            if parser.peek().kind == "op" and parser.peek().value == "^":
-                parser.next()
-                ptok = parser.next()
+            p.expect_name("n", "left side must start with n")
+            if p.peek().kind == "op" and p.peek().value == "^":
+                p.next()
+                ptok = p.next()
                 if ptok.kind != "int" or _int_value(ptok) < 1:
-                    parser.fail(ptok, "leading power must be a positive integer")
+                    p.fail(ptok, "leading power must be a positive integer")
                 lead_power = _bounded(ptok, _int_value(ptok), "leading power")
-            parser.expect_op("*")
-            nametok = parser.next()
-            if nametok.kind != "name" or nametok.value != seq_name:
-                parser.fail(nametok, f"left side must use the declared sequence {seq_name!r}")
-            parser.expect_op("[")
-            idx = parser.next()
-            if idx.kind != "name" or idx.value != "n":
-                parser.fail(idx, "left side index must be exactly [n]")
-            parser.expect_op("]")
-            parser.expect_op("=")
-            value = parser.parse_expr()
-            parser.expect_op(";")
-            pos = parser.pos
-            pure = value.pop(None, None)
+            p.expect_op("*")
+            p.expect_name(seq_name, f"left side must use the declared sequence {seq_name!r}")
+            p.expect_op("[")
+            p.expect_name("n", "left side index must be exactly [n]")
+            p.expect_op("]")
+            p.expect_op("=")
+            p.seq_name, p.vs = seq_name, VarSet(tuple(sorted(ring or ())) + ("n",))
+            coeffs = p.parse_expr()
+            p.expect_op(";")
+            pure = coeffs.pop(None, None)
             if pure is not None and not pure.is_zero():
-                fail(tok, "every term on the right side needs a sequence reference")
-            if not value:
-                fail(tok, "right side has no sequence references")
-            coeffs = value
-            rec_parsed = True
+                p.fail(tok, "every term on the right side needs a sequence reference")
+            if not coeffs:
+                p.fail(tok, "right side has no sequence references")
         else:
-            fail(tok, f"unknown statement {tok.value!r}")
+            p.fail(tok, f"unknown statement {tok.value!r}")
 
-    end = tokens[-1]
     if seq_name is None:
-        raise SpecSyntaxError(end.line, end.col, "missing seq statement")
-    if not rec_parsed:
-        raise SpecSyntaxError(end.line, end.col, "missing rec statement")
+        p.fail(tok, "missing seq statement")
+    if coeffs is None:
+        p.fail(tok, "missing rec statement")
     r = max(coeffs)
-    zero = MultiPoly.zero(vs)
+    zero = MultiPoly.zero(p.vs)
     q = tuple(coeffs.get(i, zero) for i in range(1, r + 1))
     return RecurrenceSpec(
-        ring_vars=tuple(sorted(ring_names or [])),
+        ring_vars=p.vs.names[:-1],
         seq_name=seq_name,
         lead_power=lead_power,
         q=q,
@@ -433,7 +401,7 @@ def parse_spec(text: str) -> RecurrenceSpec:
 def parse_poly(text: str, vs: VarSet) -> MultiPoly:
     """One polynomial expression over vs, in the spec grammar without
     sequence references; reads MultiPoly.text() back."""
-    parser = _Parser(_tokenize(text), allow_refs=False, vs=vs, seq_name=None)
+    parser = _Parser(_tokenize(text), vs=vs, seq_name=None)
     value = parser.parse_expr()
     tok = parser.next()
     if tok.kind != "end":
@@ -444,9 +412,7 @@ def parse_poly(text: str, vs: VarSet) -> MultiPoly:
 def parse_poly_list(text: str, varnames: tuple[str, ...]) -> list[MultiPoly]:
     """Comma-separated polynomial expressions in the same grammar; used for
     CLI tuple input."""
-    tokens = _tokenize(text)
-    vs = VarSet(varnames)
-    parser = _Parser(tokens, allow_refs=False, vs=vs, seq_name=None)
+    parser = _Parser(_tokenize(text), vs=VarSet(varnames), seq_name=None)
     polys = []
     while True:
         value = parser.parse_expr()

@@ -1,9 +1,9 @@
 """Fuzzing of the spec and tuple parsers and of the CLI, with hypothesis.
 
 Whatever the input, the parsers (spec, tuple and single polynomial) return
-or raise SpecSyntaxError, and `recint brackets` and `recint gen` exit with
-a code of the exit-code contract (0 ok, 1 mismatch, 2 usage/parse, 3 I/O)
-and print no traceback.
+or raise SpecSyntaxError, and `recint brackets`, `gen`, `certify` and
+`expand` exit with a code of the exit-code contract (0 ok, 1 mismatch,
+2 usage/parse, 3 I/O) and print no traceback.
 
 Inputs mix arbitrary text with text assembled from the grammar's own
 pieces.  Every piece ends in a space, so digits never run together: the
@@ -62,6 +62,21 @@ def spec_texts(draw):
     return f"{ring}\n{seq}\nrec: {head} = {rhs}{end}\n"
 
 
+@st.composite
+def parsed_spec_texts(draw):
+    """Specs that parse, so certify and expand get past the parser.  The
+    factor 2*n - i of a lag-i term gives p_i(t) = 2*t, so some have an odd
+    form."""
+    head = draw(st.sampled_from(("n", "n^2")))
+    terms = []
+    for i in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        factors = draw(st.lists(st.sampled_from(("b", "c", "2", "-3", "1/2")), max_size=2))
+        if draw(st.booleans()):
+            factors.append(f"(2*n - {i})")
+        terms.append(f"({'*'.join(factors) or '1'})*w[n-{i}]")
+    return f"ring b c;\nseq w;\nrec: {head}*w[n] = {' + '.join(terms)};\n"
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -118,5 +133,20 @@ def test_gen_keeps_the_exit_code_contract(tmp_path_factory, text, n, fmt):
     path = tmp_path_factory.mktemp("fuzz") / "fuzz.spec"
     path.write_text(text, encoding="utf-8")
     code, err = run(["gen", "--spec", str(path), "--n", str(n), "--format", fmt])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(("certify", "expand")),
+    text=st.one_of(spec_texts(), parsed_spec_texts()),
+    n=st.integers(-1, 4),
+    fmt=st.sampled_from(("table", "json", "csv")),
+)
+def test_certify_and_expand_keep_the_exit_code_contract(tmp_path_factory, command, text, n, fmt):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.spec"
+    path.write_text(text, encoding="utf-8")
+    code, err = run([command, "--spec", str(path), "--n", str(n), "--format", fmt])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err

@@ -133,6 +133,39 @@ class TestParseErrors:
     def test_stray_character(self):
         self.check("seq u;\nrec: n*u[n] = u[n-1] $ 2;", "unexpected character")
 
+    @pytest.mark.parametrize(
+        "text, line, col, fragment",
+        [
+            ("ring b, c;\nseq u;\nrec: n*u[n] = u[n-1];", 1, 7, "expected ';'"),
+            ("ring b;\nseq u\nrec: n*u[n] = u[n-1];", 3, 1, "expected ';'"),
+            ("seq u;\nrec n*u[n] = u[n-1];", 2, 5, "expected ':'"),
+            ("seq u;\nrec: m*u[n] = u[n-1];", 2, 6, "left side must start with n"),
+            ("seq u;\nrec: n*v[n] = u[n-1];", 2, 8, "declared sequence 'u'"),
+            ("seq u;\nrec: n*u[m] = u[n-1];", 2, 10, "exactly [n]"),
+            ("seq u;\nrec: n^0*u[n] = u[n-1];", 2, 8, "positive integer"),
+            ("; seq u;", 1, 1, "expected a statement, found ';'"),
+            ("ring b;", 1, 8, "missing seq statement"),
+            ("ring b;\nseq u;", 2, 7, "missing rec statement"),
+        ],
+        ids=[
+            "ring-semicolon",
+            "seq-semicolon",
+            "rec-colon",
+            "head-n",
+            "head-sequence",
+            "head-index",
+            "head-power",
+            "not-a-name",
+            "missing-seq",
+            "missing-rec",
+        ],
+    )
+    def test_statement_error_position(self, text, line, col, fragment):
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_spec(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert fragment in exc.value.message
+
     def test_error_carries_position(self):
         with pytest.raises(SpecSyntaxError) as exc:
             parse_spec("seq u;\nrec: n*u[n] = u[n] ;")
