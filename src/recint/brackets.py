@@ -10,13 +10,15 @@ are 0, and the division by the linear form must be exact.  For tuples of odd
 polynomials every entry is a polynomial whose coefficient denominators are
 pure powers of 2; certify_table checks exactly that, entry by entry.
 
-The same tables drive the expansion of odd-form recurrence terms: each
-monomial in the recurrence's atom coefficients is weighted by a bracket of
-the corresponding monomial tuple, evaluated at the integer weights.
+The expansion of odd-form recurrence terms weights each monomial in the
+recurrence's atom coefficients by a bracket of the corresponding monomial
+tuple at the integer weights.  It needs only that number, so it runs the same
+recurrence with x fixed, in Fractions, and builds no table.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -393,27 +395,39 @@ class ExpansionTerm:
     contribution: MultiPoly
 
 
-def expand_terms(
-    expansion: OddFormExpansion, n: int, cache: dict[tuple[int, ...], BracketTable] | None = None
-) -> list[ExpansionTerm]:
+def _point_bracket(values: dict, atoms: tuple, m: tuple[int, ...]) -> Fraction:
+    """<Q>_m at x_i = w_i for the monomial tuple Q_i = t^(2 j_i + 1), where
+    atoms[i] = (j_i, w_i), by the defining recurrence with x fixed; values
+    holds the points already known for these atoms, <Q>_0 = 1 among them.
+
+    The box 0 <= p <= m is filled in lexicographic order, which reaches each
+    p - e_i before p.  The weights are positive, so <p, x> > 0.
+    """
+    if m not in values:
+        for p in itertools.product(*(range(c + 1) for c in m)):
+            if p in values:
+                continue
+            form = sum(a * w for a, (_, w) in zip(p, atoms))
+            total = sum(
+                Fraction(2 * form - w, 2) ** (2 * j + 1) * values[p[:i] + (a - 1,) + p[i + 1 :]]
+                for i, (a, (j, w)) in enumerate(zip(p, atoms))
+                if a
+            )
+            values[p] = total / form
+    return values[m]
+
+
+def expand_terms(expansion: OddFormExpansion, n: int) -> list[ExpansionTerm]:
     """All bracket-weighted contributions to u[n], in deterministic order."""
     if n < 0:
         raise ValueError("negative index")
-    if cache is None:
-        cache = {}  # halfdegs of the Q monomial tuple -> its table
+    memo: dict = {}  # ((halfdeg, weight), ...) -> {point: bracket value}
     terms = []
     for multiset in _multisets(expansion.atoms, n):
-        halfdegs = tuple(atom.halfdeg for atom, _ in multiset)
+        atoms = tuple((atom.halfdeg, atom.weight) for atom, _ in multiset)
         point = tuple(mult for _, mult in multiset)
-        weights = tuple(atom.weight for atom, _ in multiset)
-        if multiset:
-            if halfdegs not in cache:
-                cache[halfdegs] = BracketTable(QTuple([q_monomial(j) for j in halfdegs]))
-            table = cache[halfdegs]
-            poly = table.entry(point)
-            value = poly.eval({f"x{k + 1}": w for k, w in enumerate(weights)})
-        else:
-            value = Fraction(1)  # empty product: u[0] = 1
+        values = memo.setdefault(atoms, {(0,) * len(atoms): Fraction(1)})
+        value = _point_bracket(values, atoms, point)  # 1 for n = 0
         contrib = MultiPoly.const(expansion.ring, value)
         for atom, mult in multiset:
             contrib = contrib * atom.coeff**mult
@@ -427,11 +441,9 @@ def expand_terms(
     return terms
 
 
-def expand_via_brackets(
-    expansion: OddFormExpansion, n: int, cache: dict[tuple[int, ...], BracketTable] | None = None
-) -> MultiPoly:
-    """u[n] reconstructed purely from bracket tables and atom coefficients."""
+def expand_via_brackets(expansion: OddFormExpansion, n: int) -> MultiPoly:
+    """u[n] reconstructed purely from bracket values and atom coefficients."""
     total = MultiPoly.zero(expansion.ring)
-    for term in expand_terms(expansion, n, cache):
+    for term in expand_terms(expansion, n):
         total = total + term.contribution
     return total

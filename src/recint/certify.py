@@ -87,11 +87,16 @@ def certify(spec: RecurrenceSpec, n: int) -> IntegralityReport:
     if spec.lead_power == 1:
         pipeline = "odd-form"
         odd = to_odd_form(spec)
-        applicable = odd.applicable
         offenders = [
             {"i": i, "even_part": part.text()} for i, part in odd.offenders
         ]
-        reason = odd.reason
+        # the guarantee is over Z[1/2]: a q_i denominator with an odd factor
+        # puts the spec outside it, though its odd form may still expand
+        off_ring = [(i, q.den) for i, q in enumerate(spec.q, start=1) if q.den & (q.den - 1)]
+        applicable = odd.applicable and not off_ring
+        reason = odd.reason or "; ".join(
+            f"q_{i} has denominator {den}, not a power of 2" for i, den in off_ring
+        )
     else:
         pipeline = "plain"
         applicable = False

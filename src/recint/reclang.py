@@ -68,6 +68,7 @@ class Token:
 
 _OPS = set(";:=[]()+-*/^,")
 _DIGITS = set("0123456789")  # ASCII only: str.isdigit() also admits "²" and "٣"
+_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")  # ASCII, like the digits
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -93,10 +94,10 @@ def _tokenize(text: str) -> list[Token]:
                 i += 1
                 col += 1
             tokens.append(Token("int", text[start:i], line, startcol))
-        elif ch.isalpha() or ch == "_":
+        elif ch in _NAME_START:
             start = i
             startcol = col
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+            while i < len(text) and (text[i] in _NAME_START or text[i] in _DIGITS):
                 i += 1
                 col += 1
             tokens.append(Token("name", text[start:i], line, startcol))

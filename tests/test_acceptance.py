@@ -251,9 +251,8 @@ def test_criterion_11_bracket_expansion_reconstructs_product_terms():
     odd = to_odd_form(spec)
     expansion = build_expansion(odd.p, spec.ring)
     u = gen_u(8)
-    cache = {}
-    bad = [n for n in range(9) if expand_via_brackets(expansion, n, cache) != u[n]]
-    hand = expand_terms(expansion, 1, cache)
+    bad = [n for n in range(9) if expand_via_brackets(expansion, n) != u[n]]
+    hand = expand_terms(expansion, 1)
     hand_ok = (
         [t.multiset for t in hand] == [[(1, 0, 1)], [(1, 1, 1)]]
         and [t.bracket_value for t in hand] == [Fraction(1, 2), Fraction(1, 8)]

@@ -248,20 +248,9 @@ class TestOddFormExpansion:
         assert odd.applicable
         expansion = build_expansion(odd.p, spec.ring)
         assert [(a.weight, a.halfdeg) for a in expansion.atoms] == [(1, 0), (1, 1), (2, 0)]
-        cache = {}
         u = gen_u(6)
         for n in range(7):
-            assert expand_via_brackets(expansion, n, cache) == u[n]
-
-    def test_empty_cache_is_shared(self):
-        spec = parse_spec((SPECS / "useq.spec").read_text())
-        expansion = build_expansion(to_odd_form(spec).p, spec.ring)
-        cache = {}
-        expand_terms(expansion, 2, cache)
-        tables = dict(cache)
-        assert (0,) in tables and (0, 1) in tables
-        expand_terms(expansion, 2, cache)
-        assert all(cache[k] is t for k, t in tables.items())
+            assert expand_via_brackets(expansion, n) == u[n]
 
     def test_hand_checked_first_expansion(self):
         spec = parse_spec((SPECS / "useq.spec").read_text())
@@ -285,10 +274,32 @@ class TestOddFormExpansion:
             odd = to_odd_form(spec)
             assert odd.applicable, name
             expansion = build_expansion(odd.p, spec.ring)
-            direct = run_spec(spec, 5)
-            cache = {}
-            for n in range(6):
-                assert expand_via_brackets(expansion, n, cache) == direct[n], (name, n)
+            direct = run_spec(spec, 10)
+            for n in range(11):
+                assert expand_via_brackets(expansion, n) == direct[n], (name, n)
+
+    @pytest.mark.parametrize(
+        "name", ["useq.spec", "odd-cubic.spec", "odd-mixed.spec", "odd-deep.spec"]
+    )
+    def test_point_values_match_table_entries(self, name):
+        # expand takes each bracket at the point; the polynomial table of the
+        # same monomial tuple, evaluated there, must give the same number
+        spec = parse_spec((SPECS / name).read_text())
+        expansion = build_expansion(to_odd_form(spec).p, spec.ring)
+        tables = {}
+        checked = 0
+        for n in range(7):  # weights are >= 1, so |m| <= 6
+            for term in expand_terms(expansion, n):
+                if not term.multiset:
+                    continue
+                weights, halfdegs, point = zip(*term.multiset)
+                if halfdegs not in tables:
+                    tables[halfdegs] = BracketTable(QTuple([q_monomial(j) for j in halfdegs]))
+                x = {f"x{k}": w for k, w in enumerate(weights, start=1)}
+                expected = tables[halfdegs].entry(point).eval(x)
+                assert term.bracket_value == expected, (n, term.multiset)
+                checked += 1
+        assert checked > 20 and any(len(h) == 3 for h in tables)
 
     def test_expansion_denominators_are_powers_of_two(self):
         spec = parse_spec((SPECS / "odd-deep.spec").read_text())

@@ -3,11 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SPECS_DIR
+from conftest import SPECS_DIR, run_cli
+from recint.brackets import build_expansion, expand_via_brackets
 from recint.certify import certify
 from recint.multipoly import denom_profile
-from recint.reclang import parse_spec, run_spec
+from recint.reclang import parse_spec, run_spec, to_odd_form
 from recint.scalars import lcm_upto
 
 
@@ -103,6 +106,98 @@ class TestSyntheticSpecs:
         seq = run_spec(spec, 15)
         for n, term in enumerate(seq.terms):
             assert report.v2_defects[n] == denom_profile(term).max_neg_v2
+
+
+class TestCoefficientRing:
+    """The guarantee is over Z[1/2]: every q_i coefficient needs a power-of-2
+    denominator, whatever the parity of its odd form."""
+
+    THIRD = "ring b; seq w; rec: n*w[n] = (1/3)*(2*n - 1)*w[n-1];"
+
+    def test_odd_denominator_is_outside_the_guarantee(self):
+        spec = parse_spec(self.THIRD)
+        report = certify(spec, 4)
+        assert [r["denominator"] for r in report.per_term] == [1, 3, 6, 54, 648]
+        assert not report.theorem2_applicable
+        assert report.reason == "q_1 has denominator 3, not a power of 2"
+        assert not report.in_ring_half
+        assert not report.critical
+        # the odd form itself is intact, and expand still reads it
+        assert to_odd_form(spec).applicable
+
+    def test_reason_names_every_lag(self):
+        spec = parse_spec(
+            "ring b; seq w; rec: n*w[n] = (1/2)*(2*n - 1)*w[n-1] + b/5*(n - 1)*w[n-2]"
+            " + (1/6)*(2*n - 3)*w[n-3];"
+        )
+        report = certify(spec, 3)
+        assert not report.theorem2_applicable
+        assert report.reason == (
+            "q_2 has denominator 5, not a power of 2; q_3 has denominator 6, not a power of 2"
+        )
+
+    def test_cli_exit_code(self, tmp_path):
+        path = tmp_path / "third.spec"
+        path.write_text(self.THIRD)
+        code, out, _ = run_cli("certify", "--spec", str(path), "--n", "4")
+        assert code == 0
+        assert "applicable=False" in out and "critical=False" in out
+
+
+#: a_ij = k / 2^e * monomial: small elements of Z[1/2][b, c]
+COEFFICIENTS = st.tuples(
+    st.integers(-3, 3).filter(bool), st.integers(0, 2), st.sampled_from(("1", "b", "c"))
+)
+
+
+@st.composite
+def odd_form_specs(draw, odd_prime: bool = False):
+    """n*u[n] = sum_i p_i(n - i/2)*u[n-i] with p_i(t) = sum_j a_ij t^(2j+1),
+    written as (a_ij)*((2*n - i)/2)^(2j+1); lags in 1..4 with gaps allowed.
+    With odd_prime, one a_ij gets an odd prime in its denominator.  Returns
+    (spec text, lag of that coefficient or None)."""
+    lags = sorted(draw(st.sets(st.integers(1, 4), min_size=1)))
+    tainted = draw(st.sampled_from(lags)) if odd_prime else None
+    terms = []
+    for i in lags:
+        parts = []
+        for j in sorted(draw(st.sets(st.integers(0, 2), min_size=1, max_size=2))):
+            k, e, mono = draw(COEFFICIENTS)
+            den = 2**e
+            if i == tainted and not parts:
+                den *= draw(st.sampled_from((3, 5, 7)))
+                k = draw(st.sampled_from((-2, -1, 1, 2)))  # coprime to the prime
+            parts.append(f"({k}/{den}*{mono})*((2*n - {i})/2)^{2 * j + 1}")
+        terms.append(f"({' + '.join(parts)})*u[n-{i}]")
+    return f"ring b c; seq u; rec: n*u[n] = {' + '.join(terms)};", tainted
+
+
+class TestRandomOddForm:
+    """Random instances of the theorem's hypothesis stay in Z[1/2][b, c]."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(odd_form_specs())
+    def test_terms_stay_in_the_half_ring(self, drawn):
+        text, _ = drawn
+        spec = parse_spec(text)
+        report = certify(spec, 30)
+        assert report.theorem2_applicable, text
+        assert report.in_ring_half, text
+        assert not report.critical, text
+        odd = to_odd_form(spec)
+        expansion = build_expansion(odd.p, spec.ring)
+        direct = run_spec(spec, 6)
+        for n in range(7):
+            assert expand_via_brackets(expansion, n) == direct[n], (text, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(odd_form_specs(odd_prime=True))
+    def test_odd_prime_denominator_is_never_critical(self, drawn):
+        text, tainted = drawn
+        report = certify(parse_spec(text), 12)
+        assert not report.theorem2_applicable, text
+        assert f"q_{tainted} has denominator" in report.reason, text
+        assert not report.critical, text
 
 
 class TestSerialization:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, SPECS_DIR
+from conftest import CORPUS, SPECS_DIR, run_cli
 from recint.multipoly import MultiPoly, UPoly, VarSet
 from recint.reclang import (
     RecurrenceSpec,
@@ -398,6 +398,28 @@ class TestPolyGrammar:
     def test_digits_are_ascii(self, text, message):
         with pytest.raises(SpecSyntaxError, match=message):
             self.poly(text)
+
+    @pytest.mark.parametrize(
+        "text, line, col, char",
+        [
+            ("ring x²; seq u; rec: n*u[n] = x²*u[n-1];", 1, 7, "²"),
+            ("ring b;\nseq u;\nrec: n*u[n] = bé*u[n-1];", 3, 16, "é"),
+            ("ring é; seq u; rec: n*u[n] = u[n-1];", 1, 6, "é"),
+        ],
+        ids=["superscript-in-ring-name", "letter-in-coefficient", "letter-as-ring-name"],
+    )
+    def test_names_are_ascii(self, text, line, col, char, tmp_path):
+        # str.isalnum() would take the character into the name, and VarSet
+        # would reject it later with a plain ValueError (exit 4)
+        with pytest.raises(SpecSyntaxError, match=f"unexpected character '{char}'") as info:
+            parse_spec(text)
+        assert (info.value.line, info.value.col) == (line, col)
+        spec = tmp_path / "name.spec"
+        spec.write_text(text, encoding="utf-8")
+        for command in ("gen", "certify", "expand"):
+            code, out, err = run_cli(command, "--spec", str(spec), "--n", "2")
+            assert (code, out) == (2, ""), command
+            assert f"line {line}, col {col}: unexpected character" in err, command
 
     def test_quotients_count_toward_the_coefficient_limit(self):
         # 1 bit for x, and 99,901 for the denominator 2^99900, twice over
