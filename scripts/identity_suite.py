@@ -8,7 +8,7 @@ compare the first --n sequence terms.  Exit status is the number of failures.
 
 import argparse
 
-from recint.cli import IDENTITY_NAMES, main as run_cli
+from recint.cli import IDENTITIES, main as run_cli
 
 TERM_IDENTITIES = {"bin", "inv", "conv"}
 
@@ -20,13 +20,13 @@ def main() -> int:
     args = ap.parse_args()
 
     failures = 0
-    for name in IDENTITY_NAMES:
+    for name in IDENTITIES:
         if name in TERM_IDENTITIES:
             argv = ["verify", name, "--n", str(args.n)]
         else:
             argv = ["verify", name, "--order", str(args.order)]
         failures += run_cli(argv) != 0
-    print(f"\n{len(IDENTITY_NAMES) - failures}/{len(IDENTITY_NAMES)} identities verified")
+    print(f"\n{len(IDENTITIES) - failures}/{len(IDENTITIES)} identities verified")
     return failures
 
 

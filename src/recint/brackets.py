@@ -77,7 +77,6 @@ class QTuple:
                     raise ValueError(f"non-integer coefficient in {p.text()}")
             ps.append(p)
         self.polys = tuple(ps)
-        self.permissive = permissive
         if not permissive and not self.is_odd():
             raise ValueError(
                 "tuple contains a non-odd polynomial; pass permissive=True to explore"
@@ -112,6 +111,8 @@ class BracketTable:
     def __init__(self, q: QTuple):
         self.q = q
         self.vs = x_varset(q.d)
+        # Q_i over the table's VarSet, so that eval_poly casts nothing per entry
+        self._polys = [UPoly(self.vs, [c.cast(self.vs) for c in p.coeffs]) for p in q.polys]
         self.entries: dict[tuple[int, ...], MultiPoly] = {
             (0,) * q.d: MultiPoly.one(self.vs)
         }
@@ -150,7 +151,7 @@ class BracketTable:
             # numerator is odd, so this is already in lowest terms
             form = {self._units[j]: 2 * w - (j == i) for j, w in enumerate(m) if w}
             arg = MultiPoly._new(self.vs, form, 2)
-            rows.append((self.q.polys[i].eval_poly(arg), prev, 1))
+            rows.append((self._polys[i].eval_poly(arg), prev, 1))
         (num,) = sum_of_products(self.vs, [rows])
         try:
             return exact_div_linear(num, m)

@@ -18,7 +18,7 @@ import sys
 from . import brackets as br
 from . import series
 from .certify import certify
-from .multipoly import MAX_ORDER, MultiPoly, VarSet, _decimal, json_text, to_upoly
+from .multipoly import MAX_ORDER, MultiPoly, _decimal, json_text, to_upoly
 from .reclang import (
     SpecSyntaxError,
     parse_poly_list,
@@ -34,21 +34,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
-
-IDENTITY_NAMES = (
-    "id3",
-    "r2",
-    "hg-c0",
-    "clausen",
-    "bin",
-    "inv",
-    "conv",
-    "ode-g",
-    "ode-G",
-    "derivation",
-)
-
-_T_VS = VarSet.of("t")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,26 +54,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate sequence terms from a spec")
     common(p, needs_spec=True)
     p.add_argument("--n", type=int, default=40)
+    p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("verify", help="check one named identity exactly")
-    p.add_argument("identity", choices=IDENTITY_NAMES)
+    p.add_argument("identity", choices=IDENTITIES)
     p.add_argument("--n", type=int, default=None, help="sequence length for term checks")
     p.add_argument("--order", type=int, default=None, help="truncation order for series checks")
     common(p, needs_spec=False)
+    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("brackets", help="build and certify a bracket table")
     p.add_argument("tuple", help="comma-separated odd polynomials in t, e.g. 't^3-3*t, t'")
     common(p, needs_spec=False)
     p.add_argument("--n", type=int, default=6, help="level bound |m| <= n")
     p.add_argument("--permissive", action="store_true", help="allow non-odd polynomials")
+    p.set_defaults(handler=cmd_brackets)
 
     p = sub.add_parser("certify", help="integrality report for a spec")
     common(p, needs_spec=True)
     p.add_argument("--n", type=int, default=40)
+    p.set_defaults(handler=cmd_certify)
 
     p = sub.add_parser("expand", help="bracket expansion of one term vs the recurrence")
     common(p, needs_spec=True)
     p.add_argument("--n", type=int, default=4)
+    p.set_defaults(handler=cmd_expand)
 
     return top
 
@@ -109,11 +99,8 @@ def _emit(text: str, out_path: str | None) -> int:
 
 
 def _read_spec(args):
-    """The prologue of gen, certify and expand: the --n limit, then the spec
-    file, then the sign of --n.  Returns (spec, exit_code); spec is None when
-    exit_code != EXIT_OK."""
-    if _too_large(args):
-        return None, EXIT_USAGE
+    """The prologue of gen, certify and expand: the spec file, then the sign
+    of --n.  Returns (spec, exit_code); spec is None when exit_code != EXIT_OK."""
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -198,42 +185,45 @@ def _seq_report(name: str, n: int, lhs, rhs) -> series.IdentityReport:
     return series.IdentityReport(name, n, True, None)
 
 
+def _derivation(n: int) -> series.IdentityReport:
+    f = series.base_series(max(n, 4))
+    report = series.derivation_identity_check(f, 1)
+    for k in (0, 2):
+        extra = series.derivation_identity_check(f, k)
+        if not extra.passed and report.passed:
+            report = extra
+    report.note = "k in {0, 1, 2} on the base series"
+    return report
+
+
+def _inv(n: int) -> series.IdentityReport:
+    scaled = [term * factorial(k) for k, term in enumerate(gen_w(n).terms)]
+    return _seq_report("inv", n, scaled, w_inv(n, gen_u(n)).terms)
+
+
+# verify's identities, name -> check(order).  The checks look up module
+# functions when they run, so a rebound module attribute reaches them.
+IDENTITIES = {
+    "id3": lambda n: series.verify_id3(n),
+    "r2": lambda n: series.verify_r2(n),
+    "hg-c0": lambda n: series.verify_hg_c0(n),
+    "clausen": lambda n: series.verify_clausen(n),
+    "bin": lambda n: _seq_report("bin", n, gen_u(n).terms, u_bin(n, gen_w(n)).terms),
+    "inv": _inv,
+    "conv": lambda n: _seq_report("conv", n, gen_u(n).terms, u_conv(n, gen_w(2 * n)).terms),
+    "ode-g": lambda n: series.verify_ode_g(max(n, 2)),
+    "ode-G": lambda n: series.verify_ode_product(max(n, 3)),
+    "derivation": _derivation,
+}
+
+
 def cmd_verify(args) -> int:
-    if _too_large(args):
-        return EXIT_USAGE
     name = args.identity
     n = args.n if args.n is not None else (args.order if args.order is not None else 40)
     if n < 0:
         print("recint: order must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-
-    if name == "id3":
-        report = series.verify_id3(n)
-    elif name == "r2":
-        report = series.verify_r2(n)
-    elif name == "hg-c0":
-        report = series.verify_hg_c0(n)
-    elif name == "clausen":
-        report = series.verify_clausen(n)
-    elif name == "ode-g":
-        report = series.verify_ode_g(max(n, 2))
-    elif name == "ode-G":
-        report = series.verify_ode_product(max(n, 3))
-    elif name == "derivation":
-        f = series.base_series(max(n, 4))
-        report = series.derivation_identity_check(f, 1)
-        for k in (0, 2):
-            extra = series.derivation_identity_check(f, k)
-            if not extra.passed and report.passed:
-                report = extra
-        report.note = "k in {0, 1, 2} on the base series"
-    elif name == "conv":
-        report = _seq_report("conv", n, gen_u(n).terms, u_conv(n, gen_w(2 * n)).terms)
-    elif name == "bin":
-        report = _seq_report("bin", n, gen_u(n).terms, u_bin(n, gen_w(n)).terms)
-    else:  # inv
-        scaled = [term * factorial(k) for k, term in enumerate(gen_w(n).terms)]
-        report = _seq_report("inv", n, scaled, w_inv(n, gen_u(n)).terms)
+    report = IDENTITIES[name](n)
 
     if args.format == "json":
         text = json.dumps(report.to_dict(), indent=2)
@@ -252,8 +242,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_brackets(args) -> int:
-    if _too_large(args):
-        return EXIT_USAGE
     try:
         polys = parse_poly_list(args.tuple, ("t",))
     except SpecSyntaxError as e:
@@ -273,8 +261,7 @@ def cmd_brackets(args) -> int:
     except br.Theorem3ViolationError as e:
         print(f"recint: CRITICAL: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    records = [r for r in table.export() if sum(r["m"]) <= args.n]
-    code = _emit(_format_records(records, args.format, summary=cert.to_dict()), args.out)
+    code = _emit(_format_records(table.export(), args.format, summary=cert.to_dict()), args.out)
     if code != EXIT_OK:
         return code
     violated = (not cert.all_pow2) or cert.inexact_at is not None
@@ -347,15 +334,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else (0 if code is None else 2)
-    handlers = {
-        "gen": cmd_gen,
-        "verify": cmd_verify,
-        "brackets": cmd_brackets,
-        "certify": cmd_certify,
-        "expand": cmd_expand,
-    }
+    if _too_large(args):
+        return EXIT_USAGE
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except Exception as e:  # a fault in recint itself, not in the input
         detail = " ".join(f"{type(e).__name__}: {e}".split())
         print(f"recint: internal error: {detail}", file=sys.stderr)

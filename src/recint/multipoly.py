@@ -617,10 +617,6 @@ class UPoly:
         self.vs = vs
         self.coeffs = cs
 
-    @classmethod
-    def zero(cls, vs: VarSet) -> "UPoly":
-        return cls(vs, [])
-
     def degree(self) -> int:
         return len(self.coeffs) - 1
 

@@ -33,6 +33,7 @@ printed text's hash identifies the recurrence.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,47 +67,27 @@ class Token:
     col: int
 
 
-_OPS = set(";:=[]()+-*/^,")
-_DIGITS = set("0123456789")  # ASCII only: str.isdigit() also admits "²" and "٣"
-_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")  # ASCII, like the digits
+# ASCII digits and names only: str.isdigit() also admits "²" and "٣".  A
+# comment does not advance the column; any other character is an error.
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[;:=\[\]()+\-*/^,])"
+    r"|(?P<blank>[ \t\r]+)|(?P<comment>#[^\n]*)|(?P<newline>\n)|(?P<bad>.)"
+)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
     line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in _DIGITS:
-            start = i
-            startcol = col
-            while i < len(text) and text[i] in _DIGITS:
-                i += 1
-                col += 1
-            tokens.append(Token("int", text[start:i], line, startcol))
-        elif ch in _NAME_START:
-            start = i
-            startcol = col
-            while i < len(text) and (text[i] in _NAME_START or text[i] in _DIGITS):
-                i += 1
-                col += 1
-            tokens.append(Token("name", text[start:i], line, startcol))
-        elif ch in _OPS:
-            tokens.append(Token("op", ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise SpecSyntaxError(line, col, f"unexpected character {ch!r}")
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind == "bad":
+            raise SpecSyntaxError(line, col, f"unexpected character {value!r}")
+        elif kind != "comment":
+            if kind != "blank":
+                tokens.append(Token(kind, value, line, col))
+            col += len(value)
     tokens.append(Token("end", "", line, col))
     return tokens
 
@@ -379,6 +360,7 @@ def parse_spec(text: str) -> RecurrenceSpec:
             pure = coeffs.pop(None, None)
             if pure is not None and not pure.is_zero():
                 p.fail(tok, "every term on the right side needs a sequence reference")
+            coeffs = {i: qi for i, qi in coeffs.items() if not qi.is_zero()}
             if not coeffs:
                 p.fail(tok, "right side has no sequence references")
         else:

@@ -42,10 +42,6 @@ class TruncSeries:
         self.coeffs = cs
 
     @classmethod
-    def zeros(cls, vs: VarSet, order: int) -> "TruncSeries":
-        return cls(vs, order)
-
-    @classmethod
     def one(cls, vs: VarSet, order: int) -> "TruncSeries":
         return cls(vs, order, [MultiPoly.one(vs)])
 
@@ -382,7 +378,7 @@ def verify_r2(order: int) -> IdentityReport:
     # x = -t^2 / (1 + 4c t^4), built as (-t^2) * s^2
     x = (s * s).shift(2).scale(-1)
     w = gen_w(order // 2)
-    acc = TruncSeries.zeros(RING_BC, order)
+    acc = TruncSeries(RING_BC, order)
     xpow = TruncSeries.one(RING_BC, order)
     for n in range(order // 2 + 1):
         acc = acc + xpow.scale(w[n] * (binomial(2 * n, n) * factorial(n)))
@@ -421,7 +417,7 @@ def verify_clausen(order: int) -> IdentityReport:
     tm1t = TruncSeries(
         RING_B, order, [MultiPoly.zero(RING_B), MultiPoly.one(RING_B), MultiPoly.const(RING_B, -1)]
     )
-    acc = TruncSeries.zeros(RING_B, order)
+    acc = TruncSeries(RING_B, order)
     xpow = TruncSeries.one(RING_B, order)
     for n in range(order + 1):
         scal = pochs[n] * Fraction(binomial(2 * n, n), factorial(n) ** 2)
@@ -458,12 +454,12 @@ def derivation_identity_check(f: TruncSeries, k: int) -> IdentityReport:
 def verify_ode_g(order: int) -> IdentityReport:
     """Residual of the pinned second-order operator on the base series."""
     res = base_ode().apply(base_series(order))
-    zero = TruncSeries.zeros(RING_BC, res.order)
+    zero = TruncSeries(RING_BC, res.order)
     return _report("ode-g", res.order, res, zero, note=f"series order {order}")
 
 
 def verify_ode_product(order: int) -> IdentityReport:
     """Residual of the pinned third-order operator on the product series."""
     res = symmetric_square_ode().apply(product_series(order))
-    zero = TruncSeries.zeros(RING_BC, res.order)
+    zero = TruncSeries(RING_BC, res.order)
     return _report("ode-G", res.order, res, zero, note=f"series order {order}")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import DATA_DIR, REPO_ROOT, SPECS_DIR, digits_value, run_cli
-from recint import cli
+from recint import cli, series
 from recint.multipoly import MAX_COEF_BITS, MAX_DEGREE, MAX_ORDER, _decimal
 from recint.scalars import factorial
 from recint.reclang import parse_poly_list, parse_spec
@@ -64,6 +65,14 @@ class TestGen:
         assert code == 2
         assert "nonnegative" in err
 
+    @pytest.mark.parametrize("command", ["gen", "certify", "expand"])
+    def test_zero_right_side_is_usage_error(self, command, tmp_path):
+        spec = tmp_path / "zero.spec"
+        spec.write_text("seq a;\nrec: n*a[n] = a[n-1] - a[n-1];\n")
+        code, out, err = run_cli(command, "--spec", str(spec))
+        assert (code, out) == (2, "")
+        assert "line 2, col 1: right side has no sequence references" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -99,6 +108,23 @@ class TestVerify:
         assert doc["identity"] == "id3"
         assert doc["passed"] is True
         assert doc["order"] == 6
+
+    def test_mismatch_exits_1(self, monkeypatch):
+        failing = series.IdentityReport("id3", 6, False, (4, "b^2", "2*c"))
+        monkeypatch.setattr(series, "verify_id3", lambda order: failing)
+        code, out, err = run_cli("verify", "id3", "--order", "6")
+        assert (code, err) == (1, "")
+        assert out == "id3: FAIL (order 6)\n  first mismatch at degree 4:\n    lhs = b^2\n    rhs = 2*c\n"
+        code, out, err = run_cli("verify", "id3", "--order", "6", "--format", "json")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert doc["first_mismatch"] == {"degree": 4, "lhs": "b^2", "rhs": "2*c"}
+
+    def test_readme_lists_every_identity_in_order(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Identity names accepted by `verify`:")[1].split("\n\n")[1]
+        assert re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE) == list(cli.IDENTITIES)
 
 
 class TestBrackets:

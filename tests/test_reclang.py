@@ -12,6 +12,7 @@ from recint.multipoly import MultiPoly, UPoly, VarSet
 from recint.reclang import (
     RecurrenceSpec,
     SpecSyntaxError,
+    _tokenize,
     parse_poly,
     parse_poly_list,
     parse_spec,
@@ -67,6 +68,51 @@ class TestParsing:
         assert spec.seq_name == "f"
 
 
+class TestTokenPositions:
+    """(line, col) of every token: a blank, tab or carriage return is one
+    column, a comment none, and a newline starts the next line at column 1."""
+
+    @staticmethod
+    def positions(text: str) -> list[tuple[str, str, int, int]]:
+        return [(t.kind, t.value, t.line, t.col) for t in _tokenize(text)]
+
+    def test_end_after_a_final_comment(self):
+        # the comment does not advance the column, so the end is at the '#'
+        assert self.positions("seq a # note")[-1] == ("end", "", 1, 7)
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_spec("seq a;\nrec: n*a[n] = a[n-1] # no ';'")
+        assert (exc.value.line, exc.value.col) == (2, 22)
+        assert exc.value.message == "expected ';', found ''"
+
+    def test_crlf_line_ends(self):
+        assert self.positions("a;\r\n b\r\n") == [
+            ("name", "a", 1, 1),
+            ("op", ";", 1, 2),
+            ("name", "b", 2, 2),
+            ("end", "", 3, 1),
+        ]
+
+    def test_tab_is_one_column(self):
+        assert self.positions("\tx\t12^\t3") == [
+            ("name", "x", 1, 2),
+            ("int", "12", 1, 4),
+            ("op", "^", 1, 6),
+            ("int", "3", 1, 8),
+            ("end", "", 1, 9),
+        ]
+
+    @pytest.mark.parametrize(
+        "text, line, col, char",
+        [("# caf\u00e9\n\u00b2", 2, 1, "\u00b2"), ("x # \u00e9\r\n\ty \u20ac", 2, 4, "\u20ac")],
+        ids=["first-column", "after-a-tab"],
+    )
+    def test_non_ascii_after_a_comment_line(self, text, line, col, char):
+        with pytest.raises(SpecSyntaxError) as exc:
+            _tokenize(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert exc.value.message == f"unexpected character {char!r}"
+
+
 class TestParseErrors:
     def check(self, text: str, fragment: str):
         with pytest.raises(SpecSyntaxError) as exc:
@@ -114,6 +160,11 @@ class TestParseErrors:
 
     def test_no_references_at_all(self):
         self.check("seq u;\nrec: n*u[n] = 0;", "no sequence references")
+
+    @pytest.mark.parametrize("rhs", ["0*u[n-1]", "u[n-1] - u[n-1]", "0*u[n-2] + 0"])
+    def test_zero_right_side(self, rhs):
+        # it would print as "rec: n*u[n] = ;", which does not parse
+        self.check(f"seq u;\nrec: n*u[n] = {rhs};", "no sequence references")
 
     def test_zero_lead_power(self):
         self.check("seq u;\nrec: n^0*u[n] = u[n-1];", "positive integer")
@@ -211,6 +262,15 @@ class TestPrinting:
         again = parse_spec(pretty_print(spec))
         assert again.order == 4
         assert again.q[2].is_zero()
+
+    def test_zero_coefficients_are_dropped(self):
+        # the order is the highest lag with a nonzero coefficient; gaps below it stay
+        spec = parse_spec("ring b;\nseq a;\nrec: n*a[n] = b*a[n-1] + 0*a[n-3];")
+        assert spec.order == 1
+        assert parse_spec(pretty_print(spec)) == spec
+        spec = parse_spec("seq a;\nrec: n*a[n] = a[n-1] + 0*a[n-2] + (a[n-4] - a[n-4]) + a[n-3];")
+        assert spec.order == 3 and spec.q[1].is_zero()
+        assert parse_spec(pretty_print(spec)) == spec
 
     @given(
         ring=st.lists(st.sampled_from(["a", "b", "c"]), unique=True, max_size=2),

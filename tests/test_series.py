@@ -275,7 +275,7 @@ def unfused_derivation_sum(f: TruncSeries, k: int) -> TruncSeries:
     powers = [f]
     for _ in range(2 * k):
         powers.append(powers[-1].theta())
-    acc = TruncSeries.zeros(f.vs, f.order)
+    acc = TruncSeries(f.vs, f.order)
     for j in range(2 * k + 1):
         prod = naive_mul(powers[j], powers[2 * k - j])
         acc = acc - prod if j % 2 else acc + prod
