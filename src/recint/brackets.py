@@ -29,8 +29,7 @@ from .multipoly import (
     UPoly,
     VarSet,
     denom_profile,
-    exact_div_linear,
-    sum_of_products,
+    horner_sum_div_linear,
 )
 from .scalars import binomial, factorial
 
@@ -93,14 +92,6 @@ class QTuple:
         return ", ".join(p.text() for p in self.polys)
 
 
-def q_monomial(halfdeg: int) -> UPoly:
-    """The canonical odd atom t^(2*halfdeg + 1)."""
-    if halfdeg < 0:
-        raise ValueError("negative half-degree")
-    coeffs = [0] * (2 * halfdeg + 1) + [1]
-    return UPoly(SCALARS, coeffs)
-
-
 class BracketTable:
     """Lazily built table of bracket entries for one Q tuple.
 
@@ -111,13 +102,15 @@ class BracketTable:
     def __init__(self, q: QTuple):
         self.q = q
         self.vs = x_varset(q.d)
-        # Q_i over the table's VarSet, so that eval_poly casts nothing per entry
-        self._polys = [UPoly(self.vs, [c.cast(self.vs) for c in p.coeffs]) for p in q.polys]
+        # 2^D * Q_i(A / 2) = sum(c_k * 2^(D - k) * A^k) for D = deg Q_i: the
+        # Horner multipliers c_D, 2 c_(D-1), ..., 2^D c_0 (none for Q_i = 0)
+        self._horner = [
+            [c.num.get((), 0) << k for k, c in enumerate(reversed(p.coeffs))] for p in q.polys
+        ]
         self.entries: dict[tuple[int, ...], MultiPoly] = {
             (0,) * q.d: MultiPoly.one(self.vs)
         }
         self.levels_done = 0
-        self._units = [tuple(int(j == i) for j in range(q.d)) for i in range(q.d)]
 
     # -- access --------------------------------------------------------------
 
@@ -140,21 +133,16 @@ class BracketTable:
                     self.entries[p] = self._compute(p)
 
     def _compute(self, m: tuple[int, ...]) -> MultiPoly:
+        # row i is 2^D * Q_i(A / 2) * <Q>_{m - e_i} over 2^D, for D = deg Q_i
+        # and A = 2 <m, x> - x_i = sum((2 m_j - [i == j]) x_j)
         rows = []
-        for i in range(self.q.d):
-            if m[i] == 0:
-                continue
-            prev = self.entries[m[:i] + (m[i] - 1,) + m[i + 1 :]]
-            if prev.is_zero():
-                continue
-            # <m, x> - x_i/2 as sum((2 m_j - [i == j]) x_j) / 2; the x_i
-            # numerator is odd, so this is already in lowest terms
-            form = {self._units[j]: 2 * w - (j == i) for j, w in enumerate(m) if w}
-            arg = MultiPoly._new(self.vs, form, 2)
-            rows.append((self._polys[i].eval_poly(arg), prev, 1))
-        (num,) = sum_of_products(self.vs, [rows])
+        for i, h in enumerate(self._horner):
+            if m[i] and h:
+                form = [2 * w - (j == i) for j, w in enumerate(m)]
+                prev = self.entries[m[:i] + (m[i] - 1,) + m[i + 1 :]]
+                rows.append((h, form, 1 << len(h) - 1, prev))
         try:
-            return exact_div_linear(num, m)
+            return horner_sum_div_linear(self.vs, rows, m)
         except InexactDivisionError as e:
             raise BracketDivisionError(m, e.remainder) from e
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -54,31 +55,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate sequence terms from a spec")
     common(p, needs_spec=True)
     p.add_argument("--n", type=int, default=40)
-    p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("verify", help="check one named identity exactly")
     p.add_argument("identity", choices=IDENTITIES)
     p.add_argument("--n", type=int, default=None, help="sequence length for term checks")
     p.add_argument("--order", type=int, default=None, help="truncation order for series checks")
     common(p, needs_spec=False)
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("brackets", help="build and certify a bracket table")
     p.add_argument("tuple", help="comma-separated odd polynomials in t, e.g. 't^3-3*t, t'")
     common(p, needs_spec=False)
     p.add_argument("--n", type=int, default=6, help="level bound |m| <= n")
     p.add_argument("--permissive", action="store_true", help="allow non-odd polynomials")
-    p.set_defaults(handler=cmd_brackets)
 
     p = sub.add_parser("certify", help="integrality report for a spec")
     common(p, needs_spec=True)
     p.add_argument("--n", type=int, default=40)
-    p.set_defaults(handler=cmd_certify)
 
     p = sub.add_parser("expand", help="bracket expansion of one term vs the recurrence")
     common(p, needs_spec=True)
     p.add_argument("--n", type=int, default=4)
-    p.set_defaults(handler=cmd_expand)
 
     return top
 
@@ -219,6 +215,9 @@ IDENTITIES = {
 
 def cmd_verify(args) -> int:
     name = args.identity
+    if args.n is not None and args.order is not None:
+        print("recint: verify takes --n or --order, not both", file=sys.stderr)
+        return EXIT_USAGE
     n = args.n if args.n is not None else (args.order if args.order is not None else 40)
     if n < 0:
         print("recint: order must be nonnegative", file=sys.stderr)
@@ -327,17 +326,24 @@ def cmd_expand(args) -> int:
     return EXIT_OK if match else EXIT_MISMATCH
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process.  The parser holds no handler: main
+    looks up cmd_<command> when the command runs, so a rebound cmd_* is the
+    one called."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     if _too_large(args):
         return EXIT_USAGE
     try:
-        return args.handler(args)
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as e:  # a fault in recint itself, not in the input
         detail = " ".join(f"{type(e).__name__}: {e}".split())
         print(f"recint: internal error: {detail}", file=sys.stderr)

@@ -432,20 +432,37 @@ class MultiPoly:
     # -- evaluation and substitution -----------------------------------------
 
     def eval(self, point: Mapping[str, Fraction | int]) -> Fraction:
-        """Evaluate at a full assignment of rationals to the variables."""
+        """Evaluate at a full assignment of rationals to the variables.
+
+        With each value v = p/q and E the variable's top exponent, a term
+        c * prod(v^e) is c * prod(p^e * q^(E - e)) over den * prod(q^E); the
+        numerators come from two integer power tables per variable and are
+        summed as ints, with one Fraction at the end.
+        """
         vals = []
         for name in self.vs.names:
             if name not in point:
                 raise ValueError(f"missing assignment for variable {name!r}")
             vals.append(Fraction(point[name]))
-        total = Fraction(0)
-        for exps, coef in self.num.items():
-            term = coef
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total / self.den
+        num = self.num
+        if not num:
+            return Fraction(0)
+        den = self.den
+        tables = []
+        for v, top in zip(vals, map(max, zip(*num))):
+            p, q = v.numerator, v.denominator
+            ps, qs = [1], [1]
+            for _ in range(top):
+                ps.append(ps[-1] * p)
+                qs.append(qs[-1] * q)
+            tables.append([ps[e] * qs[top - e] for e in range(top + 1)])
+            den *= qs[top]
+        total = 0
+        for exps, c in num.items():
+            for table, e in zip(tables, exps):
+                c *= table[e]
+            total += c
+        return Fraction(total, den)
 
     def subst_value(self, name: str, value: Fraction | int) -> "MultiPoly":
         """Substitute a rational value for one variable; VarSet is unchanged."""
@@ -764,50 +781,89 @@ def denom_profile(p: MultiPoly) -> DenomProfile:
 
 
 def exact_div_linear(p: MultiPoly, m: Sequence[int]) -> MultiPoly:
-    """Divide p exactly by the linear form sum(m[i] * x_i).
+    """Divide p exactly by the linear form sum(m[i] * x_i): the one-row case
+    of horner_sum_div_linear."""
+    return horner_sum_div_linear(p.vs, [((1,), (), 1, p)], m)
 
-    Synthetic division on the pivot, the first variable with a nonzero
-    weight.  Level k is the part of p of degree k in the pivot.  From the
-    top level down, level k divided by the pivot weight is the quotient's
-    level k - 1, and that times the rest of the form is subtracted from
-    level k - 1.  Level 0 must come out empty; otherwise
+
+def horner_sum_div_linear(
+    vs: VarSet,
+    rows: Iterable[tuple[Sequence[int], Sequence[int], int, MultiPoly]],
+    m: Sequence[int],
+) -> MultiPoly:
+    """sum(h(A) * p / s for h, A, s, p in rows), divided exactly by the
+    linear form sum(m[i] * x_i).
+
+    h lists the integer coefficients of a univariate polynomial from its top
+    degree down, A the integer weights of the linear form sum(A[j] * x_j) at
+    which h is taken, and s a positive integer.  Rows with an empty h or a
+    zero p add nothing.  Every p is packed once, at one field width for the
+    call (the largest total degree of p plus deg h), with its numerators
+    scaled to the lcm of the rows' s * p.den.  h(A) * p is Horner in A, one
+    pair per term of A and of the running sum at each step, and the rows
+    add into one accumulator.
+
+    The division is synthetic, on the pivot, the first variable with a
+    nonzero weight.  Level k is the part of the sum of degree k in the
+    pivot.  From the top level down, level k divided by the pivot weight is
+    the quotient's level k - 1, and that times the rest of the form is
+    subtracted from level k - 1.  Level 0 must come out empty; otherwise
     InexactDivisionError carries it as the remainder.  At least one weight
-    must be nonzero.
-
-    One pass over the packed integer numerators of p: the levels and the
-    quotient live over p.den * f, where f grows by |m_pivot| / gcd(m_pivot,
-    level numerators) only at a level whose numerators the pivot weight
-    does not divide.  The quotient is normalised once.
+    must be nonzero.  The levels and the quotient live over the lcm times f,
+    where f grows by |m_pivot| / gcd(m_pivot, level numerators) only at a
+    level whose numerators the pivot weight does not divide.  The quotient
+    is unpacked and normalised once.
     """
-    if len(m) != len(p.vs):
+    nvars = len(vs)
+    if len(m) != nvars:
         raise ValueError("weight vector length does not match variable count")
     pivot = next((i for i, w in enumerate(m) if w), None)
     if pivot is None:
         raise ValueError("all-zero weight vector")
-    if p.is_zero():
-        return p
+    rows = [(h, a, s, p) for h, a, s, p in rows if h and p.num]
+    for *_, p in rows:
+        if p.vs != vs:
+            raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
+    # every product, level and quotient term has total degree at most this
+    width = max((p.total_degree() + len(h) - 1 for h, _, _, p in rows), default=0).bit_length()
+    den = lcm(*(s * p.den for _, _, s, p in rows))
+    total: dict[int, int] = {}
+    for h, a, s, p in rows:
+        f = den // (s * p.den)
+        keys = _pack(list(zip(*p.num)), width, len(p.num))
+        left = list(zip(keys, [c * f for c in p.num.values()]))
+        form = [(1 << width * (nvars - 1 - j), w) for j, w in enumerate(a) if w]
+        acc: dict[int, int] = {}
+        for step, c in enumerate(h):
+            # the last step adds straight into the rows' sum
+            prior, acc = acc, (total if step == len(h) - 1 else {})
+            _pair_sums(acc, prior.items(), form)
+            if c:
+                get = acc.get
+                for k, v in left:
+                    acc[k] = get(k, 0) + v * c
 
-    vs, nvars = p.vs, len(p.vs)
-    # every level and quotient term has total degree at most that of p
-    width = p.total_degree().bit_length()
     shift = width * (nvars - 1 - pivot)
+    mask = (1 << width) - 1
     steps = [(1 << width * (nvars - 1 - i), -w) for i, w in enumerate(m) if w and i != pivot]
-    cols = list(zip(*p.num))
     levels: dict[int, dict[int, int]] = {}
-    for key, k, c in zip(_pack(cols, width, len(p.num)), cols[pivot], p.num.values()):
-        levels.setdefault(k, {})[key - (k << shift)] = c
-
+    for key, c in total.items():
+        if c:
+            k = (key >> shift) & mask
+            levels.setdefault(k, {})[key - (k << shift)] = c
+    if not levels:
+        return MultiPoly.zero(vs)
     mp = m[pivot]
     f = 1
-    quot = []  # (pivot exponent, numerators over p.den * f_k, f_k)
+    quot = []  # (pivot exponent, numerators over den * f_k, f_k)
     cur = levels[max(levels)]
     for k in range(max(levels), 0, -1):
-        # cur / mp = (cur / h) / g, with h carrying the sign of mp and g > 0
-        h = gcd(mp, *cur.values())
+        # cur / mp = (cur / g) / (mp / g), with g carrying the sign of mp
+        g = gcd(mp, *cur.values())
         if mp < 0:
-            h = -h
-        f *= mp // h
-        q = {key: c // h for key, c in cur.items() if c}
+            g = -g
+        f *= mp // g
+        q = {key: c // g for key, c in cur.items() if c}
         quot.append((k - 1, q, f))
         cur = levels.get(k - 1, {})
         if f != 1:
@@ -818,14 +874,14 @@ def exact_div_linear(p: MultiPoly, m: Sequence[int]) -> MultiPoly:
                 k2 = key + step
                 cur[k2] = get(k2, 0) + c * w
     if any(cur.values()):
-        remainder = _unpacked(vs, cur, width, p.den * f)
+        remainder = _unpacked(vs, cur, width, den * f)
         raise InexactDivisionError(
             f"linear division by weights {tuple(m)} leaves remainder {remainder.text()}",
             remainder=remainder,
         )
-    acc: dict[int, int] = {}
+    out: dict[int, int] = {}
     for k, q, fk in quot:
         s, off = f // fk, k << shift
         for key, c in q.items():
-            acc[key + off] = c * s
-    return _unpacked(vs, acc, width, p.den * f)
+            out[key + off] = c * s
+    return _unpacked(vs, out, width, den * f)

@@ -1,7 +1,7 @@
 """Shared test helpers.
 
 Exposes the repo paths, an in-process CLI runner, a linear-form builder,
-and the acceptance-line collector: acceptance tests append one PASS/FAIL line per criterion and the
+the odd monomial atoms t^(2j+1), and the acceptance-line collector: acceptance tests append one PASS/FAIL line per criterion and the
 terminal-summary hook prints them as a block at the end of the run.
 """
 
@@ -51,6 +51,16 @@ def linear_form(vs, coeffs: Sequence[Fraction | int]):
         e[i] = 1
         terms[tuple(e)] = c
     return MultiPoly(vs, terms)
+
+
+def q_monomial(halfdeg: int):
+    """The odd atom t^(2*halfdeg + 1) as a UPoly with integer coefficients."""
+    from recint.brackets import SCALARS
+    from recint.multipoly import UPoly
+
+    if halfdeg < 0:
+        raise ValueError("negative half-degree")
+    return UPoly(SCALARS, [0] * (2 * halfdeg + 1) + [1])
 
 
 def digits_value(text: str) -> int:

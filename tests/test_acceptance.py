@@ -12,7 +12,7 @@ analysis.
 from fractions import Fraction
 from itertools import product as cartesian
 
-from conftest import ACCEPTANCE_LINES, CORPUS, DATA_DIR, SPECS_DIR, run_cli
+from conftest import ACCEPTANCE_LINES, CORPUS, DATA_DIR, SPECS_DIR, q_monomial, run_cli
 from recint import series
 from recint.brackets import (
     BracketTable,
@@ -21,7 +21,6 @@ from recint.brackets import (
     certify_table,
     expand_terms,
     expand_via_brackets,
-    q_monomial,
     x_varset,
     r3_closed_form,
 )

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import q_monomial
 from recint.brackets import (
     Atom,
     BracketDivisionError,
@@ -18,7 +19,6 @@ from recint.brackets import (
     decompose_odd,
     expand_terms,
     expand_via_brackets,
-    q_monomial,
     r3_closed_form,
     x_varset,
 )

@@ -121,6 +121,12 @@ class TestVerify:
         assert doc["passed"] is False
         assert doc["first_mismatch"] == {"degree": 4, "lhs": "b^2", "rhs": "2*c"}
 
+    @pytest.mark.parametrize("flags", [("--order", "40", "--n", "5"), ("--n", "5", "--order", "5")])
+    def test_n_and_order_together_is_usage_error(self, flags):
+        code, out, err = run_cli("verify", "id3", *flags)
+        assert (code, out) == (2, "")
+        assert err == "recint: verify takes --n or --order, not both\n"
+
     def test_readme_lists_every_identity_in_order(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         table = readme.split("Identity names accepted by `verify`:")[1].split("\n\n")[1]
@@ -522,6 +528,32 @@ class TestTopLevelGuard:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert err == "recint: internal error: RuntimeError: unexpected state\n"
+
+
+class TestOneParser:
+    """main builds its parser once per process and looks up cmd_<command>
+    when the command runs, so a handler rebound after the parser exists is
+    the one reached."""
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("gen", "--spec", USEQ), ("brackets", "t"), ("certify", "--spec", WSEQ), ("expand", "--spec", USEQ)],
+        ids=lambda argv: argv[0],
+    )
+    def test_rebound_handler_is_reached(self, argv, monkeypatch):
+        assert run_cli("verify", "id3", "--order", "2")[0] == 0  # the parser exists now
+        seen = []
+
+        def handler(args):
+            seen.append(args.command)
+            return 7
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", handler)
+        assert run_cli(*argv) == (7, "", "")
+        assert seen == [argv[0]]
 
 
 class TestOrderLimit:

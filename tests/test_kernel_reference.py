@@ -1,14 +1,18 @@
 """Integer kernels against plain MultiPoly references.
 
-UPoly.eval_poly, UPoly.compose_affine, exact_div_linear, run_spec (with its
-q_i(k) evaluation) and MultiPoly.text work on packed integer numerators or
-cached pieces.  The references below are the straightforward versions built
-from MultiPoly ring operations (Horner with `*` and `+`, synthetic division
-slice by slice, the recurrence loop term by term) or, for text(), the
-one-key sort and per-term join; the kernels must give equal polynomials (or
-equal strings), and equal remainders when a division is inexact.
+UPoly.eval_poly, UPoly.compose_affine, exact_div_linear,
+horner_sum_div_linear and the bracket table's entry step built on it,
+run_spec (with its q_i(k) evaluation), MultiPoly.text and MultiPoly.eval
+work on packed or plain integer numerators or cached pieces.
+The references below are the straightforward versions built from MultiPoly
+ring operations (Horner with `*` and `+`, synthetic division slice by slice,
+the recurrence loop term by term), or, for text(), the one-key sort and
+per-term join, or, for eval(), a Fraction power and product per term; the
+kernels must give equal polynomials (or equal strings or numbers), and equal
+remainders when a division is inexact.
 """
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -17,7 +21,7 @@ from math import gcd
 import pytest
 
 from conftest import CORPUS, SPECS_DIR, linear_form
-from recint.brackets import SCALARS, BracketTable, QTuple
+from recint.brackets import SCALARS, BracketDivisionError, BracketTable, QTuple
 from recint.multipoly import (
     InexactDivisionError,
     MultiPoly,
@@ -26,8 +30,10 @@ from recint.multipoly import (
     _decimal,
     _max_str_digits,
     exact_div_linear,
+    horner_sum_div_linear,
+    to_upoly,
 )
-from recint.reclang import _q_at, parse_poly, parse_spec, run_spec
+from recint.reclang import _q_at, parse_poly, parse_poly_list, parse_spec, run_spec
 
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 9, 12, 35)
 SEEDS = range(60)
@@ -79,6 +85,23 @@ def slice_div_linear(p: MultiPoly, m) -> MultiPoly:
     if not cur.is_zero():
         raise InexactDivisionError("remainder", remainder=cur)
     return quot
+
+
+def loop_eval(p: MultiPoly, point) -> Fraction:
+    """p at a point, with a Fraction power and a Fraction product per term."""
+    vals = []
+    for name in p.vs.names:
+        if name not in point:
+            raise ValueError(f"missing assignment for variable {name!r}")
+        vals.append(Fraction(point[name]))
+    total = Fraction(0)
+    for exps, coef in p.num.items():
+        term = coef
+        for v, e in zip(vals, exps):
+            if e:
+                term *= v**e
+        total += term
+    return total / p.den
 
 
 def loop_run_spec(spec, n: int) -> list[MultiPoly]:
@@ -322,6 +345,33 @@ def test_inexact_div_has_the_same_remainder(seed):
         assert exact_div_linear(p, m) == expected
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_horner_sum_div_linear_matches_references(seed):
+    # sum(h(A) * p / s) by Horner with `*` and `+`, divided slice by slice;
+    # the second pass multiplies every p by the divisor, so it divides exactly
+    rng = random.Random(seed)
+    vs = rand_varset(rng, low=1)
+    m = rand_weights(rng, len(vs))
+    rows = []
+    for _ in range(rng.randint(0, 3)):
+        h = [rng.choice((0, rng.randint(-9, 9))) for _ in range(rng.randint(0, 4))]
+        a = [rng.randint(-3, 3) for _ in vs]
+        rows.append((h, a, rng.choice((1, 2, 3, 8)), rand_poly(rng, vs, 3, 4)))
+    for scale in (MultiPoly.one(vs), linear_form(vs, m)):
+        scaled = [(h, a, s, p * scale) for h, a, s, p in rows]
+        num = MultiPoly.zero(vs)
+        for h, a, s, p in scaled:
+            num = num + horner_eval_poly(UPoly(SCALARS, h[::-1]), linear_form(vs, a)) * p * Fraction(1, s)
+        try:
+            expected = slice_div_linear(num, m)
+        except InexactDivisionError as e:
+            with pytest.raises(InexactDivisionError) as exc:
+                horner_sum_div_linear(vs, scaled, m)
+            assert exc.value.remainder == e.remainder
+        else:
+            assert horner_sum_div_linear(vs, scaled, m) == expected
+
+
 def test_pivot_weight_not_dividing_the_numerators():
     # x^2 / (2x) = x/2, and the quotients below, need a denominator that the
     # dividend does not carry, so the pivot weight does not divide its levels
@@ -335,23 +385,147 @@ def test_pivot_weight_not_dividing_the_numerators():
         assert exact_div_linear(p, m) == slice_div_linear(p, m) == q
 
 
+def reference_entry(table: BracketTable, m) -> MultiPoly:
+    """sum_i Q_i(<m,x> - x_i/2) * <Q>_{m-e_i} by Horner and products, then
+    divided slice by slice; the entries below m are the table's own."""
+    vs = table.vs
+    num = MultiPoly.zero(vs)
+    for i, qi in enumerate(table.q.polys):
+        if m[i]:
+            prev = table.entries[m[:i] + (m[i] - 1,) + m[i + 1 :]]
+            weights = [Fraction(w) - (Fraction(1, 2) if j == i else 0) for j, w in enumerate(m)]
+            num = num + horner_eval_poly(qi, linear_form(vs, weights)) * prev
+    return slice_div_linear(num, m)
+
+
+def check_table(q: QTuple, bound: int) -> BracketDivisionError | None:
+    """Build q's table to bound and check every entry against reference_entry.
+    If a level raises, the points before the failing one (in the table's
+    order) must divide exactly, and the failing one must leave the same
+    remainder; the error is returned."""
+    table = BracketTable(q)
+    try:
+        table.extend_to_level(bound)
+        failure = None
+    except BracketDivisionError as e:
+        failure = e
+    for m, entry in table.entries.items():
+        if any(m):
+            assert reference_entry(table, m) == entry, m
+    if failure is not None:
+        level = table.levels_done + 1
+        points = sorted(p for p in itertools.product(range(level + 1), repeat=q.d) if sum(p) == level)
+        for m in points:
+            try:
+                reference_entry(table, m)
+            except InexactDivisionError as e:
+                assert failure.point == m
+                assert failure.remainder.text() == e.remainder.text()
+                break
+        else:
+            pytest.fail(f"the table failed at {failure.point}, the reference nowhere")
+    return failure
+
+
+def q_tuple(text: str, permissive: bool = False) -> QTuple:
+    return QTuple([to_upoly(p, "t") for p in parse_poly_list(text, ("t",))], permissive)
+
+
 def test_bracket_entries_match_references():
     # the table's own arithmetic, entry by entry: sum_i Q_i(<m,x> - x_i/2) *
     # <Q>_{m-e_i} by Horner and products, then divided slice by slice
     q = QTuple([UPoly(SCALARS, c) for c in ([0, -3, 0, 1], [0, 1], [0, 0, 0, 2])])
-    table = BracketTable(q)
-    table.extend_to_level(4)
-    vs = table.vs
-    for m, entry in table.entries.items():
-        if not any(m):
-            continue
-        num = MultiPoly.zero(vs)
-        for i, qi in enumerate(q.polys):
-            if m[i]:
-                prev = table.entries[m[:i] + (m[i] - 1,) + m[i + 1 :]]
-                weights = [Fraction(w) - (Fraction(1, 2) if j == i else 0) for j, w in enumerate(m)]
-                num = num + horner_eval_poly(qi, linear_form(vs, weights)) * prev
-        assert slice_div_linear(num, m) == entry
+    assert check_table(q, 4) is None
+
+
+#: The odd tuples of scripts/bracket_survey.py, at its level bounds.
+SURVEY = (("t", 8), ("t^3", 8), ("t, t", 8), ("t, t^3", 8), ("t^3 - 3*t, t", 8), ("t^5, t^3, t", 6))
+
+
+def odd_tuple(rng: random.Random, degrees) -> str:
+    """An odd polynomial of each degree, every odd power present, with odd
+    coefficients of absolute value at most 9."""
+    polys = []
+    for deg in degrees:
+        polys.append(" + ".join(f"({rng.choice((-9, -3, -1, 1, 5, 7))})*t^{k}" for k in range(deg, 0, -2)))
+    return ", ".join(polys)
+
+
+@pytest.mark.parametrize("text, bound", SURVEY)
+def test_survey_tables_match_references(text, bound):
+    assert check_table(q_tuple(text), bound) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_odd_tables_match_references(seed):
+    rng = random.Random(seed)
+    degrees = ((1,), (3,), (1, 1), (1, 3), (3, 1), (5, 3, 1))[seed]
+    assert check_table(q_tuple(odd_tuple(rng, degrees)), 6 if len(degrees) < 3 else 4) is None
+
+
+#: Permissive tuples: zero Q_i, even parts, constant terms.  (tuple, bound,
+#: whether a division is inexact by then)
+PERMISSIVE = (
+    ("0", 4, False),
+    ("t - t, t", 5, False),
+    ("t, 0, t^3", 4, False),
+    ("t^2", 5, False),
+    ("t^4 - 3*t^2", 5, False),
+    ("2*t^2 + t", 5, False),
+    ("t^2, t", 4, True),
+    ("t^4 - 3*t^2, t^3", 4, True),
+    ("1", 3, True),
+    ("t + 1, t", 4, True),
+    ("t^2 - 5, t^3 + t", 4, True),
+    ("3, t, t^2", 3, True),
+)
+
+
+@pytest.mark.parametrize("text, bound, inexact", PERMISSIVE)
+def test_permissive_tables_match_references(text, bound, inexact):
+    failure = check_table(q_tuple(text, permissive=True), bound)
+    assert (failure is not None) == inexact
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_permissive_tables_match_references(seed):
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(rng.randint(0, 4))]
+        polys.append(UPoly(SCALARS, coeffs))
+    check_table(QTuple(polys, permissive=True), 4 if len(polys) < 3 else 3)
+
+
+# -- eval -------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_eval_matches_loop(seed):
+    rng = random.Random(seed)
+    vs = rand_varset(rng)
+    p = rand_poly(rng, vs, rng.randint(0, 6), rng.randint(0, 8))
+    for _ in range(4):
+        point = {
+            name: rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-30, 30), rng.randint(1, 12))))
+            for name in vs.names
+        }
+        value = p.eval(point)
+        assert type(value) is Fraction
+        assert value == loop_eval(p, point)
+
+
+def test_eval_edge_cases():
+    xy = VarSet.of("x", "y")
+    p = MultiPoly(xy, {(3, 0): Fraction(2, 3), (0, 2): -1, (0, 0): Fraction(1, 6)})
+    for point in ({"x": 0, "y": 0}, {"x": -2, "y": Fraction(-1, 3)}, {"x": Fraction(5, 2), "y": 7, "z": 9}):
+        assert p.eval(point) == loop_eval(p, point)
+    assert MultiPoly.zero(xy).eval({"x": 3, "y": 1}) == 0
+    assert MultiPoly.const(VarSet.of(), Fraction(-5, 6)).eval({}) == Fraction(-5, 6)
+    with pytest.raises(ValueError, match="missing assignment for variable 'y'"):
+        p.eval({"x": 1})
+    with pytest.raises(ValueError, match="missing assignment"):
+        MultiPoly.zero(xy).eval({"x": 1})
 
 
 # -- run_spec ----------------------------------------------------------------------------
