@@ -9,6 +9,12 @@ den == 1.  The arithmetic kernels work on these integers and never build a
 Fraction per term; `terms` is the Fraction-valued view for callers that want
 coefficients.
 
+The kernels (`*`, sum_of_products, UPoly.eval_poly, horner_sum_div_linear)
+pack each exponent vector into one int key, and the polynomials they make or
+pack keep those keys for the next kernel call.  A polynomial a kernel made
+fills `num` on first read; before that read its den is already final, so
+denom_profile, is_zero, negation and scaling need no unpacking.
+
 UPoly layers a dense univariate polynomial (in an auxiliary indeterminate)
 over MultiPoly coefficients; it carries the parity predicates and affine
 reindexing used by the odd-form machinery.  Everything is immutable by
@@ -113,17 +119,56 @@ def _pack(cols: list[tuple[int, ...]], width: int, count: int) -> Sequence[int]:
     return keys
 
 
-def _unpack(keys: Iterable[int], width: int, nvars: int) -> Iterable[tuple[int, ...]]:
-    """Exponent tuples of packed keys; inverse of _pack."""
-    keys = list(keys)
+def _columns(keys: Sequence[int], width: int, nvars: int) -> list[list[int]]:
+    """Exponent columns of packed keys, one list per variable; inverse of _pack."""
     if not nvars:
-        return [()] * len(keys)
+        return []
     mask = (1 << width) - 1
     cols = [[k >> (width * (nvars - 1)) for k in keys]]
     for i in range(nvars - 2, -1, -1):
         shift = width * i
         cols.append([(k >> shift) & mask for k in keys])
-    return zip(*cols)
+    return cols
+
+
+def _unpack(keys: Sequence[int], width: int, nvars: int) -> Iterable[tuple[int, ...]]:
+    """Exponent tuples of packed keys."""
+    if not nvars:
+        return [()] * len(keys)
+    return zip(*_columns(keys, width, nvars))
+
+
+def _repack(keys: Sequence[int], old: int, new: int, nvars: int) -> Sequence[int]:
+    """Keys packed at field width `old`, packed again at width `new`; every
+    exponent must fit in `new` bits.  With one variable or none a key does
+    not depend on the width."""
+    if old == new or nvars < 2:
+        return keys
+    if nvars == 2:
+        # (e0 << old) + e1 -> (e0 << new) + e1
+        step = (1 << new) - (1 << old)
+        return [k + (k >> old) * step for k in keys]
+    return _pack(_columns(keys, old, nvars), new, len(keys))
+
+
+def _kept(p: MultiPoly) -> tuple:
+    """The packed form that p keeps (see MultiPoly); when it keeps none, one
+    scan of num packs it at the width of its top exponent, and p keeps that."""
+    kept = p._packed
+    if kept is None:
+        num = p._num
+        cols = list(zip(*num))
+        top = max(map(max, cols), default=0)
+        width = top.bit_length()
+        kept = p._packed = (width, top, None, _pack(cols, width, len(num)), list(num.values()))
+    return kept
+
+
+def _keys(p: MultiPoly, width: int) -> Sequence[int]:
+    """The kept keys of p (after _kept) at `width`, repacked by shifts if
+    they were packed at another width."""
+    old, _, _, keys, _ = p._packed
+    return _repack(keys, old, width, len(p.vs))
 
 
 def _pair_sums(acc: dict[int, int], left: Iterable[tuple[int, int]], right: list[tuple[int, int]]):
@@ -137,11 +182,24 @@ def _pair_sums(acc: dict[int, int], left: Iterable[tuple[int, int]], right: list
             acc[k] = get(k, 0) + c1 * c2
 
 
-def _unpacked(vs: VarSet, acc: dict[int, int], width: int, den: int) -> MultiPoly:
-    """The polynomial acc / den, with acc keyed by packed exponents."""
+def _from_packed(
+    vs: VarSet, acc: dict[int, int], width: int, den: int, top: int, deg: int | None = None
+) -> MultiPoly:
+    """The polynomial acc / den in lowest terms, for acc keyed by packed
+    exponents at `width`, none above `top` and none of total degree above
+    `deg` (None: no bound known).  It keeps that packed form; num is
+    unpacked from it on first read."""
     if 0 in acc.values():
         acc = {k: c for k, c in acc.items() if c}
-    return MultiPoly._make(vs, dict(zip(_unpack(acc, width, len(vs)), acc.values())), den)
+    if not acc:
+        return MultiPoly.zero(vs)
+    nums = list(acc.values())
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
+    return MultiPoly._new(vs, None, den, (width, top, deg, list(acc), nums))
 
 
 #: How many digits str() converts at most, 0 for no limit; Python versions
@@ -201,9 +259,19 @@ class MultiPoly:
     and den == 1 when num is empty.  Two equal polynomials therefore have
     equal (vs, den, num).  Monomials print in descending graded-lexicographic
     order, which makes text() a canonical form.
+
+    A polynomial that a kernel made keeps the kernel's packed form in
+    `_packed`: (width, top, deg, keys, numerators), with the keys packed in
+    width-bit fields as _pack lays them out, no exponent above top, no total
+    degree above deg (None when no bound is known) and the numerators in
+    the order of the keys.  The kernels read their operands in this form,
+    and a polynomial that has none gets one the first time a kernel packs
+    it.  num is filled from the packed form on first read; before that read
+    den is already final, and the kept numerators are nonzero and share no
+    factor with it.
     """
 
-    __slots__ = ("vs", "num", "den", "_terms")
+    __slots__ = ("vs", "_num", "den", "_terms", "_packed")
 
     def __init__(self, vs: VarSet, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         nvars = len(vs)
@@ -219,20 +287,25 @@ class MultiPoly:
         # denominators the numerators already share no factor with it
         den = lcm(*(c.denominator for c in clean.values()))
         self.vs = vs
-        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         self.den = den
         self._terms = None
+        self._packed = None
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _new(cls, vs: VarSet, num: dict[tuple[int, ...], int], den: int) -> "MultiPoly":
-        # Internal fast path: caller guarantees the normalised form.
+    def _new(
+        cls, vs: VarSet, num: dict[tuple[int, ...], int] | None, den: int, packed: tuple | None = None
+    ) -> "MultiPoly":
+        # Internal fast path: caller guarantees the normalised form, given as
+        # num, as a packed form (see the class docstring) or as both.
         self = cls.__new__(cls)
         self.vs = vs
-        self.num = num
+        self._num = num
         self.den = den
         self._terms = None
+        self._packed = packed
         return self
 
     @classmethod
@@ -276,6 +349,16 @@ class MultiPoly:
     # -- predicates and views ----------------------------------------------
 
     @property
+    def num(self) -> dict[tuple[int, ...], int]:
+        """Map from exponent vector to nonzero integer numerator over den;
+        unpacked from the kept packed form on first read."""
+        num = self._num
+        if num is None:
+            width, _, _, keys, nums = self._packed
+            num = self._num = dict(zip(_unpack(keys, width, len(self.vs)), nums))
+        return num
+
+    @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
         """Read-only map from exponent vector to nonzero Fraction coefficient."""
         view = self._terms
@@ -289,10 +372,13 @@ class MultiPoly:
         return view
 
     def is_zero(self) -> bool:
-        return not self.num
+        num = self._num
+        return not (self._packed[4] if num is None else num)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.num)
+        if self._num is None:
+            return not any(self._packed[3])
+        return all(not any(e) for e in self._num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -316,7 +402,7 @@ class MultiPoly:
 
     def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
         """self + sign * other, over the lcm of the two denominators."""
-        if not other.num:
+        if other.is_zero():
             return self
         den = lcm(self.den, other.den)
         s1, s2 = den // self.den, sign * (den // other.den)
@@ -340,7 +426,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._new(self.vs, {e: -c for e, c in self.num.items()}, self.den)
+        return self._mapped(1, -1, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -360,42 +446,47 @@ class MultiPoly:
         if g != 1:
             p //= g
             den //= g
+        g = 1
         if q != 1:
-            g = gcd(q, *self.num.values())
-            if g != 1:
-                q //= g
-                return MultiPoly._new(
-                    self.vs, {e: k // g * p for e, k in self.num.items()}, den * q
-                )
-            den *= q
-        if p == 1:
-            num = self.num
+            g = gcd(q, *(self._packed[4] if self._num is None else self._num.values()))
+            den *= q // g
+        return self._mapped(g, p, den)
+
+    def _mapped(self, div: int, mul: int, den: int) -> "MultiPoly":
+        """The polynomial with the monomials of self and numerators
+        c // div * mul over den.  A kept packed form is carried over (same
+        keys and bounds) in place of num."""
+        kept = self._packed
+        if div == mul == 1:
+            return MultiPoly._new(self.vs, self._num, den, kept)
+        values = self._num.values() if kept is None else kept[4]
+        if div == 1:
+            values = [c * mul for c in values]
         else:
-            num = {e: k * p for e, k in self.num.items()}
-        return MultiPoly._new(self.vs, num, den)
+            values = [c // div * mul for c in values]
+        if kept is None:
+            return MultiPoly._new(self.vs, dict(zip(self._num, values)), den)
+        return MultiPoly._new(self.vs, None, den, (*kept[:4], values))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other or not self.num:
+            if not other or self.is_zero():
                 return MultiPoly.zero(self.vs)
             return self._scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num or not other.num:
+        if self.is_zero() or other.is_zero():
             return MultiPoly.zero(self.vs)
         # Monagan-Pearce packed exponents: one int per monomial, with fields
         # wide enough that adding two keys never carries between variables
-        cols1, cols2 = list(zip(*self.num)), list(zip(*other.num))
-        top = max(map(max, cols1), default=0) + max(map(max, cols2), default=0)
+        top = _kept(self)[1] + _kept(other)[1]
         width = top.bit_length()
+        left = zip(_keys(self, width), self._packed[4])
+        right = list(zip(_keys(other, width), other._packed[4]))
         acc: dict[int, int] = {}
-        _pair_sums(
-            acc,
-            zip(_pack(cols1, width, len(self.num)), self.num.values()),
-            list(zip(_pack(cols2, width, len(other.num)), other.num.values())),
-        )
-        return _unpacked(self.vs, acc, width, self.den * other.den)
+        _pair_sums(acc, left, right)
+        return _from_packed(self.vs, acc, width, self.den * other.den, top)
 
     __rmul__ = __mul__
 
@@ -565,47 +656,46 @@ def sum_of_products(
     """[sum(r * a * b for a, b, r in group) for group in groups], fused.
 
     Every distinct operand is packed once for the whole call, at one field
-    width.  Each group keeps one packed-key accumulator over the lcm of its
-    rows' r.denominator * a.den * b.den; a row's share of that denominator,
-    times r.numerator, is folded once into the numerators of its smaller
-    operand.  Each group is normalised once, at the end.  Rows with a zero
-    weight or operand add nothing, and an empty group gives zero.
+    width (its kept keys, repacked if they have another width).  Each group
+    keeps one packed-key accumulator over the lcm of its rows'
+    r.denominator * a.den * b.den; a row's share of that denominator, times
+    r.numerator, is folded once into the numerators of its smaller operand.
+    Each group is normalised once, at the end, and keeps its packed form.
+    Rows with a zero weight or operand add nothing, and an empty group gives
+    zero.
     """
-    packing: dict[int, tuple[MultiPoly, list, int]] = {}  # id -> (p, exponent columns, top)
-    top = 0
+    operands: dict[int, MultiPoly] = {}  # id -> p
+    width = 0
     all_rows = []
     for group in groups:
         rows = []
+        top = 0
         for a, b, r in group:
-            if not r or not a.num or not b.num:
+            if not r or a.is_zero() or b.is_zero():
                 continue
             for p in (a, b):
-                if id(p) not in packing:
+                if id(p) not in operands:
                     if p.vs != vs:
                         raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
-                    cols = list(zip(*p.num))
-                    packing[id(p)] = (p, cols, max(map(max, cols), default=0))
-            top = max(top, packing[id(a)][2] + packing[id(b)][2])
+                    operands[id(p)] = p
+            top = max(top, _kept(a)[1] + _kept(b)[1])
             rows.append((a, b, r))
-        all_rows.append(rows)
-    width = top.bit_length()
-    packed = {
-        key: list(zip(_pack(cols, width, len(p.num)), p.num.values()))
-        for key, (p, cols, _) in packing.items()
-    }
+        all_rows.append((rows, top))
+        width = max(width, top.bit_length())
+    packed = {key: list(zip(_keys(p, width), p._packed[4])) for key, p in operands.items()}
     out = []
-    for rows in all_rows:
+    for rows, top in all_rows:
         den = lcm(*(r.denominator * a.den * b.den for a, b, r in rows))
         acc: dict[int, int] = {}
         for a, b, r in rows:
-            if len(a.num) > len(b.num):
-                a, b = b, a
-            left = packed[id(a)]
+            left, right = packed[id(a)], packed[id(b)]
+            if len(left) > len(right):
+                left, right = right, left
             f = r.numerator * (den // (r.denominator * a.den * b.den))
             if f != 1:
                 left = [(k, c * f) for k, c in left]
-            _pair_sums(acc, left, packed[id(b)])
-        out.append(_unpacked(vs, acc, width, den))
+            _pair_sums(acc, left, right)
+        out.append(_from_packed(vs, acc, width, den, top))
     return out
 
 
@@ -696,18 +786,17 @@ class UPoly:
         keeps N_j = a^(deg - j) * L * H_j, where H_j = sum(c_i * arg^(i - j)
         for i >= j), as N_j = N_(j+1) * A + a^(deg - j) * C_j.  No N_j has an
         exponent above deg * top(arg) + top(coefficients), which fixes the
-        field width up front; N_0 / (a^deg * L) is normalised once.
+        field width up front; N_0 / (a^deg * L) is normalised once, and keeps
+        its packed form.
         """
         vs = arg.vs
         if not self.coeffs:
             return MultiPoly.zero(vs)
         coeffs = self.coeffs if vs == self.vs else [c.cast(vs) for c in self.coeffs]
         deg = len(coeffs) - 1
-        cols = list(zip(*arg.num))
-        top = deg * max(map(max, cols), default=0)
-        top += max((max(map(max, zip(*c.num)), default=0) for c in coeffs), default=0)
+        top = deg * _kept(arg)[1] + max(_kept(c)[1] for c in coeffs)
         width = top.bit_length()
-        packed_arg = list(zip(_pack(cols, width, len(arg.num)), arg.num.values()))
+        packed_arg = list(zip(_keys(arg, width), arg._packed[4]))
         den = lcm(*(c.den for c in coeffs))
         a = arg.den
         acc: dict[int, int] = {}
@@ -717,13 +806,13 @@ class UPoly:
                 _pair_sums(acc, prev.items(), packed_arg)
                 den *= a
             c = coeffs[j]
-            if c.num:
+            if not c.is_zero():
                 # den is a^(deg - j) * L here, so C_j's factor is den / c.den
                 f = den // c.den
                 get = acc.get
-                for k, v in zip(_pack(list(zip(*c.num)), width, len(c.num)), c.num.values()):
+                for k, v in zip(_keys(c, width), c._packed[4]):
                     acc[k] = get(k, 0) + v * f
-        return _unpacked(vs, acc, width, den)
+        return _from_packed(vs, acc, width, den, top)
 
     def to_multipoly(self, indet: str) -> MultiPoly:
         """Flatten into a MultiPoly over vs + (indet,), indet appended last."""
@@ -798,8 +887,9 @@ def horner_sum_div_linear(
     degree down, A the integer weights of the linear form sum(A[j] * x_j) at
     which h is taken, and s a positive integer.  Rows with an empty h or a
     zero p add nothing.  Every p is packed once, at one field width for the
-    call (the largest total degree of p plus deg h), with its numerators
-    scaled to the lcm of the rows' s * p.den.  h(A) * p is Horner in A, one
+    call (the largest total degree of p plus deg h, where a quotient of an
+    earlier call stands in with its kept bound), with its numerators scaled
+    to the lcm of the rows' s * p.den.  h(A) * p is Horner in A, one
     pair per term of A and of the running sum at each step, and the rows
     add into one accumulator.
 
@@ -812,7 +902,8 @@ def horner_sum_div_linear(
     must be nonzero.  The levels and the quotient live over the lcm times f,
     where f grows by |m_pivot| / gcd(m_pivot, level numerators) only at a
     level whose numerators the pivot weight does not divide.  The quotient
-    is unpacked and normalised once.
+    is normalised once and keeps its packed form, with that total degree
+    less one as the bound on its exponents and on its total degree.
     """
     nvars = len(vs)
     if len(m) != nvars:
@@ -820,18 +911,20 @@ def horner_sum_div_linear(
     pivot = next((i for i, w in enumerate(m) if w), None)
     if pivot is None:
         raise ValueError("all-zero weight vector")
-    rows = [(h, a, s, p) for h, a, s, p in rows if h and p.num]
-    for *_, p in rows:
+    rows = [(h, a, s, p) for h, a, s, p in rows if h and not p.is_zero()]
+    # every product, level and quotient term has total degree at most this
+    top = 0
+    for h, _, _, p in rows:
         if p.vs != vs:
             raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
-    # every product, level and quotient term has total degree at most this
-    width = max((p.total_degree() + len(h) - 1 for h, _, _, p in rows), default=0).bit_length()
+        deg = _kept(p)[2]
+        top = max(top, (p.total_degree() if deg is None else deg) + len(h) - 1)
+    width = top.bit_length()
     den = lcm(*(s * p.den for _, _, s, p in rows))
     total: dict[int, int] = {}
     for h, a, s, p in rows:
         f = den // (s * p.den)
-        keys = _pack(list(zip(*p.num)), width, len(p.num))
-        left = list(zip(keys, [c * f for c in p.num.values()]))
+        left = list(zip(_keys(p, width), [c * f for c in p._packed[4]]))
         form = [(1 << width * (nvars - 1 - j), w) for j, w in enumerate(a) if w]
         acc: dict[int, int] = {}
         for step, c in enumerate(h):
@@ -874,7 +967,7 @@ def horner_sum_div_linear(
                 k2 = key + step
                 cur[k2] = get(k2, 0) + c * w
     if any(cur.values()):
-        remainder = _unpacked(vs, cur, width, den * f)
+        remainder = _from_packed(vs, cur, width, den * f, top, top)
         raise InexactDivisionError(
             f"linear division by weights {tuple(m)} leaves remainder {remainder.text()}",
             remainder=remainder,
@@ -884,4 +977,4 @@ def horner_sum_div_linear(
         s, off = f // fk, k << shift
         for key, c in q.items():
             out[key + off] = c * s
-    return _unpacked(vs, out, width, den * f)
+    return _from_packed(vs, out, width, den * f, top - 1, top - 1)

@@ -10,6 +10,12 @@ the recurrence loop term by term), or, for text(), the one-key sort and
 per-term join, or, for eval(), a Fraction power and product per term; the
 kernels must give equal polynomials (or equal strings or numbers), and equal
 remainders when a division is inexact.
+
+Kernel results keep their packed form, and later kernel calls read it,
+repacked when their field width differs.  The chained tests below feed
+kernel results into kernel calls at wider and narrower widths and compare
+each result with a plain reference and with its eager twin
+MultiPoly(vs, p.terms), which keeps no packed form.
 """
 
 import itertools
@@ -29,11 +35,16 @@ from recint.multipoly import (
     VarSet,
     _decimal,
     _max_str_digits,
+    _pack,
+    _repack,
+    denom_profile,
     exact_div_linear,
     horner_sum_div_linear,
+    sum_of_products,
     to_upoly,
 )
-from recint.reclang import _q_at, parse_poly, parse_poly_list, parse_spec, run_spec
+from recint.reclang import SpecRunner, _q_at, parse_poly, parse_poly_list, parse_spec, run_spec
+from recint.sequences import USEQ_TEXT
 
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 9, 12, 35)
 SEEDS = range(60)
@@ -565,3 +576,132 @@ def test_q_at_matches_eval_scalar(text):
 def test_run_spec_rational_coefficients(text):
     spec = parse_spec(text)
     assert run_spec(spec, 12).terms == loop_run_spec(spec, 12)
+
+
+# -- kept packed forms ---------------------------------------------------------------------
+
+
+def naive_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """p * q with one Fraction product per pair of terms."""
+    out: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return MultiPoly(p.vs, out)
+
+
+def horner_sum_reference(vs: VarSet, rows, m) -> MultiPoly:
+    """sum(h(A) * p / s) by Horner with `*` and `+`, divided slice by slice."""
+    num = MultiPoly.zero(vs)
+    for h, a, s, p in rows:
+        num = num + horner_eval_poly(UPoly(SCALARS, h[::-1]), linear_form(vs, a)) * p * Fraction(1, s)
+    return slice_div_linear(num, m)
+
+
+def assert_twin(p: MultiPoly, expected: MultiPoly):
+    """p equals expected and its eager twin in num, den, text(), eval and hash."""
+    twin = MultiPoly(p.vs, p.terms)
+    assert twin._packed is None
+    assert p.num == twin.num == expected.num
+    assert p.den == twin.den == expected.den
+    assert p.text() == twin.text() == reference_text(expected)
+    point = {name: Fraction(2 * i + 3, i + 2) for i, name in enumerate(p.vs.names)}
+    assert p.eval(point) == twin.eval(point) == loop_eval(expected, point)
+    assert hash(p) == hash(twin) == hash(expected)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chained_kernel_calls_match_references(seed):
+    rng = random.Random(seed)
+    vs = VarSet(tuple(f"x{i}" for i in range(seed % 5)))
+    n = len(vs)
+    a, b, c = (rand_poly(rng, vs, 3, 5) + MultiPoly.monomial(vs, (1,) * n, 1) for _ in range(3))
+    big = rand_poly(rng, vs, 3, 3) + MultiPoly.monomial(vs, (13,) * n, Fraction(1, 3))
+    k = MultiPoly.const(vs, Fraction(3, 4)) * MultiPoly.const(vs, -2)
+    ab = a * b
+    # the call packs at high's width, so low is kept wider than it needs
+    low, high, gone = sum_of_products(
+        vs,
+        [[(a, c, Fraction(-2, 3))], [(big, big, 3), (a, b, -1)], [(a, b, 1), (b, a, -1)]],
+    )
+    ref_ab, ref_k = naive_mul(a, b), MultiPoly.const(vs, Fraction(-3, 2))
+    ref_low = naive_mul(a, c) * Fraction(-2, 3)
+    ref_high = naive_mul(big, big) * 3 - ref_ab
+    checks = [
+        (ab, ref_ab),
+        (low, ref_low),
+        (high, ref_high),
+        (gone, MultiPoly.zero(vs)),
+        (k, ref_k),
+        (ab * big, naive_mul(ref_ab, big)),  # ab's keys at a wider width
+        (low * c, naive_mul(ref_low, c)),  # low's keys at a narrower width
+        (k * ab, ref_ab * Fraction(-3, 2)),
+        (-high * Fraction(5, 6), ref_high * Fraction(-5, 6)),  # the kept form carried over
+        ((-high) * low, naive_mul(ref_high * -1, ref_low)),
+        (gone * ab, MultiPoly.zero(vs)),
+        (sum_of_products(vs, [[(low, k, 2), (ab, c, 1)]])[0], ref_low * -3 + naive_mul(ref_ab, c)),
+        (UPoly(vs, [low, k, ab]).eval_poly(high), horner_eval_poly(UPoly(vs, [ref_low, ref_k, ref_ab]), ref_high)),
+    ]
+    if n:
+        m = rand_weights(rng, n)
+        lin = linear_form(vs, m)
+        q = exact_div_linear(ab * lin, m)
+        h, h2 = [rng.randint(-3, 3) for _ in range(3)], [1, 0]
+        rows = [(h, [rng.randint(-2, 2) for _ in vs], 2, q * lin), (h2, m, 3, low), (h2, m, 1, k)]
+        ref_rows = [(h, rows[0][1], 2, naive_mul(ref_ab, lin)), (h2, m, 3, ref_low), (h2, m, 1, ref_k)]
+        r = horner_sum_div_linear(vs, rows, m)
+        ref_r = horner_sum_reference(vs, ref_rows, m)
+        checks += [
+            (q, ref_ab),
+            (exact_div_linear(k * lin, m), ref_k),  # a constant quotient
+            (r, ref_r),
+            (horner_sum_div_linear(vs, [(h2, m, 1, r), ([2], m, 1, q * lin)], m), ref_r + ref_ab * 2),
+            (r * q, naive_mul(ref_r, ref_ab)),
+            (horner_sum_div_linear(vs, [(h2, m, 1, q), ([1], m, 1, -(q * lin))], m), MultiPoly.zero(vs)),
+        ]
+    for p, expected in checks:
+        assert_twin(p, expected)
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_repack_matches_packing_at_the_new_width(nvars):
+    rng = random.Random(nvars)
+    exps = [tuple(rng.randint(0, 7) for _ in range(nvars)) for _ in range(20)]
+    cols = list(zip(*exps))
+    for old, new in ((3, 3), (3, 6), (6, 3), (4, 9), (9, 4)):
+        keys = _pack(cols, old, len(exps))
+        assert list(_repack(keys, old, new, nvars)) == list(_pack(cols, new, len(exps)))
+
+
+def assert_lowest_terms_unread(p: MultiPoly):
+    # den is final when a kernel makes p: no numerator has been unpacked yet
+    assert p._num is None
+    profile = denom_profile(p)
+    assert p._num is None
+    assert profile == denom_profile(MultiPoly(p.vs, p.terms))
+
+
+def test_gen_u_terms_are_in_lowest_terms_before_any_read():
+    terms = SpecRunner(parse_spec(USEQ_TEXT)).upto(60).terms
+    for term in terms[1:]:
+        assert_lowest_terms_unread(term)
+
+
+def test_cancelling_group_is_in_lowest_terms_before_any_read():
+    # the rows' denominators are 3 and 12; the x/3 parts cancel, so the
+    # sum y/4 has denominator 4
+    vs = VarSet.of("x", "y")
+    x, y = MultiPoly.variable(vs, "x"), MultiPoly.variable(vs, "y")
+    a = x * Fraction(1, 3) + y * Fraction(1, 4)
+    [p] = sum_of_products(vs, [[(a, y, 1), (x, y, Fraction(-1, 3))]])
+    assert p.den == 4
+    assert_lowest_terms_unread(p)
+
+
+def test_bracket_entries_are_in_lowest_terms_before_any_read():
+    table = BracketTable(q_tuple("t^3 - 3*t, t"))
+    table.extend_to_level(6)
+    for m, entry in table.entries.items():
+        if any(m):
+            assert_lowest_terms_unread(entry)
