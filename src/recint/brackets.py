@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .multipoly import (
     InexactDivisionError,
@@ -122,15 +122,11 @@ class BracketTable:
         if any(c < 0 for c in m):
             return MultiPoly.zero(self.vs)
         if m not in self.entries:
-            self._ensure_box(m)
-        return self.entries[m]
-
-    def _ensure_box(self, m: tuple[int, ...]):
-        # every point p <= m (componentwise), in level order
-        for level in range(1, sum(m) + 1):
-            for p in _box_level(m, level):
+            # every point p <= m (componentwise), by level, then lexicographic
+            for p in sorted(itertools.product(*(range(c + 1) for c in m)), key=sum):
                 if p not in self.entries:
                     self.entries[p] = self._compute(p)
+        return self.entries[m]
 
     def _compute(self, m: tuple[int, ...]) -> MultiPoly:
         # row i is 2^D * Q_i(A / 2) * <Q>_{m - e_i} over 2^D, for D = deg Q_i
@@ -185,11 +181,6 @@ def _simplex_level(d: int, level: int) -> list[tuple[int, ...]]:
         for rest in _simplex_level(d - 1, level - first):
             out.append((first,) + rest)
     return sorted(out)
-
-
-def _box_level(m: tuple[int, ...], level: int) -> Iterable[tuple[int, ...]]:
-    """Points p <= m componentwise with |p| == level, sorted."""
-    return sorted(p for p in _simplex_level(len(m), level) if all(a <= b for a, b in zip(p, m)))
 
 
 def r3_closed_form(m: Sequence[int]) -> Fraction:

@@ -11,7 +11,8 @@ coefficients.
 
 The kernels (`*`, sum_of_products, UPoly.eval_poly, horner_sum_div_linear)
 pack each exponent vector into one int key, and the polynomials they make or
-pack keep those keys for the next kernel call.  A polynomial a kernel made
+pack keep the packed form (width, deg, keys, numerators), deg a bound on
+the total degree, for the next kernel call.  A polynomial a kernel made
 fills `num` on first read; before that read its den is already final, so
 denom_profile, is_zero, negation and scaling need no unpacking.
 
@@ -131,13 +132,6 @@ def _columns(keys: Sequence[int], width: int, nvars: int) -> list[list[int]]:
     return cols
 
 
-def _unpack(keys: Sequence[int], width: int, nvars: int) -> Iterable[tuple[int, ...]]:
-    """Exponent tuples of packed keys."""
-    if not nvars:
-        return [()] * len(keys)
-    return zip(*_columns(keys, width, nvars))
-
-
 def _repack(keys: Sequence[int], old: int, new: int, nvars: int) -> Sequence[int]:
     """Keys packed at field width `old`, packed again at width `new`; every
     exponent must fit in `new` bits.  With one variable or none a key does
@@ -151,30 +145,31 @@ def _repack(keys: Sequence[int], old: int, new: int, nvars: int) -> Sequence[int
     return _pack(_columns(keys, old, nvars), new, len(keys))
 
 
-def _kept(p: MultiPoly) -> tuple:
-    """The packed form that p keeps (see MultiPoly); when it keeps none, one
-    scan of num packs it at the width of its top exponent, and p keeps that."""
+def _kept(p: MultiPoly) -> int:
+    """The total-degree bound of the packed form p keeps (see MultiPoly); if
+    it keeps none, num is packed at the width of its total degree and kept."""
     kept = p._packed
     if kept is None:
         num = p._num
-        cols = list(zip(*num))
-        top = max(map(max, cols), default=0)
-        width = top.bit_length()
-        kept = p._packed = (width, top, None, _pack(cols, width, len(num)), list(num.values()))
-    return kept
+        deg = max(map(sum, num), default=0)
+        width = deg.bit_length()
+        kept = p._packed = (width, deg, _pack(list(zip(*num)), width, len(num)), list(num.values()))
+    return kept[1]
 
 
-def _keys(p: MultiPoly, width: int) -> Sequence[int]:
-    """The kept keys of p (after _kept) at `width`, repacked by shifts if
-    they were packed at another width."""
-    old, _, _, keys, _ = p._packed
-    return _repack(keys, old, width, len(p.vs))
+def _pairs(p: MultiPoly, width: int, scale: int = 1) -> list[tuple[int, int]]:
+    """(key, numerator * scale) pairs of the form p keeps (after _kept),
+    with the keys repacked by shifts if they were packed at another width."""
+    old, _, keys, nums = p._packed
+    if scale != 1:
+        nums = [c * scale for c in nums]
+    return list(zip(_repack(keys, old, width, len(p.vs)), nums))
 
 
 def _pair_sums(acc: dict[int, int], left: Iterable[tuple[int, int]], right: list[tuple[int, int]]):
     """acc[k1 + k2] += c1 * c2 for every pair of packed (key, numerator)
-    terms: the one multiply loop behind MultiPoly.__mul__ and
-    sum_of_products."""
+    terms: the one inner loop of the kernels.  A left of [(0, s)] adds s
+    times right to acc."""
     get = acc.get
     for k1, c1 in left:
         for k2, c2 in right:
@@ -182,24 +177,38 @@ def _pair_sums(acc: dict[int, int], left: Iterable[tuple[int, int]], right: list
             acc[k] = get(k, 0) + c1 * c2
 
 
-def _from_packed(
-    vs: VarSet, acc: dict[int, int], width: int, den: int, top: int, deg: int | None = None
-) -> MultiPoly:
+def _horner(acc: dict[int, int], arg: list[tuple[int, int]], steps: list[tuple[int, list]]):
+    """Add H to acc, where H starts at 0 and each step (s, pairs) makes it
+    H * arg + s * pairs, over packed (key, numerator) pairs.  The last step
+    accumulates straight into acc."""
+    h: dict[int, int] = {}
+    last = len(steps) - 1
+    for i, (s, pairs) in enumerate(steps):
+        prior, h = h, (acc if i == last else {})
+        _pair_sums(h, prior.items(), arg)
+        if s:
+            _pair_sums(h, [(0, s)], pairs)
+
+
+def _lowest(den: int, num: dict) -> tuple[int, dict]:
+    """den and the numerators num divided by their gcd: num / den in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            return den // g, {k: c // g for k, c in num.items()}
+    return den, num
+
+
+def _from_packed(vs: VarSet, acc: dict[int, int], width: int, den: int, deg: int) -> MultiPoly:
     """The polynomial acc / den in lowest terms, for acc keyed by packed
-    exponents at `width`, none above `top` and none of total degree above
-    `deg` (None: no bound known).  It keeps that packed form; num is
-    unpacked from it on first read."""
+    exponents at `width`, none of total degree above `deg`.  It keeps that
+    packed form; num is unpacked from it on first read."""
     if 0 in acc.values():
         acc = {k: c for k, c in acc.items() if c}
     if not acc:
         return MultiPoly.zero(vs)
-    nums = list(acc.values())
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            den //= g
-            nums = [c // g for c in nums]
-    return MultiPoly._new(vs, None, den, (width, top, deg, list(acc), nums))
+    den, acc = _lowest(den, acc)
+    return MultiPoly._new(vs, None, den, (width, deg, list(acc), list(acc.values())))
 
 
 #: How many digits str() converts at most, 0 for no limit; Python versions
@@ -261,12 +270,12 @@ class MultiPoly:
     order, which makes text() a canonical form.
 
     A polynomial that a kernel made keeps the kernel's packed form in
-    `_packed`: (width, top, deg, keys, numerators), with the keys packed in
-    width-bit fields as _pack lays them out, no exponent above top, no total
-    degree above deg (None when no bound is known) and the numerators in
-    the order of the keys.  The kernels read their operands in this form,
-    and a polynomial that has none gets one the first time a kernel packs
-    it.  num is filled from the packed form on first read; before that read
+    `_packed`: (width, deg, keys, numerators), with the keys packed in
+    width-bit fields as _pack lays them out, no total degree (and so no
+    exponent) above deg, deg < 2^width, and the numerators in the order of
+    the keys.  The kernels read their operands in this form, and a
+    polynomial that has none gets one the first time a kernel packs it.
+    num is filled from the packed form on first read; before that read
     den is already final, and the kept numerators are nonzero and share no
     factor with it.
     """
@@ -311,14 +320,7 @@ class MultiPoly:
     @classmethod
     def _make(cls, vs: VarSet, num: dict[tuple[int, ...], int], den: int) -> "MultiPoly":
         # Internal: nonzero numerators over den > 0, reduced to lowest terms here.
-        if den != 1:
-            if not num:
-                den = 1
-            else:
-                g = gcd(den, *num.values())
-                if g != 1:
-                    den //= g
-                    num = {e: c // g for e, c in num.items()}
+        den, num = _lowest(den, num)
         return cls._new(vs, num, den)
 
     @classmethod
@@ -354,8 +356,10 @@ class MultiPoly:
         unpacked from the kept packed form on first read."""
         num = self._num
         if num is None:
-            width, _, _, keys, nums = self._packed
-            num = self._num = dict(zip(_unpack(keys, width, len(self.vs)), nums))
+            width, _, keys, nums = self._packed
+            nvars = len(self.vs)
+            exps = zip(*_columns(keys, width, nvars)) if nvars else [()] * len(keys)
+            num = self._num = dict(zip(exps, nums))
         return num
 
     @property
@@ -373,11 +377,11 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         num = self._num
-        return not (self._packed[4] if num is None else num)
+        return not (self._packed[3] if num is None else num)
 
     def is_constant(self) -> bool:
         if self._num is None:
-            return not any(self._packed[3])
+            return not any(self._packed[2])
         return all(not any(e) for e in self._num)
 
     def constant_value(self) -> Fraction:
@@ -448,7 +452,7 @@ class MultiPoly:
             den //= g
         g = 1
         if q != 1:
-            g = gcd(q, *(self._packed[4] if self._num is None else self._num.values()))
+            g = gcd(q, *(self._packed[3] if self._num is None else self._num.values()))
             den *= q // g
         return self._mapped(g, p, den)
 
@@ -459,14 +463,14 @@ class MultiPoly:
         kept = self._packed
         if div == mul == 1:
             return MultiPoly._new(self.vs, self._num, den, kept)
-        values = self._num.values() if kept is None else kept[4]
+        values = self._num.values() if kept is None else kept[3]
         if div == 1:
             values = [c * mul for c in values]
         else:
             values = [c // div * mul for c in values]
         if kept is None:
             return MultiPoly._new(self.vs, dict(zip(self._num, values)), den)
-        return MultiPoly._new(self.vs, None, den, (*kept[:4], values))
+        return MultiPoly._new(self.vs, None, den, (*kept[:3], values))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -480,13 +484,11 @@ class MultiPoly:
             return MultiPoly.zero(self.vs)
         # Monagan-Pearce packed exponents: one int per monomial, with fields
         # wide enough that adding two keys never carries between variables
-        top = _kept(self)[1] + _kept(other)[1]
-        width = top.bit_length()
-        left = zip(_keys(self, width), self._packed[4])
-        right = list(zip(_keys(other, width), other._packed[4]))
+        deg = _kept(self) + _kept(other)
+        width = deg.bit_length()
         acc: dict[int, int] = {}
-        _pair_sums(acc, left, right)
-        return _from_packed(self.vs, acc, width, self.den * other.den, top)
+        _pair_sums(acc, _pairs(self, width), _pairs(other, width))
+        return _from_packed(self.vs, acc, width, self.den * other.den, deg)
 
     __rmul__ = __mul__
 
@@ -637,19 +639,6 @@ def _monomial(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
 
 
-def _join(vs: VarSet, parts: list[tuple[dict[tuple[int, ...], int], int]]) -> MultiPoly:
-    """Sum of normalised (num, den) parts whose monomials are pairwise
-    distinct.  Over the lcm of the denominators the result is normalised
-    already, for the same reason as in MultiPoly.__init__."""
-    den = lcm(*(d for _, d in parts))
-    num: dict[tuple[int, ...], int] = {}
-    for part, d in parts:
-        s = den // d
-        for e, c in part.items():
-            num[e] = c * s
-    return MultiPoly._new(vs, num, den)
-
-
 def sum_of_products(
     vs: VarSet, groups: Iterable[Iterable[tuple[MultiPoly, MultiPoly, Fraction | int]]]
 ) -> list[MultiPoly]:
@@ -669,7 +658,7 @@ def sum_of_products(
     all_rows = []
     for group in groups:
         rows = []
-        top = 0
+        deg = 0
         for a, b, r in group:
             if not r or a.is_zero() or b.is_zero():
                 continue
@@ -678,13 +667,13 @@ def sum_of_products(
                     if p.vs != vs:
                         raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
                     operands[id(p)] = p
-            top = max(top, _kept(a)[1] + _kept(b)[1])
+            deg = max(deg, _kept(a) + _kept(b))
             rows.append((a, b, r))
-        all_rows.append((rows, top))
-        width = max(width, top.bit_length())
-    packed = {key: list(zip(_keys(p, width), p._packed[4])) for key, p in operands.items()}
+        all_rows.append((rows, deg))
+        width = max(width, deg.bit_length())
+    packed = {key: _pairs(p, width) for key, p in operands.items()}
     out = []
-    for rows, top in all_rows:
+    for rows, deg in all_rows:
         den = lcm(*(r.denominator * a.den * b.den for a, b, r in rows))
         acc: dict[int, int] = {}
         for a, b, r in rows:
@@ -695,7 +684,7 @@ def sum_of_products(
             if f != 1:
                 left = [(k, c * f) for k, c in left]
             _pair_sums(acc, left, right)
-        out.append(_from_packed(vs, acc, width, den, top))
+        out.append(_from_packed(vs, acc, width, den, deg))
     return out
 
 
@@ -784,44 +773,35 @@ class UPoly:
         Horner on packed integer numerators.  With arg = A / a and every
         coefficient c_j = C_j / L over the lcm L of their denominators, step j
         keeps N_j = a^(deg - j) * L * H_j, where H_j = sum(c_i * arg^(i - j)
-        for i >= j), as N_j = N_(j+1) * A + a^(deg - j) * C_j.  No N_j has an
-        exponent above deg * top(arg) + top(coefficients), which fixes the
-        field width up front; N_0 / (a^deg * L) is normalised once, and keeps
-        its packed form.
+        for i >= j), as N_j = N_(j+1) * A + a^(deg - j) * C_j.  No N_j has a
+        total degree above deg * deg(arg) + deg(coefficients), which fixes
+        the field width up front; N_0 / (a^deg * L) is normalised once, and
+        keeps its packed form.
         """
         vs = arg.vs
         if not self.coeffs:
             return MultiPoly.zero(vs)
         coeffs = self.coeffs if vs == self.vs else [c.cast(vs) for c in self.coeffs]
-        deg = len(coeffs) - 1
-        top = deg * _kept(arg)[1] + max(_kept(c)[1] for c in coeffs)
-        width = top.bit_length()
-        packed_arg = list(zip(_keys(arg, width), arg._packed[4]))
-        den = lcm(*(c.den for c in coeffs))
-        a = arg.den
+        bound = (len(coeffs) - 1) * _kept(arg) + max(map(_kept, coeffs))
+        width = bound.bit_length()
+        den, a = lcm(*(c.den for c in coeffs)), arg.den
+        # step i = deg - j adds a^i * C_j, and C_j is c_j's numerators times L / c_j.den
+        steps = [(den * a**i // c.den, _pairs(c, width)) for i, c in enumerate(reversed(coeffs))]
         acc: dict[int, int] = {}
-        for j in range(deg, -1, -1):
-            if j < deg:
-                prev, acc = acc, {}
-                _pair_sums(acc, prev.items(), packed_arg)
-                den *= a
-            c = coeffs[j]
-            if not c.is_zero():
-                # den is a^(deg - j) * L here, so C_j's factor is den / c.den
-                f = den // c.den
-                get = acc.get
-                for k, v in zip(_keys(c, width), c._packed[4]):
-                    acc[k] = get(k, 0) + v * f
-        return _from_packed(vs, acc, width, den, top)
+        _horner(acc, _pairs(arg, width), steps)
+        return _from_packed(vs, acc, width, den * a ** (len(coeffs) - 1), bound)
 
     def to_multipoly(self, indet: str) -> MultiPoly:
-        """Flatten into a MultiPoly over vs + (indet,), indet appended last."""
-        full = VarSet(self.vs.names + (indet,))
-        parts = [
-            ({exps + (k,): c for exps, c in coef.num.items()}, coef.den)
-            for k, coef in enumerate(self.coeffs)
-        ]
-        return _join(full, parts)
+        """Flatten into a MultiPoly over vs + (indet,), indet appended last;
+        its monomials are distinct, so over the lcm of the coefficients'
+        denominators it is in lowest terms, as in MultiPoly.__init__."""
+        den = lcm(*(c.den for c in self.coeffs))
+        num: dict[tuple[int, ...], int] = {}
+        for k, coef in enumerate(self.coeffs):
+            s = den // coef.den
+            for exps, c in coef.num.items():
+                num[exps + (k,)] = c * s
+        return MultiPoly._new(VarSet(self.vs.names + (indet,)), num, den)
 
     def text(self, indet: str = "t") -> str:
         return self.to_multipoly(indet).text()
@@ -887,11 +867,10 @@ def horner_sum_div_linear(
     degree down, A the integer weights of the linear form sum(A[j] * x_j) at
     which h is taken, and s a positive integer.  Rows with an empty h or a
     zero p add nothing.  Every p is packed once, at one field width for the
-    call (the largest total degree of p plus deg h, where a quotient of an
-    earlier call stands in with its kept bound), with its numerators scaled
-    to the lcm of the rows' s * p.den.  h(A) * p is Horner in A, one
-    pair per term of A and of the running sum at each step, and the rows
-    add into one accumulator.
+    call (the largest total-degree bound of p plus deg h), with its
+    numerators scaled to the lcm of the rows' s * p.den.  h(A) * p is Horner
+    in A, one pair per term of A and of the running sum at each step, and
+    the rows add into one accumulator.
 
     The division is synthetic, on the pivot, the first variable with a
     nonzero weight.  Level k is the part of the sum of degree k in the
@@ -902,8 +881,8 @@ def horner_sum_div_linear(
     must be nonzero.  The levels and the quotient live over the lcm times f,
     where f grows by |m_pivot| / gcd(m_pivot, level numerators) only at a
     level whose numerators the pivot weight does not divide.  The quotient
-    is normalised once and keeps its packed form, with that total degree
-    less one as the bound on its exponents and on its total degree.
+    is normalised once and keeps its packed form, with the call's bound
+    less one as its total-degree bound.
     """
     nvars = len(vs)
     if len(m) != nvars:
@@ -913,28 +892,18 @@ def horner_sum_div_linear(
         raise ValueError("all-zero weight vector")
     rows = [(h, a, s, p) for h, a, s, p in rows if h and not p.is_zero()]
     # every product, level and quotient term has total degree at most this
-    top = 0
+    bound = 0
     for h, _, _, p in rows:
         if p.vs != vs:
             raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
-        deg = _kept(p)[2]
-        top = max(top, (p.total_degree() if deg is None else deg) + len(h) - 1)
-    width = top.bit_length()
+        bound = max(bound, _kept(p) + len(h) - 1)
+    width = bound.bit_length()
     den = lcm(*(s * p.den for _, _, s, p in rows))
     total: dict[int, int] = {}
     for h, a, s, p in rows:
-        f = den // (s * p.den)
-        left = list(zip(_keys(p, width), [c * f for c in p._packed[4]]))
+        left = _pairs(p, width, den // (s * p.den))
         form = [(1 << width * (nvars - 1 - j), w) for j, w in enumerate(a) if w]
-        acc: dict[int, int] = {}
-        for step, c in enumerate(h):
-            # the last step adds straight into the rows' sum
-            prior, acc = acc, (total if step == len(h) - 1 else {})
-            _pair_sums(acc, prior.items(), form)
-            if c:
-                get = acc.get
-                for k, v in left:
-                    acc[k] = get(k, 0) + v * c
+        _horner(total, form, [(c, left) for c in h])
 
     shift = width * (nvars - 1 - pivot)
     mask = (1 << width) - 1
@@ -967,7 +936,7 @@ def horner_sum_div_linear(
                 k2 = key + step
                 cur[k2] = get(k2, 0) + c * w
     if any(cur.values()):
-        remainder = _from_packed(vs, cur, width, den * f, top, top)
+        remainder = _from_packed(vs, cur, width, den * f, bound)
         raise InexactDivisionError(
             f"linear division by weights {tuple(m)} leaves remainder {remainder.text()}",
             remainder=remainder,
@@ -977,4 +946,4 @@ def horner_sum_div_linear(
         s, off = f // fk, k << shift
         for key, c in q.items():
             out[key + off] = c * s
-    return _from_packed(vs, out, width, den * f, top - 1, top - 1)
+    return _from_packed(vs, out, width, den * f, bound - 1)

@@ -191,27 +191,18 @@ def _dot(
 def inv_sqrt(a: TruncSeries) -> TruncSeries:
     """S with S^2 * a = 1 through the truncation order; a must start at 1.
 
-    Computed by first inverting a (standard reciprocal recurrence), then
-    taking the coefficientwise square root recurrence.
+    S = a^(-1/2) solves a * S' = -a' * S / 2; comparing coefficients of
+    t^(k-1) gives s[k] = -sum_{j=1}^{k} (2k - j) / (2k) * a[j] * s[k-j], one
+    sum_of_products group per k over the nonzero a[j].
     """
-    one = MultiPoly.one(a.vs)
-    if a.coeffs[0] != one:
+    if a.coeffs[0] != 1:
         raise ValueError("inv_sqrt requires constant term exactly 1")
-    n = a.order
-    # reciprocal r of a: r[k] = -sum_{j=1}^{k} a[j] r[k-j]
-    r = [one]
-    for k in range(1, n + 1):
-        rows = [(a.coeffs[j], r[k - j], -1) for j in range(1, k + 1)]
-        r += sum_of_products(a.vs, [rows])
-    # square root s of r: s[k] = (r[k] - sum_{i=1}^{k-1} s[i] s[k-i]) / 2,
-    # each mirror pair (i, k-i) taken once
-    half = Fraction(1, 2)
-    s = [one]
-    for k in range(1, n + 1):
-        rows = [(r[k], one, half)]
-        rows += [(s[i], s[k - i], -half if 2 * i == k else -1) for i in range(1, k // 2 + 1)]
+    s = [a.coeffs[0]]
+    terms = [(j, c) for j, c in enumerate(a.coeffs) if j and not c.is_zero()]
+    for k in range(1, a.order + 1):
+        rows = [(c, s[k - j], Fraction(j - 2 * k, 2 * k)) for j, c in terms if j <= k]
         s += sum_of_products(a.vs, [rows])
-    return TruncSeries(a.vs, n, s)
+    return TruncSeries(a.vs, a.order, s)
 
 
 # -- pinned differential operators -----------------------------------------------

@@ -664,6 +664,58 @@ def test_chained_kernel_calls_match_references(seed):
         assert_twin(p, expected)
 
 
+def quotient_or_remainder(divide) -> tuple[str, MultiPoly]:
+    try:
+        return "quotient", divide()
+    except InexactDivisionError as e:
+        return "remainder", e.remainder
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z"), ("z", "y", "x")])
+def test_total_degree_wider_than_the_top_exponent(names):
+    # x^3*y^3 + x*y has top exponent 3 (2 bits) but total degree 6 (3 bits).
+    # A product, a Horner step or an exact quotient keeps each exponent
+    # within the operands' tops, but an inexact division moves exponents
+    # from the pivot to the other variables, up to the total degree
+    # (x^3*y^3 = (x + y)(x^2*y^3 - x*y^4 + y^5) - y^6), so the kept bound
+    # and the field width must come from the total degree, both for kernel
+    # results and for the sums and eager polynomials packed by one scan.
+    vs = VarSet(names)
+
+    def poly(*terms):  # (coefficient, x exponent, y exponent), no kernel call
+        return MultiPoly(vs, {tuple({"x": ex, "y": ey}.get(n, 0) for n in names): c for c, ex, ey in terms})
+
+    x, y = MultiPoly.variable(vs, "x"), MultiPoly.variable(vs, "y")
+    p = (x * y) * (x * x * y * y + 1)
+    [q] = sum_of_products(vs, [[(x * x * x, y * y * y, Fraction(1, 2)), (x, x * y, -3)]])
+    ref_p, ref_q = poly((1, 3, 3), (1, 1, 1)), poly((Fraction(1, 2), 3, 3), (-3, 2, 1))
+    assert_twin(p, ref_p)
+    assert_twin(q, ref_q)
+    ref_pq = naive_mul(ref_p, ref_q)
+    assert_twin(p * q, ref_pq)
+    u = UPoly(vs, [q, 1, p])
+    assert_twin(u.eval_poly(p), horner_eval_poly(UPoly(vs, [ref_q, 1, ref_p]), ref_p))
+    for m in ([1 if n == "x" else 0 for n in names], [1, 1, 1][: len(names)], [2, -1, 3][: len(names)]):
+        lin = linear_form(vs, m)
+        assert_twin(exact_div_linear(p * lin, m), ref_p)
+        assert_twin(exact_div_linear(q * (lin * lin), m), naive_mul(ref_q, lin))
+        for dividend, ref_dividend in (
+            (p, ref_p),
+            (q, ref_q),
+            (p * q, ref_pq),
+            (p + q, ref_p + ref_q),
+            (MultiPoly(vs, ref_pq.terms), ref_pq),
+        ):
+            kind, got = quotient_or_remainder(lambda: exact_div_linear(dividend, m))
+            assert (kind, got) == quotient_or_remainder(lambda: slice_div_linear(ref_dividend, m))
+            assert_twin(got, got)
+        rows = [([1, -2], [1, 0, 2][: len(names)], 1, p), ([3, 0, 1], m, 2, q), ([1], m, 3, p - q)]
+        ref_rows = [(h, a, s, r) for (h, a, s, _), r in zip(rows, (ref_p, ref_q, ref_p - ref_q))]
+        kind, got = quotient_or_remainder(lambda: horner_sum_div_linear(vs, rows, m))
+        assert (kind, got) == quotient_or_remainder(lambda: horner_sum_reference(vs, ref_rows, m))
+        assert_twin(got, got)
+
+
 @pytest.mark.parametrize("nvars", range(5))
 def test_repack_matches_packing_at_the_new_width(nvars):
     rng = random.Random(nvars)
