@@ -157,6 +157,15 @@ def _kept(p: MultiPoly) -> int:
     return kept[1]
 
 
+def _exponent_columns(p: MultiPoly) -> tuple[list[list[int]], Sequence[int]]:
+    """The exponents of p's terms, one column per variable, and their
+    numerators in the same order, read from the packed form p keeps (after
+    _kept), so that no exponent tuple is built."""
+    _kept(p)
+    width, _, keys, nums = p._packed
+    return _columns(keys, width, len(p.vs)), nums
+
+
 def _pairs(p: MultiPoly, width: int, scale: int = 1) -> list[tuple[int, int]]:
     """(key, numerator * scale) pairs of the form p keeps (after _kept),
     with the keys repacked by shifts if they were packed at another width."""

@@ -7,15 +7,21 @@ run them on reclang's SpecRunner, the one recurrence engine.  u is the
 coefficient sequence of the even product series built from the
 w-generating series; u_conv, u_bin and w_inv are the independent routes
 between the two families that the test suite plays against each other.
+u_bin and w_inv sum their products in multipoly's fused kernel, which the
+recurrence engine also runs on; u_conv shares no kernel with gen_u, since
+it evaluates w at integer points and interpolates u from its values there.
 Apery's integer sequence rides along as the classical stress case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain, islice, product, repeat
+from math import lcm, prod
+from operator import add, mul, sub
 from typing import Sequence
 
-from .multipoly import MultiPoly, VarSet, denom_profile, sum_of_products
+from .multipoly import MultiPoly, VarSet, _exponent_columns, denom_profile, sum_of_products
 from .reclang import ParamSeq, SpecRunner, parse_spec
 from .scalars import binomial, factorial
 
@@ -89,24 +95,256 @@ def apery_closed_form(n: int) -> int:
 
 
 def u_conv(n: int, w: ParamSeq) -> ParamSeq:
-    """u via the alternating self-convolution of w.
+    """u via the alternating self-convolution of w, by exact evaluation and
+    interpolation (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).
 
-    u[m] = sum_{k=0}^{2m} (-1)^k w[k] w[2m-k]; needs w up to index 2n.
+    u[m] = sum_{k=0}^{2m} (-1)^k w[k] w[2m-k]; needs w up to index 2n.  With
+    the mirror pairs (k, 2m-k) collapsed, the rows of u[m] are
+    (-1)^m w[m]^2 and 2 (-1)^k w[k] w[2m-k] for k < m, over the pairs whose
+    factors are both nonzero.
 
-    The mirror pair (k, 2m-k) is collapsed (both carry sign (-1)^k):
-
-        u[m] = (-1)^m w[m]^2 + 2 sum_{k<m} (-1)^k w[k] w[2m-k]
-
-    and each u[m] is summed over the common denominator (2m)!, so that
-    every intermediate coefficient is an integer.
+    In each variable, the degree of u[m] is at most the largest degree sum
+    deg w[k] + deg w[2m-k] over its rows, whatever w is, so u[m] is fixed by
+    its values on a box of bound + 1 consecutive integer nodes per variable,
+    -h..bound-h with h = ceil(bound/2).  At a node, L_m u[m] is an integer,
+    the sum of f_k N_k N_{2m-k} over the rows: N_k is the value of w[k]'s
+    integer numerators there, L_m the lcm of the rows' den_k * den_{2m-k},
+    and f_k the row's sign and weight times L_m / (den_k * den_{2m-k}).  The
+    numerators are evaluated one node of the first variable at a time
+    (_node_slices); each u[m] is interpolated from its box one variable at a
+    time (_newton) and reduced once, by MultiPoly._make.  No step multiplies
+    two polynomials.
     """
     if len(w) < 2 * n + 1:
         raise ValueError(f"need w terms up to index {2 * n}, have {len(w) - 1}")
-    groups = (
-        [(w[m], w[m], (-1) ** m)] + [(w[k], w[2 * m - k], 2 * (-1) ** k) for k in range(m)]
-        for m in range(n + 1)
+    vs = w.ring
+    nvars = len(vs)
+    size = 2 * n + 1
+    terms, dens, degs = [], [], []
+    for p in w.terms[:size]:
+        if p.vs != vs:
+            raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
+        cols, nums = _exponent_columns(p)
+        terms.append((cols, nums))
+        dens.append(p.den)
+        degs.append([max(col) for col in cols] if nums else [0] * nvars)
+    # per m with a row: the degree bounds, L_m and the f_k (0 off the rows)
+    plans: dict[int, tuple[list[int], int, list[int]]] = {}
+    for m in range(n + 1):
+        ks = [k for k in range(m + 1) if terms[k][1] and terms[2 * m - k][1]]
+        if ks:
+            bounds = [max(degs[k][v] + degs[2 * m - k][v] for k in ks) for v in range(nvars)]
+            lcm_m = lcm(*(dens[k] * dens[2 * m - k] for k in ks))
+            f = [0] * (m + 1)
+            for k in ks:
+                f[k] = (1 if k == m else 2) * (-1) ** k * (lcm_m // (dens[k] * dens[2 * m - k]))
+            plans[m] = (bounds, lcm_m, f)
+    out = [MultiPoly.zero(vs)] * (n + 1)
+    if not plans:
+        return ParamSeq(vs, out)
+    top = [(max(b[v] for b, _, _ in plans.values()) + 1) // 2 for v in range(nvars)]
+    # the values of L_m u[m] on its box, row-major, first variable major;
+    # for each point of the other variables' nodes, the boxes that hold it,
+    # with the first variable's (h, bound), the box's slice size and the
+    # point's place in it
+    grids = {m: [0] * prod(b + 1 for b in bounds) for m, (bounds, _, _) in plans.items()}
+    points = []
+    for point in product(*map(_nodes, top[1:])):
+        boxes = []
+        for m, (bounds, _, f) in plans.items():
+            place = 0
+            for x, b in zip(point, bounds[1:]):
+                i = x + (b + 1) // 2
+                if not 0 <= i <= b:
+                    break
+                place = place * (b + 1) + i
+            else:
+                first = bounds[0] if nvars else 0
+                width = prod(b + 1 for b in bounds[1:])
+                boxes.append(((first + 1) // 2, first, width, place, f, size - 1 - 2 * m, grids[m]))
+        points.append(boxes)
+    for x0, values in _node_slices(terms, degs, top):
+        for p, boxes in enumerate(points):
+            row = values[p * size : (p + 1) * size]
+            mirror = row[::-1]
+            for h, bound, width, place, f, skip, grid in boxes:
+                if 0 <= x0 + h <= bound:
+                    grid[(x0 + h) * width + place] = sum(
+                        map(mul, map(mul, f, row), islice(mirror, skip, None))
+                    )
+    for m, (bounds, lcm_m, _) in plans.items():
+        values, den, shape = grids[m], lcm_m, []
+        for b in bounds:
+            values, count, scale = _newton(values, (b + 1) // 2, b + 1)
+            shape.append(count)
+            den *= scale
+        num = {e: c for e, c in zip(product(*map(range, shape)), values) if c}
+        if num:
+            out[m] = MultiPoly._make(vs, num, den)
+    return ParamSeq(vs, out)
+
+
+def _horner(rows, squares: list[int]) -> list[int]:
+    """Horner in x^2 over rows (iterators), top power first:
+    acc = acc * squares + row, elementwise.  A row may be longer than acc,
+    whose missing entries count as 0: groups sorted by degree, highest
+    first, join as their degree comes up.  map stops at the end of acc
+    before it takes from the row, so the rest of the row follows."""
+    acc: list[int] = []
+    for row in rows:
+        acc = [*map(add, map(mul, acc, squares), row), *row]
+    return acc
+
+
+def _plan(lens: list[int], copies: int, h: int) -> tuple[list, list, list[int], list[int]]:
+    """How _evaluate takes one variable of a batch at the nodes 1..h at once.
+
+    The batch is `copies` lists of dense coefficient groups, group g holding
+    lens[g] coefficients of the powers 0, 1, ....  The Horner vectors run
+    (group by degree, highest first; copy; node).  Returns the batch places
+    to gather at each step of the even and of the odd powers, the places of
+    the constant coefficients (the values at node 0), and the permutation
+    that lays out the output as (copy, node 0, 1..h, -1..-h, group).
+    """
+    starts = list(accumulate(lens, initial=0))
+    size, count = starts.pop(), len(lens)
+    order = sorted(range(count), key=lens.__getitem__, reverse=True)
+    runs = [(g, c * size + starts[g]) for g in order for c in range(copies)]
+    top = lens[order[0]] - 1
+    evens, odds = (
+        [[base + e for g, base in runs if lens[g] > e for _ in range(h)] for e in powers]
+        for powers in (range(top - (top - r) % 2, -1, -2) for r in (0, 1))
     )
-    return ParamSeq(w.ring, sum_of_products(w.ring, groups))
+    zeros = [c * size + i for c in range(copies) for i in starts]
+    # the output is gathered from zeros (copy, group), E + xO and E - xO
+    place = [0] * count
+    for i, g in enumerate(order):
+        place[g] = i * copies * h
+    plus, minus = copies * count, copies * count * (h + 1)
+    perm = []
+    for c in range(copies):
+        perm += range(c * count, (c + 1) * count)
+        for base in (plus, minus):
+            for x in range(h):
+                perm += [base + place[g] + c * h + x for g in range(count)]
+    return evens, odds, zeros, perm
+
+
+def _rows(batch: list[int], plan: tuple) -> list:
+    """The Horner rows of a batch under a plan, as iterators: of the even,
+    then of the odd powers."""
+    return [[map(batch.__getitem__, places) for places in steps] for steps in plan[:2]]
+
+
+def _evaluate(batch: list[int], plan: tuple, rows: list, squares: list[int], nodes: list[int]):
+    """One variable of a batch at its nodes, as _plan lays it out: Horner in
+    x^2 over its rows (_rows) for the even and the odd powers, whose parts E
+    and O give E + xO at x and E - xO at -x; squares and nodes hold x^2 and
+    x per place of the Horner vectors."""
+    _, _, zeros, perm = plan
+    even = _horner(rows[0], squares)
+    odd = list(map(mul, _horner(rows[1], squares), nodes))
+    rest = even[len(odd) :]
+    signed = [
+        *map(batch.__getitem__, zeros),
+        *map(add, even, odd),
+        *rest,
+        *map(sub, even, odd),
+        *rest,
+    ]
+    return list(map(signed.__getitem__, perm))
+
+
+def _node_slices(terms: list[tuple], degs: list[list[int]], top: list[int]):
+    """Yield (x, values) for each node x of the first variable in -top[0]..top[0]
+    (x = 0 alone when there is no variable).  values holds, for each point of
+    the other variables' nodes -top[v]..top[v] (row-major, each variable's
+    nodes in the order of _nodes), the values there of all the polynomials
+    given as terms, (exponent columns, numerators) pairs (degs: their degree
+    per variable).
+
+    The variables are evaluated one at a time by _evaluate, over groups of
+    dense coefficients: one group per polynomial and exponents of the later
+    variables.  The first variable is taken at one node x > 0 at a time, as
+    x and -x; each later one at all its nodes, for all the points before it,
+    at once.  Only one node of the first variable is held at a time.
+    """
+    nvars = len(top)
+    if not nvars:
+        yield 0, [nums[0] if nums else 0 for _, nums in terms]
+        return
+    # first variable: per polynomial and exponents of the others (the last
+    # one outermost), the dense coefficients in the first exponent
+    coefs, lens = [], []
+    for (cols, nums), deg in zip(terms, degs):
+        dense: dict[tuple, list[int]] = {}
+        for e, rest, c in zip(cols[0], zip(*cols[1:]) if nvars > 1 else repeat(()), nums):
+            dense.setdefault(rest, [0] * (deg[0] + 1))[e] = c
+        for key in product(*(range(deg[v] + 1) for v in range(nvars - 1, 0, -1))):
+            group = dense.get(key[::-1], [0])
+            while len(group) > 1 and not group[-1]:
+                group.pop()
+            coefs += group
+            lens.append(len(group))
+    groups = len(lens)
+    first = _plan(lens, 1, 1)
+    first_rows = [[list(row) for row in rows] for rows in _rows(coefs, first)]
+    levels = []
+    copies = 2  # x and -x
+    for v in range(1, nvars):
+        # one group per polynomial and exponents of the variables after v
+        lens = [deg[v] + 1 for deg in degs for _ in range(prod(d + 1 for d in deg[v + 1 :]))]
+        nodes = list(range(1, top[v] + 1)) * (len(lens) * copies)
+        levels.append((_plan(lens, copies, top[v]), [x * x for x in nodes], nodes))
+        copies *= 2 * top[v] + 1
+    for x in range(top[0] + 1):
+        rows = [map(iter, steps) for steps in first_rows]
+        batch = _evaluate(coefs, first, rows, [x * x] * groups, [x] * groups)[groups:]
+        for plan, squares, nodes in levels:
+            batch = _evaluate(batch, plan, _rows(batch, plan), squares, nodes)
+        half = len(batch) // 2
+        yield x, batch[:half]
+        if x:
+            yield -x, batch[half:]
+
+
+def _nodes(h: int) -> list[int]:
+    """The nodes -h..h in the order _node_slices lays them out: 0, 1..h, -1..-h."""
+    return [0, *range(1, h + 1), *range(-1, -h - 1, -1)]
+
+
+def _newton(values: list[int], h: int, count: int) -> tuple[list[int], int, int]:
+    """Interpolate a row-major box along its major axis, which holds the
+    `count` nodes -h, 1 - h, ....  Returns the coefficient rows, transposed
+    so that the coefficient index becomes the minor axis, their count d + 1
+    and d!: the rows are d! times the coefficients of the interpolant, whose
+    degree is d.
+
+    Newton forward differences: the interpolant is the sum of
+    D^i * binomial(x + h, i), D^i the i-th difference at node -h.  The
+    differences stop at the first level that is all zero, which bounds the
+    degree exactly.  d! times the Newton form is then Horner,
+    P = P * (x + h - i) + D^i * d!/i! for i = d - 1..0.
+    """
+    width = len(values) // count
+    diffs = []
+    while any(values):
+        diffs.append(values[:width])
+        values = list(map(sub, values[width:], values))
+    if not diffs:
+        return [], 0, 1
+    d = len(diffs) - 1
+    poly, scale, zero = diffs[d], 1, [0] * width
+    for i in range(d - 1, -1, -1):
+        scale *= i + 1
+        low = list(map(scale.__mul__, diffs[i]))
+        c = h - i
+        if c:
+            poly = list(map(add, chain(map(c.__mul__, poly), zero), chain(low, poly)))
+        else:
+            poly = low + poly
+    rows = [poly[i : i + width] for i in range(0, len(poly), width)]
+    return list(chain.from_iterable(zip(*rows))), d + 1, scale
 
 
 def u_bin(n: int, w: ParamSeq) -> ParamSeq:

@@ -42,6 +42,15 @@ class TruncSeries:
         self.coeffs = cs
 
     @classmethod
+    def _of(cls, vs: VarSet, order: int, coeffs: list[MultiPoly]) -> "TruncSeries":
+        # Internal fast path: the caller guarantees exactly order + 1
+        # MultiPoly coefficients over vs, as the kernels and the
+        # coefficientwise operations make them.
+        self = cls.__new__(cls)
+        self.vs, self.order, self.coeffs = vs, order, coeffs
+        return self
+
+    @classmethod
     def one(cls, vs: VarSet, order: int) -> "TruncSeries":
         return cls(vs, order, [MultiPoly.one(vs)])
 
@@ -53,26 +62,24 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        return TruncSeries(
-            self.vs, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return TruncSeries._of(self.vs, self.order, coeffs)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        return TruncSeries(
-            self.vs, self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        return TruncSeries._of(self.vs, self.order, coeffs)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.vs, self.order, [-a for a in self.coeffs])
+        return TruncSeries._of(self.vs, self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        return TruncSeries(self.vs, self.order, _dot(self.vs, self.order, [(self, other, 1)]))
+        return TruncSeries._of(self.vs, self.order, _dot(self.vs, self.order, [(self, other, 1)]))
 
     def scale(self, factor) -> "TruncSeries":
         """Coefficientwise multiplication by a scalar or MultiPoly."""
-        return TruncSeries(self.vs, self.order, [c * factor for c in self.coeffs])
+        return TruncSeries._of(self.vs, self.order, [c * factor for c in self.coeffs])
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by t^k, dropping what overflows the truncation order."""
@@ -83,10 +90,8 @@ class TruncSeries:
 
     def reflect(self) -> "TruncSeries":
         """t -> -t: negate the odd coefficients."""
-        return TruncSeries(
-            self.vs,
-            self.order,
-            [-c if k % 2 else c for k, c in enumerate(self.coeffs)],
+        return TruncSeries._of(
+            self.vs, self.order, [-c if k % 2 else c for k, c in enumerate(self.coeffs)]
         )
 
     def diff(self) -> "TruncSeries":
@@ -101,7 +106,7 @@ class TruncSeries:
 
     def theta(self) -> "TruncSeries":
         """t * d/dt, degree-preserving: coefficient k picks up a factor k."""
-        return TruncSeries(self.vs, self.order, [k * c for k, c in enumerate(self.coeffs)])
+        return TruncSeries._of(self.vs, self.order, [k * c for k, c in enumerate(self.coeffs)])
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
@@ -202,7 +207,7 @@ def inv_sqrt(a: TruncSeries) -> TruncSeries:
     for k in range(1, a.order + 1):
         rows = [(c, s[k - j], Fraction(j - 2 * k, 2 * k)) for j, c in terms if j <= k]
         s += sum_of_products(a.vs, [rows])
-    return TruncSeries(a.vs, a.order, s)
+    return TruncSeries._of(a.vs, a.order, s)
 
 
 # -- pinned differential operators -----------------------------------------------
@@ -237,7 +242,7 @@ class OdeOperator:
                 # coefficient i of the k-th derivative is (i+1)...(i+k) * y[i+k]
                 for i in range(top + 1 - j):
                     groups[i + j].append((cj, y.coeffs[i + k], factorial(i + k) // factorial(i)))
-        return TruncSeries(self.vs, top, sum_of_products(self.vs, groups))
+        return TruncSeries._of(self.vs, top, sum_of_products(self.vs, groups))
 
 
 def base_ode(vs: VarSet = RING_BC) -> OdeOperator:
@@ -437,7 +442,7 @@ def derivation_identity_check(f: TruncSeries, k: int) -> IdentityReport:
         powers.append(powers[-1].theta())
     lhs = f * powers[2 * k + 1]
     pairs = [(powers[j], powers[2 * k - j], -1 if j % 2 else 1) for j in range(2 * k + 1)]
-    acc = TruncSeries(f.vs, f.order, _dot(f.vs, f.order, pairs))
+    acc = TruncSeries._of(f.vs, f.order, _dot(f.vs, f.order, pairs))
     rhs = acc.theta().scale(Fraction(1, 2))
     return _report("derivation", f.order, lhs, rhs, note=f"k={k}")
 

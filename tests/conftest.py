@@ -1,7 +1,8 @@
 """Shared test helpers.
 
 Exposes the repo paths, an in-process CLI runner, a linear-form builder,
-the odd monomial atoms t^(2j+1), and the acceptance-line collector: acceptance tests append one PASS/FAIL line per criterion and the
+the odd monomial atoms t^(2j+1), the term-pair convolution reference, and
+the acceptance-line collector: acceptance tests append one PASS/FAIL line per criterion and the
 terminal-summary hook prints them as a block at the end of the run.
 """
 
@@ -61,6 +62,25 @@ def q_monomial(halfdeg: int):
     if halfdeg < 0:
         raise ValueError("negative half-degree")
     return UPoly(SCALARS, [0] * (2 * halfdeg + 1) + [1])
+
+
+def conv_by_products(n: int, w):
+    """u[0..n] from w[0..2n] by the alternating self-convolution, summed as
+    term pairs in the multiply kernel: the reference for sequences.u_conv.
+
+    u[m] = (-1)^m w[m]^2 + 2 sum_{k<m} (-1)^k w[k] w[2m-k], one
+    sum_of_products group per m.
+    """
+    from recint.multipoly import sum_of_products
+    from recint.reclang import ParamSeq
+
+    if len(w) < 2 * n + 1:
+        raise ValueError(f"need w terms up to index {2 * n}, have {len(w) - 1}")
+    groups = (
+        [(w[m], w[m], (-1) ** m)] + [(w[k], w[2 * m - k], 2 * (-1) ** k) for k in range(m)]
+        for m in range(n + 1)
+    )
+    return ParamSeq(w.ring, sum_of_products(w.ring, groups))
 
 
 def digits_value(text: str) -> int:

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from recint.multipoly import MultiPoly, denom_profile
-from recint.reclang import parse_poly
+from conftest import conv_by_products
+from recint import multipoly, sequences
+from recint.multipoly import MultiPoly, VarSet, denom_profile
+from recint.reclang import ParamSeq, parse_poly
 from recint.scalars import factorial, lcm_upto
 from recint.sequences import (
     RING_BC,
@@ -23,6 +25,19 @@ from recint.sequences import (
     u_conv,
     w_inv,
 )
+
+
+def random_poly(rng: random.Random, vs: VarSet, zero: float = 0.25) -> MultiPoly:
+    """A random sparse polynomial over vs, zero with probability `zero`:
+    up to six terms of degree up to 4 per variable, signed integer
+    numerators over denominators up to 15, most of them not factorials."""
+    if rng.random() < zero:
+        return MultiPoly.zero(vs)
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = tuple(rng.randint(0, 4) for _ in vs)
+        terms[exps] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 15))
+    return MultiPoly(vs, terms)
 
 
 class TestGenW:
@@ -128,6 +143,61 @@ class TestTransforms:
         u = gen_u(12)
         conv = u_conv(12, gen_w(24))
         assert all(conv[m] == u[m] for m in range(13))
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_convolution_matches_generator_at_every_length(self, n):
+        assert u_conv(n, gen_w(2 * n)).terms == gen_u(n).terms
+
+    @pytest.mark.parametrize("nvars", range(4))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_convolution_matches_term_pairs(self, nvars, seed):
+        rng = random.Random(1000 * nvars + seed)
+        vs = VarSet(("x", "y", "z")[:nvars])
+        n = rng.randint(0, 8)
+        w = ParamSeq(vs, [random_poly(rng, vs) for _ in range(2 * n + 1 + rng.randint(0, 2))])
+        assert u_conv(n, w).terms == conv_by_products(n, w).terms
+
+    @pytest.mark.parametrize("nvars", range(4))
+    def test_convolution_with_rows_all_zero(self, nvars):
+        # w[k] = 0 from k = 2 on: every row of u[m] is zero for m >= 2
+        rng = random.Random(7 + nvars)
+        vs = VarSet(("x", "y", "z")[:nvars])
+        head = [random_poly(rng, vs, zero=0) for _ in range(2)]
+        w = ParamSeq(vs, head + [MultiPoly.zero(vs)] * 9)
+        u = u_conv(5, w)
+        assert u.terms == conv_by_products(5, w).terms
+        assert not u[1].is_zero() and all(u[m].is_zero() for m in range(2, 6))
+
+    def test_convolution_of_monomials_meets_the_bound(self):
+        # w[k] = a_k x^k y^(k % 3) / q_k: every row of u[m] is a monomial
+        # x^(2m) y^(k % 3 + (2m - k) % 3), so nothing cancels at the top
+        vs = VarSet.of("x", "y")
+        w = ParamSeq(
+            vs,
+            [
+                MultiPoly.monomial(vs, (k, k % 3), Fraction((-1) ** (k // 2) * (k + 2), 2 * k + 3))
+                for k in range(17)
+            ],
+        )
+        u = u_conv(8, w)
+        assert u.terms == conv_by_products(8, w).terms
+        assert all(max(e[0] for e in u[m].terms) == 2 * m for m in range(9))
+
+    def test_convolution_uses_no_product_kernel(self, monkeypatch):
+        w, u = gen_w(24), gen_u(12)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("u_conv reached the product kernel")
+
+        monkeypatch.setattr(sequences, "sum_of_products", refuse)
+        monkeypatch.setattr(multipoly, "_pair_sums", refuse)
+        assert u_conv(12, w) == u
+
+    def test_convolution_rejects_mixed_rings(self):
+        w = gen_w(4)
+        mixed = ParamSeq(w.ring, w.terms[:4] + [MultiPoly.one(VarSet.of("b"))])
+        with pytest.raises(ValueError):
+            u_conv(2, mixed)
 
     def test_binomial_formula_matches_generator(self):
         u = gen_u(12)
