@@ -385,7 +385,7 @@ def verify_r2(order: int) -> IdentityReport:
 
 
 def verify_hg_c0(order: int) -> IdentityReport:
-    """c = 0 collapse: with P[n] = poch_product(n),
+    """c = 0 collapse: with P[n] = prod_{i<n} (i(i+1) - b) (poch_products),
 
     (sum P[n] t^n / n!) * (sum P[n] (-t)^n / n!) = sum P[n] binomial(2n, n) t^(2n)
     """

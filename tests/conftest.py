@@ -1,14 +1,16 @@
 """Shared test helpers.
 
 Exposes the repo paths, an in-process CLI runner, a linear-form builder,
-the odd monomial atoms t^(2j+1), the term-pair convolution reference, and
-the acceptance-line collector: acceptance tests append one PASS/FAIL line per criterion and the
-terminal-summary hook prints them as a block at the end of the run.
+the odd monomial atoms t^(2j+1), the term-pair convolution reference, the
+closed form of u at c = 0, and the acceptance-line collector: acceptance
+tests append one PASS/FAIL line per criterion and the terminal-summary hook
+prints them as a block at the end of the run.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -81,6 +83,19 @@ def conv_by_products(n: int, w):
         for m in range(n + 1)
     )
     return ParamSeq(w.ring, sum_of_products(w.ring, groups))
+
+
+def u_c0(n: int):
+    """u[n] at c = 0 in closed form, binomial(2n, n) * prod_{i<n} (i(i+1) - b)
+    over Z[b], one factor at a time: the independent side of criterion 5."""
+    from recint.multipoly import MultiPoly, VarSet
+
+    ring = VarSet.of("b")
+    b = MultiPoly.variable(ring, "b")
+    acc = MultiPoly.const(ring, math.comb(2 * n, n))
+    for i in range(n):
+        acc = acc * (MultiPoly.const(ring, i * (i + 1)) - b)
+    return acc
 
 
 def digits_value(text: str) -> int:

@@ -12,7 +12,7 @@ analysis.
 from fractions import Fraction
 from itertools import product as cartesian
 
-from conftest import ACCEPTANCE_LINES, CORPUS, DATA_DIR, SPECS_DIR, q_monomial, run_cli
+from conftest import ACCEPTANCE_LINES, CORPUS, DATA_DIR, SPECS_DIR, q_monomial, run_cli, u_c0
 from recint import series
 from recint.brackets import (
     BracketTable,
@@ -37,7 +37,6 @@ from recint.sequences import (
     inv_formula_sum,
     split_sqrt_parity,
     u_bin,
-    u_c0,
     u_conv,
     w_inv,
 )

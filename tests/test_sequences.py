@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import conv_by_products
+from conftest import conv_by_products, u_c0
 from recint import multipoly, sequences
 from recint.multipoly import MultiPoly, VarSet, denom_profile
 from recint.reclang import ParamSeq, parse_poly
@@ -17,11 +17,10 @@ from recint.sequences import (
     gen_u,
     gen_w,
     inv_formula_sum,
-    poch_product,
+    poch_products,
     seq_records,
     split_sqrt_parity,
     u_bin,
-    u_c0,
     u_conv,
     w_inv,
 )
@@ -183,6 +182,57 @@ class TestTransforms:
         assert u.terms == conv_by_products(8, w).terms
         assert all(max(e[0] for e in u[m].terms) == 2 * m for m in range(9))
 
+    def test_node_sets_of_the_base_sequence(self):
+        # supp w[k] lies in i + 3j <= k, so the node set of u[m] is the lower
+        # set i + 3j <= 2m, read from the corners of the supports alone
+        _, _, plans = sequences._prepare(20, gen_w(40))
+        sizes = []
+        for m in range(21):
+            nodes = sequences._lower(plans[m][0])
+            bound = {(i, j) for j in range(2 * m // 3 + 1) for i in range(2 * m - 3 * j + 1)}
+            assert set(nodes) == bound
+            assert len(set(nodes)) == len(nodes)
+            sizes.append(len(nodes))
+        assert sum(sizes) == 2282
+
+    @pytest.mark.parametrize("nvars", (2, 3))
+    def test_convolution_meets_the_bound_at_every_corner(self, nvars):
+        # w[k] = a_k x^e with the exponents of e summing to k: every row of
+        # u[m] is a monomial on the plane |e| = 2m, so the row sums are the
+        # corners of L_m, and each has a nonzero coefficient in u[m]
+        rng = random.Random(50 + nvars)
+        vs = VarSet(("x", "y", "z")[:nvars])
+        terms = []
+        for k in range(17):
+            cuts = sorted(rng.randint(0, k) for _ in range(nvars - 1))
+            e = tuple(b - a for a, b in zip([0, *cuts], [*cuts, k]))
+            a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 15))
+            terms.append(MultiPoly.monomial(vs, e, a))
+        w = ParamSeq(vs, terms)
+        u = u_conv(8, w)
+        assert u.terms == conv_by_products(8, w).terms
+        _, _, plans = sequences._prepare(8, w)
+        for m in range(9):
+            assert set(u[m].terms) == set(plans[m][0])
+        assert max(len(plans[m][0]) for m in range(9)) > 2
+
+    @pytest.mark.parametrize("nvars", (1, 2, 3))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_convolution_of_supports_with_holes(self, nvars, seed):
+        # supports that are not lower sets: no constant term, exponents up
+        # to 6 with gaps, so the corners alone must carry the bound
+        rng = random.Random(2000 + 10 * nvars + seed)
+        vs = VarSet(("x", "y", "z")[:nvars])
+        n = rng.randint(3, 6)
+        w = []
+        for _ in range(2 * n + 1):
+            exps = {tuple(rng.choice((1, 2, 4, 6)) for _ in vs) for _ in range(rng.randint(1, 4))}
+            coefs = {e: Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 12)) for e in exps}
+            w.append(MultiPoly(vs, coefs))
+        w = ParamSeq(vs, w)
+        assert all((0,) * nvars not in p.terms for p in w.terms)
+        assert u_conv(n, w).terms == conv_by_products(n, w).terms
+
     def test_convolution_uses_no_product_kernel(self, monkeypatch):
         w, u = gen_w(24), gen_u(12)
 
@@ -199,6 +249,10 @@ class TestTransforms:
         with pytest.raises(ValueError):
             u_conv(2, mixed)
 
+    def test_convolution_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="negative length"):
+            u_conv(-1, gen_w(4))
+
     def test_binomial_formula_matches_generator(self):
         u = gen_u(12)
         ub = u_bin(12, gen_w(12))
@@ -212,6 +266,10 @@ class TestTransforms:
         with pytest.raises(ValueError):
             u_bin(5, gen_w(4))
 
+    def test_bin_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="negative length"):
+            u_bin(-1, gen_w(4))
+
     def test_inversion_matches_scaled_w(self):
         w = gen_w(10)
         wi = w_inv(10, gen_u(10))
@@ -221,6 +279,10 @@ class TestTransforms:
     def test_inversion_requires_full_length(self):
         with pytest.raises(ValueError):
             w_inv(5, gen_u(4))
+
+    def test_inversion_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="negative length"):
+            w_inv(-1, gen_u(4))
 
     def test_inversion_raw_sum_has_no_odd_sqrt_powers(self):
         u = gen_u(8)
@@ -270,9 +332,9 @@ class TestTransforms:
 
 class TestSpecializations:
     def test_poch_product_structure(self):
-        p3 = poch_product(3)
-        assert p3 == parse_poly("-b^3 + 8*b^2 - 12*b", poch_product(1).vs)
-        assert poch_product(0).constant_value() == 1
+        pochs = poch_products(3)
+        assert pochs[3] == parse_poly("-b^3 + 8*b^2 - 12*b", pochs[1].vs)
+        assert pochs[0].constant_value() == 1
 
     def test_c0_closed_form_matches_generator(self):
         u = gen_u(15)
