@@ -31,7 +31,6 @@ from .multipoly import (
     denom_profile,
     horner_sum_div_linear,
 )
-from .scalars import binomial, factorial
 
 #: Coefficient ring of the Q polynomials themselves: plain integers.
 SCALARS = VarSet.of()
@@ -181,23 +180,6 @@ def _simplex_level(d: int, level: int) -> list[tuple[int, ...]]:
         for rest in _simplex_level(d - 1, level - first):
             out.append((first,) + rest)
     return sorted(out)
-
-
-def r3_closed_form(m: Sequence[int]) -> Fraction:
-    """Closed form for the all-t tuple: the bracket collapses to the constant
-
-        binomial(2|m|, |m|) / 4^|m| * multinomial(|m|; m)
-
-    i.e. the z^m coefficient of (1 - z_1 - ... - z_d)^(-1/2).
-    """
-    m = tuple(m)
-    if any(c < 0 for c in m):
-        return Fraction(0)
-    s = sum(m)
-    multi = factorial(s)
-    for c in m:
-        multi //= factorial(c)
-    return Fraction(binomial(2 * s, s) * multi, 4**s)
 
 
 # -- certification ------------------------------------------------------------------
@@ -419,11 +401,3 @@ def expand_terms(expansion: OddFormExpansion, n: int) -> list[ExpansionTerm]:
             )
         )
     return terms
-
-
-def expand_via_brackets(expansion: OddFormExpansion, n: int) -> MultiPoly:
-    """u[n] reconstructed purely from bracket values and atom coefficients."""
-    total = MultiPoly.zero(expansion.ring)
-    for term in expand_terms(expansion, n):
-        total = total + term.contribution
-    return total

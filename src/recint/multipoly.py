@@ -843,7 +843,7 @@ class DenomProfile:
 
     lcm_denominator: lcm of all coefficient denominators (1 for the zero
     polynomial); two_adic_only: that lcm is a power of 2; max_neg_v2: the
-    largest 2-adic defect max(0, -val2(coefficient)).
+    largest 2-adic defect, the exponent of 2 in a coefficient's denominator.
     """
 
     lcm_denominator: int
@@ -853,15 +853,9 @@ class DenomProfile:
 
 def denom_profile(p: MultiPoly) -> DenomProfile:
     # In lowest terms den is the lcm of the coefficient denominators, and when
-    # den is even some numerator is odd, so the worst 2-adic defect is val2(den).
+    # den is even some numerator is odd, so the worst 2-adic defect is v, 2^v || den.
     den = p.den
     return DenomProfile(den, den & (den - 1) == 0, (den & -den).bit_length() - 1)
-
-
-def exact_div_linear(p: MultiPoly, m: Sequence[int]) -> MultiPoly:
-    """Divide p exactly by the linear form sum(m[i] * x_i): the one-row case
-    of horner_sum_div_linear."""
-    return horner_sum_div_linear(p.vs, [((1,), (), 1, p)], m)
 
 
 def horner_sum_div_linear(

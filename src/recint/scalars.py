@@ -1,20 +1,8 @@
-"""Exact scalar arithmetic: rationals, binomials, factorials, 2-adic valuations.
-
-Every other module builds on these helpers.  All values are exact; nothing
-here ever touches floating point.
-"""
+"""Exact integer helpers: binomials, factorials and lcm(1..n), with no floating point."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-# Rational scalars are stdlib Fractions: arbitrary precision, always in
-# lowest terms with a positive denominator.
-Rational = Fraction
-
-#: Returned by val2(0); compares above every finite valuation.
-VAL2_INF = math.inf
 
 
 def binomial(n: int, k: int) -> int:
@@ -42,19 +30,3 @@ def lcm_upto(n: int) -> int:
     if n < 0:
         raise ValueError(f"lcm_upto: negative argument {n}")
     return math.lcm(*range(1, n + 1))
-
-
-def val2(q: Fraction | int) -> int | float:
-    """2-adic valuation of a rational, negative when the denominator is even.
-
-    val2(0) returns VAL2_INF.
-    """
-    q = Fraction(q)
-    if q == 0:
-        return VAL2_INF
-    return _int_val2(q.numerator) - _int_val2(q.denominator)
-
-
-def _int_val2(n: int) -> int:
-    n = abs(n)
-    return (n & -n).bit_length() - 1

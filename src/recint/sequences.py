@@ -10,8 +10,7 @@ between the two families that the test suite plays against each other.
 u_bin and w_inv sum their products in multipoly's fused kernel, which the
 recurrence engine also runs on; u_conv shares no kernel with gen_u, since
 it evaluates w at integer points and interpolates each u[m] from its values
-on the lower set of exponents that the supports of w allow it.  Apery's
-integer sequence rides along as the classical stress case.
+on the lower set of exponents that the supports of w allow it.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ _W = SpecRunner(parse_spec(WSEQ_TEXT))
 _U = SpecRunner(parse_spec(USEQ_TEXT))
 
 
-class IntegralityViolationError(ArithmeticError):
-    """An exact integer division demanded by a recurrence failed."""
-
-
 class IdentityViolationError(ArithmeticError):
     """A structural cancellation demanded by a closed formula failed."""
 
@@ -74,31 +69,6 @@ def gen_w(n: int) -> ParamSeq:
 def gen_u(n: int) -> ParamSeq:
     """u[0..n] from the two-term recurrence."""
     return _U.upto(n)
-
-
-def gen_apery(n: int) -> list[int]:
-    """Apery's sequence 1, 5, 73, 1445, ... via its three-term recurrence.
-
-    Each step divides by n^3; inexactness would disprove integrality and
-    raises IntegralityViolationError.
-    """
-    if n < 0:
-        raise ValueError("negative length")
-    terms = [1]
-    for k in range(1, n + 1):
-        acc = (2 * k - 1) * (17 * k * k - 17 * k + 5) * terms[k - 1]
-        if k >= 2:
-            acc -= (k - 1) ** 3 * terms[k - 2]
-        q, r = divmod(acc, k**3)
-        if r:
-            raise IntegralityViolationError(f"apery step {k}: remainder {r} after /{k**3}")
-        terms.append(q)
-    return terms
-
-
-def apery_closed_form(n: int) -> int:
-    """Independent oracle: sum of binomial(n+k, k)^2 * binomial(n, k)^2."""
-    return sum(binomial(n + k, k) ** 2 * binomial(n, k) ** 2 for k in range(n + 1))
 
 
 # -- transforms between the families -------------------------------------------
@@ -494,10 +464,15 @@ def split_sqrt_parity(p: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
 
 
 def _inversion_sums(u: ParamSeq, ns: Sequence[int]) -> list[MultiPoly]:
-    """inv_formula_sum(n, u) for each n in ns, sharing the inner sums.
+    """The raw inversion sum for n! * w[n] over Z[b, s], s^2 = c, for each n in ns:
 
-    With s^(n-k) = s^(n-m) s^(m-k), the inner sum over k does not depend
-    on n:
+        sum_{m=0}^{n} binomial(n,m)/binomial(2m,m)
+          * sum_{k=0}^{m} (-1)^(n+m+k) (binomial(2m,m-k) - binomial(2m,m-k-1))
+                          * 2^(m-k) * s^(n-k) * u[k](b, s^2)
+
+    The half-integer powers of c appear as odd powers of s; they must cancel
+    identically in the total (w_inv checks that).  With s^(n-k) = s^(n-m) s^(m-k),
+    the inner sum over k does not depend on n, and all n share it:
 
         I(m) = sum_{k=0}^{m} (-1)^k (binomial(2m,m-k) - binomial(2m,m-k-1))
                                 * 2^(m-k) * s^(m-k) * u[k](b, s^2)
@@ -522,19 +497,6 @@ def _inversion_sums(u: ParamSeq, ns: Sequence[int]) -> list[MultiPoly]:
         RING_BS,
         ([(spow[n - m], inner[m], outer_weight(n, m)) for m in range(n + 1)] for n in ns),
     )
-
-
-def inv_formula_sum(n: int, u: ParamSeq) -> MultiPoly:
-    """Raw inversion sum for n! * w[n], over Z[b, s] with s^2 = c.
-
-    sum_{m=0}^{n} binomial(n,m)/binomial(2m,m)
-      * sum_{k=0}^{m} (-1)^(n+m+k) (binomial(2m,m-k) - binomial(2m,m-k-1))
-                      * 2^(m-k) * s^(n-k) * u[k](b, s^2)
-
-    The half-integer powers of c appear as odd powers of s; they must cancel
-    identically in the total (checked by the caller).
-    """
-    return _inversion_sums(u, [n])[0]
 
 
 def w_inv(n: int, u: ParamSeq) -> ParamSeq:

@@ -245,40 +245,40 @@ class OdeOperator:
         return TruncSeries._of(self.vs, top, sum_of_products(self.vs, groups))
 
 
-def base_ode(vs: VarSet = RING_BC) -> OdeOperator:
+def base_ode() -> OdeOperator:
     """t^2 y'' + (1 + 2t) y' - (c t^2 + b) y, the second-order operator whose
     coefficient recursion is exactly the three-term w recurrence."""
-    b = MultiPoly.variable(vs, "b")
-    c = MultiPoly.variable(vs, "c")
-    zero = MultiPoly.zero(vs)
-    one = MultiPoly.one(vs)
+    b = MultiPoly.variable(RING_BC, "b")
+    c = MultiPoly.variable(RING_BC, "c")
+    zero = MultiPoly.zero(RING_BC)
+    one = MultiPoly.one(RING_BC)
     return OdeOperator(
-        vs,
+        RING_BC,
         (
-            (2, UPoly(vs, [zero, zero, one])),
-            (1, UPoly(vs, [one, MultiPoly.const(vs, 2)])),
-            (0, UPoly(vs, [-b, zero, -c])),
+            (2, UPoly(RING_BC, [zero, zero, one])),
+            (1, UPoly(RING_BC, [one, MultiPoly.const(RING_BC, 2)])),
+            (0, UPoly(RING_BC, [-b, zero, -c])),
         ),
     )
 
 
-def symmetric_square_ode(vs: VarSet = RING_BC) -> OdeOperator:
+def symmetric_square_ode() -> OdeOperator:
     """t^4 Y''' + 6 t^3 Y'' - (4c t^4 - (6 - 4b) t^2 + 1) Y' - 4t (2c t^2 + b) Y.
 
     Third-order operator annihilating the even product series; its odd-index
     coefficient recursion is exactly the two-term u recurrence.
     """
-    b = MultiPoly.variable(vs, "b")
-    c = MultiPoly.variable(vs, "c")
-    zero = MultiPoly.zero(vs)
-    one = MultiPoly.one(vs)
+    b = MultiPoly.variable(RING_BC, "b")
+    c = MultiPoly.variable(RING_BC, "c")
+    zero = MultiPoly.zero(RING_BC)
+    one = MultiPoly.one(RING_BC)
     return OdeOperator(
-        vs,
+        RING_BC,
         (
-            (3, UPoly(vs, [zero, zero, zero, zero, one])),
-            (2, UPoly(vs, [zero, zero, zero, MultiPoly.const(vs, 6)])),
-            (1, UPoly(vs, [-one, zero, MultiPoly.const(vs, 6) - b * 4, zero, -c * 4])),
-            (0, UPoly(vs, [zero, -b * 4, zero, -c * 8])),
+            (3, UPoly(RING_BC, [zero, zero, zero, zero, one])),
+            (2, UPoly(RING_BC, [zero, zero, zero, MultiPoly.const(RING_BC, 6)])),
+            (1, UPoly(RING_BC, [-one, zero, MultiPoly.const(RING_BC, 6) - b * 4, zero, -c * 4])),
+            (0, UPoly(RING_BC, [zero, -b * 4, zero, -c * 8])),
         ),
     )
 

@@ -2,9 +2,10 @@
 
 Exposes the repo paths, an in-process CLI runner, a linear-form builder,
 the odd monomial atoms t^(2j+1), the term-pair convolution reference, the
-closed form of u at c = 0, and the acceptance-line collector: acceptance
-tests append one PASS/FAIL line per criterion and the terminal-summary hook
-prints them as a block at the end of the run.
+closed form of u at c = 0, Apery's sequence with its closed form, the
+closed form of the all-t brackets, and the acceptance-line collector:
+acceptance tests append one PASS/FAIL line per criterion and the
+terminal-summary hook prints them as a block at the end of the run.
 """
 
 from __future__ import annotations
@@ -96,6 +97,50 @@ def u_c0(n: int):
     for i in range(n):
         acc = acc * (MultiPoly.const(ring, i * (i + 1)) - b)
     return acc
+
+
+def gen_apery(n: int) -> list[int]:
+    """Apery's sequence 1, 5, 73, 1445, ... via its three-term recurrence,
+    the integer stress case of criterion 12.
+
+    Each step divides by n^3; inexactness would disprove integrality and
+    raises ArithmeticError.
+    """
+    if n < 0:
+        raise ValueError("negative length")
+    terms = [1]
+    for k in range(1, n + 1):
+        acc = (2 * k - 1) * (17 * k * k - 17 * k + 5) * terms[k - 1]
+        if k >= 2:
+            acc -= (k - 1) ** 3 * terms[k - 2]
+        q, r = divmod(acc, k**3)
+        if r:
+            raise ArithmeticError(f"apery step {k}: remainder {r} after /{k**3}")
+        terms.append(q)
+    return terms
+
+
+def apery_closed_form(n: int) -> int:
+    """Independent oracle: sum of binomial(n+k, k)^2 * binomial(n, k)^2."""
+    return sum(math.comb(n + k, k) ** 2 * math.comb(n, k) ** 2 for k in range(n + 1))
+
+
+def r3_closed_form(m: Sequence[int]) -> Fraction:
+    """Closed form for the all-t tuple, the independent side of criterion 10:
+    the bracket collapses to the constant
+
+        binomial(2|m|, |m|) / 4^|m| * multinomial(|m|; m)
+
+    i.e. the z^m coefficient of (1 - z_1 - ... - z_d)^(-1/2).
+    """
+    m = tuple(m)
+    if any(c < 0 for c in m):
+        return Fraction(0)
+    s = sum(m)
+    multi = math.factorial(s)
+    for c in m:
+        multi //= math.factorial(c)
+    return Fraction(math.comb(2 * s, s) * multi, 4**s)
 
 
 def digits_value(text: str) -> int:

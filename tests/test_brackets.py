@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import q_monomial
+from conftest import q_monomial, r3_closed_form
 from recint.brackets import (
     Atom,
     BracketDivisionError,
@@ -18,8 +18,6 @@ from recint.brackets import (
     certify_table,
     decompose_odd,
     expand_terms,
-    expand_via_brackets,
-    r3_closed_form,
     x_varset,
 )
 from recint.multipoly import MultiPoly, UPoly, VarSet, denom_profile
@@ -249,8 +247,9 @@ class TestOddFormExpansion:
         expansion = build_expansion(odd.p, spec.ring)
         assert [(a.weight, a.halfdeg) for a in expansion.atoms] == [(1, 0), (1, 1), (2, 0)]
         u = gen_u(6)
+        zero = MultiPoly.zero(spec.ring)
         for n in range(7):
-            assert expand_via_brackets(expansion, n) == u[n]
+            assert sum((t.contribution for t in expand_terms(expansion, n)), zero) == u[n]
 
     def test_hand_checked_first_expansion(self):
         spec = parse_spec((SPECS / "useq.spec").read_text())
@@ -266,7 +265,8 @@ class TestOddFormExpansion:
     def test_zero_index_is_unit(self):
         spec = parse_spec((SPECS / "useq.spec").read_text())
         expansion = build_expansion(to_odd_form(spec).p, spec.ring)
-        assert expand_via_brackets(expansion, 0).constant_value() == 1
+        total = sum((t.contribution for t in expand_terms(expansion, 0)), MultiPoly.zero(spec.ring))
+        assert total.constant_value() == 1
 
     def test_synthetic_specs_reconstruct(self):
         for name in ("odd-cubic.spec", "odd-mixed.spec", "odd-deep.spec"):
@@ -275,8 +275,10 @@ class TestOddFormExpansion:
             assert odd.applicable, name
             expansion = build_expansion(odd.p, spec.ring)
             direct = run_spec(spec, 10)
+            zero = MultiPoly.zero(spec.ring)
             for n in range(11):
-                assert expand_via_brackets(expansion, n) == direct[n], (name, n)
+                total = sum((t.contribution for t in expand_terms(expansion, n)), zero)
+                assert total == direct[n], (name, n)
 
     @pytest.mark.parametrize(
         "name", ["useq.spec", "odd-cubic.spec", "odd-mixed.spec", "odd-deep.spec"]
@@ -304,8 +306,9 @@ class TestOddFormExpansion:
     def test_expansion_denominators_are_powers_of_two(self):
         spec = parse_spec((SPECS / "odd-deep.spec").read_text())
         expansion = build_expansion(to_odd_form(spec).p, spec.ring)
+        zero = MultiPoly.zero(spec.ring)
         for n in range(7):
-            prof = denom_profile(expand_via_brackets(expansion, n))
+            prof = denom_profile(sum((t.contribution for t in expand_terms(expansion, n)), zero))
             assert prof.two_adic_only, n
 
     def test_negative_index_rejected(self):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SPECS_DIR, run_cli
-from recint.brackets import build_expansion, expand_via_brackets
+from recint.brackets import build_expansion, expand_terms
 from recint.certify import certify
-from recint.multipoly import denom_profile
+from recint.multipoly import MultiPoly, denom_profile
 from recint.reclang import parse_spec, run_spec, to_odd_form
 from recint.scalars import lcm_upto
 
@@ -187,8 +187,10 @@ class TestRandomOddForm:
         odd = to_odd_form(spec)
         expansion = build_expansion(odd.p, spec.ring)
         direct = run_spec(spec, 6)
+        zero = MultiPoly.zero(spec.ring)
         for n in range(7):
-            assert expand_via_brackets(expansion, n) == direct[n], (text, n)
+            total = sum((t.contribution for t in expand_terms(expansion, n)), zero)
+            assert total == direct[n], (text, n)
 
     @settings(max_examples=25, deadline=None)
     @given(odd_form_specs(odd_prime=True))

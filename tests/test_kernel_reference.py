@@ -1,9 +1,10 @@
 """Integer kernels against plain MultiPoly references.
 
-UPoly.eval_poly, UPoly.compose_affine, exact_div_linear,
-horner_sum_div_linear and the bracket table's entry step built on it,
-run_spec (with its q_i(k) evaluation), MultiPoly.text and MultiPoly.eval
-work on packed or plain integer numerators or cached pieces.
+UPoly.eval_poly, UPoly.compose_affine, horner_sum_div_linear (whose
+one-row case is an exact division by a linear form) and the bracket table's
+entry step built on it, run_spec (with its q_i(k) evaluation), MultiPoly.text
+and MultiPoly.eval work on packed or plain integer numerators or cached
+pieces.
 The references below are the straightforward versions built from MultiPoly
 ring operations (Horner with `*` and `+`, synthetic division slice by slice,
 the recurrence loop term by term), or, for text(), the one-key sort and
@@ -38,7 +39,6 @@ from recint.multipoly import (
     _pack,
     _repack,
     denom_profile,
-    exact_div_linear,
     horner_sum_div_linear,
     sum_of_products,
     to_upoly,
@@ -327,7 +327,7 @@ def test_compose_affine_over_a_ring_with_t():
     assert u.compose_affine(Fraction(1, 2)).vs == vs
 
 
-# -- exact_div_linear --------------------------------------------------------------------
+# -- exact division by a linear form -----------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -336,7 +336,7 @@ def test_exact_div_matches_slices(seed):
     vs = rand_varset(rng, low=1)
     m = rand_weights(rng, len(vs))
     p = rand_poly(rng, vs) * linear_form(vs, m)
-    assert exact_div_linear(p, m) == slice_div_linear(p, m)
+    assert horner_sum_div_linear(vs, [((1,), (), 1, p)], m) == slice_div_linear(p, m)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -349,11 +349,11 @@ def test_inexact_div_has_the_same_remainder(seed):
         expected = slice_div_linear(p, m)
     except InexactDivisionError as e:
         with pytest.raises(InexactDivisionError) as exc:
-            exact_div_linear(p, m)
+            horner_sum_div_linear(vs, [((1,), (), 1, p)], m)
         assert exc.value.remainder == e.remainder
         assert not exc.value.remainder.is_zero()
     else:
-        assert exact_div_linear(p, m) == expected
+        assert horner_sum_div_linear(vs, [((1,), (), 1, p)], m) == expected
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -389,11 +389,11 @@ def test_pivot_weight_not_dividing_the_numerators():
     vs = VarSet.of("w", "x", "y")
     x = MultiPoly.variable(vs, "x")
     y = MultiPoly.variable(vs, "y")
-    assert exact_div_linear(x * x, (0, 2, 0)) == x * Fraction(1, 2)
+    assert horner_sum_div_linear(vs, [((1,), (), 1, x * x)], (0, 2, 0)) == x * Fraction(1, 2)
     for m in ((0, -3, 2), (0, 6, -4), (0, 4, 1)):
         q = x * Fraction(5, 7) + y * Fraction(1, 3) + 1
         p = q * linear_form(vs, m)
-        assert exact_div_linear(p, m) == slice_div_linear(p, m) == q
+        assert horner_sum_div_linear(vs, [((1,), (), 1, p)], m) == slice_div_linear(p, m) == q
 
 
 def reference_entry(table: BracketTable, m) -> MultiPoly:
@@ -646,7 +646,7 @@ def test_chained_kernel_calls_match_references(seed):
     if n:
         m = rand_weights(rng, n)
         lin = linear_form(vs, m)
-        q = exact_div_linear(ab * lin, m)
+        q = horner_sum_div_linear(vs, [((1,), (), 1, ab * lin)], m)
         h, h2 = [rng.randint(-3, 3) for _ in range(3)], [1, 0]
         rows = [(h, [rng.randint(-2, 2) for _ in vs], 2, q * lin), (h2, m, 3, low), (h2, m, 1, k)]
         ref_rows = [(h, rows[0][1], 2, naive_mul(ref_ab, lin)), (h2, m, 3, ref_low), (h2, m, 1, ref_k)]
@@ -654,7 +654,7 @@ def test_chained_kernel_calls_match_references(seed):
         ref_r = horner_sum_reference(vs, ref_rows, m)
         checks += [
             (q, ref_ab),
-            (exact_div_linear(k * lin, m), ref_k),  # a constant quotient
+            (horner_sum_div_linear(vs, [((1,), (), 1, k * lin)], m), ref_k),  # a constant quotient
             (r, ref_r),
             (horner_sum_div_linear(vs, [(h2, m, 1, r), ([2], m, 1, q * lin)], m), ref_r + ref_ab * 2),
             (r * q, naive_mul(ref_r, ref_ab)),
@@ -697,8 +697,8 @@ def test_total_degree_wider_than_the_top_exponent(names):
     assert_twin(u.eval_poly(p), horner_eval_poly(UPoly(vs, [ref_q, 1, ref_p]), ref_p))
     for m in ([1 if n == "x" else 0 for n in names], [1, 1, 1][: len(names)], [2, -1, 3][: len(names)]):
         lin = linear_form(vs, m)
-        assert_twin(exact_div_linear(p * lin, m), ref_p)
-        assert_twin(exact_div_linear(q * (lin * lin), m), naive_mul(ref_q, lin))
+        assert_twin(horner_sum_div_linear(vs, [((1,), (), 1, p * lin)], m), ref_p)
+        assert_twin(horner_sum_div_linear(vs, [((1,), (), 1, q * (lin * lin))], m), naive_mul(ref_q, lin))
         for dividend, ref_dividend in (
             (p, ref_p),
             (q, ref_q),
@@ -706,7 +706,7 @@ def test_total_degree_wider_than_the_top_exponent(names):
             (p + q, ref_p + ref_q),
             (MultiPoly(vs, ref_pq.terms), ref_pq),
         ):
-            kind, got = quotient_or_remainder(lambda: exact_div_linear(dividend, m))
+            kind, got = quotient_or_remainder(lambda: horner_sum_div_linear(vs, [((1,), (), 1, dividend)], m))
             assert (kind, got) == quotient_or_remainder(lambda: slice_div_linear(ref_dividend, m))
             assert_twin(got, got)
         rows = [([1, -2], [1, 0, 2][: len(names)], 1, p), ([3, 0, 1], m, 2, q), ([1], m, 3, p - q)]

@@ -18,7 +18,7 @@ from recint.multipoly import (
     UPoly,
     VarSet,
     denom_profile,
-    exact_div_linear,
+    horner_sum_div_linear,
     to_upoly,
 )
 from recint.reclang import parse_poly
@@ -353,36 +353,36 @@ class TestExactDivision:
             if not any(m):
                 m[rng.randrange(d)] = rng.randint(1, 4)
             form = linear_form(vs, m)
-            assert exact_div_linear(p * form, m) == p
+            assert horner_sum_div_linear(vs, [((1,), (), 1, p * form)], m) == p
 
     def test_zero_dividend(self):
-        assert exact_div_linear(MultiPoly.zero(XY), (1, 1)).is_zero()
+        assert horner_sum_div_linear(XY, [((1,), (), 1, MultiPoly.zero(XY))], (1, 1)).is_zero()
 
     def test_pivot_skips_zero_weights(self):
         y = MultiPoly.variable(XY, "y")
         p = (y + 1) * y * 2
-        q = exact_div_linear(p, (0, 2))
+        q = horner_sum_div_linear(XY, [((1,), (), 1, p)], (0, 2))
         assert q == y + 1
 
     def test_remainder_reported(self):
         one = MultiPoly.one(XY)
         with pytest.raises(InexactDivisionError) as exc:
-            exact_div_linear(one, (1, 0))
+            horner_sum_div_linear(XY, [((1,), (), 1, one)], (1, 0))
         assert exc.value.remainder == one
 
     def test_partial_remainder(self):
         x = MultiPoly.variable(XY, "x")
         with pytest.raises(InexactDivisionError) as exc:
-            exact_div_linear(x * x + 3, (1, 0))
+            horner_sum_div_linear(XY, [((1,), (), 1, x * x + 3)], (1, 0))
         assert exc.value.remainder == MultiPoly.const(XY, 3)
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
-            exact_div_linear(MultiPoly.one(XY), (0, 0))
+            horner_sum_div_linear(XY, [((1,), (), 1, MultiPoly.one(XY))], (0, 0))
 
     def test_weight_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            exact_div_linear(MultiPoly.one(XY), (1,))
+            horner_sum_div_linear(XY, [((1,), (), 1, MultiPoly.one(XY))], (1,))
 
 
 class TestDenomProfile:

@@ -19,7 +19,7 @@ from recint.multipoly import (  # noqa: E402
     InexactDivisionError,
     MultiPoly,
     VarSet,
-    exact_div_linear,
+    horner_sum_div_linear,
     sum_of_products,
 )
 from recint.sequences import gen_u, gen_w  # noqa: E402
@@ -101,14 +101,14 @@ def test_exact_div_linear(seed):
 
     quot, rem = sympy.div(to_sympy(p * form, gens), L)
     assert rem.is_zero
-    assert agrees(exact_div_linear(p * form, weights), quot)
+    assert agrees(horner_sum_div_linear(vs, [((1,), (), 1, p * form)], weights), quot)
 
     # a constant term breaks divisibility: the form vanishes at the origin
     inexact = p * form + MultiPoly.const(vs, rand_scalar(rng))
     _, rem = sympy.div(to_sympy(inexact, gens), L)
     assert not rem.is_zero
     with pytest.raises(InexactDivisionError):
-        exact_div_linear(inexact, weights)
+        horner_sum_div_linear(vs, [((1,), (), 1, inexact)], weights)
 
 
 def to_expr(p: MultiPoly, gens):

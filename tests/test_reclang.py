@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, SPECS_DIR, run_cli
+from conftest import CORPUS, SPECS_DIR, gen_apery, run_cli
 from recint.multipoly import MultiPoly, UPoly, VarSet
 from recint.reclang import (
     RecurrenceSpec,
@@ -21,7 +21,7 @@ from recint.reclang import (
     spec_hash,
     to_odd_form,
 )
-from recint.sequences import RING_BC, USEQ_TEXT, WSEQ_TEXT, gen_apery
+from recint.sequences import RING_BC, USEQ_TEXT, WSEQ_TEXT
 from test_point_oracle import SEEDS, point, u_values
 from test_series_oracle import w_values
 

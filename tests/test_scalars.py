@@ -1,14 +1,10 @@
-"""Exact scalar helpers: binomials, factorials, lcm scale, 2-adic valuation."""
+"""Exact scalar helpers: binomials, factorials, lcm scale."""
 
 import math
-import random
-from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from recint.scalars import VAL2_INF, binomial, factorial, lcm_upto, val2
+from recint.scalars import binomial, factorial, lcm_upto
 
 
 class TestBinomial:
@@ -65,48 +61,3 @@ class TestFactorialAndLcm:
             cur = lcm_upto(n)
             assert cur % prev == 0
             prev = cur
-
-
-class TestVal2:
-    def test_zero_is_infinite(self):
-        assert val2(0) == VAL2_INF
-        assert val2(Fraction(0)) == VAL2_INF
-        assert val2(5) < VAL2_INF
-
-    def test_integers(self):
-        assert val2(1) == 0
-        assert val2(12) == 2
-        assert val2(-8) == 3
-        assert val2(7) == 0
-
-    def test_fractions(self):
-        assert val2(Fraction(3, 8)) == -3
-        assert val2(Fraction(-5, 6)) == -1
-        assert val2(Fraction(4, 7)) == 2
-
-    def test_additivity_seeded_trials(self):
-        # val2(a*b) = val2(a) + val2(b) across 1000 random nonzero rationals
-        rng = random.Random(20260818)
-
-        def rand_nonzero() -> Fraction:
-            num = rng.randint(-10**6, 10**6)
-            while num == 0:
-                num = rng.randint(-10**6, 10**6)
-            return Fraction(num, rng.randint(1, 10**6))
-
-        for _ in range(1000):
-            a, b = rand_nonzero(), rand_nonzero()
-            assert val2(a * b) == val2(a) + val2(b)
-
-    @given(
-        st.fractions(min_value=-1000, max_value=1000).filter(lambda q: q != 0),
-        st.fractions(min_value=-1000, max_value=1000).filter(lambda q: q != 0),
-    )
-    def test_additivity_property(self, a, b):
-        assert val2(a * b) == val2(a) + val2(b)
-
-    def test_consistent_with_power_stripping(self):
-        for n in (2, 6, 40, 96, 1024):
-            v = val2(n)
-            assert n % (2**v) == 0
-            assert (n // (2**v)) % 2 == 1

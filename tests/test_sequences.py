@@ -5,18 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import conv_by_products, u_c0
+from conftest import apery_closed_form, conv_by_products, gen_apery, u_c0
 from recint import multipoly, sequences
 from recint.multipoly import MultiPoly, VarSet, denom_profile
 from recint.reclang import ParamSeq, parse_poly
 from recint.scalars import factorial, lcm_upto
 from recint.sequences import (
     RING_BC,
-    apery_closed_form,
-    gen_apery,
+    _inversion_sums,
     gen_u,
     gen_w,
-    inv_formula_sum,
     poch_products,
     seq_records,
     split_sqrt_parity,
@@ -287,7 +285,7 @@ class TestTransforms:
     def test_inversion_raw_sum_has_no_odd_sqrt_powers(self):
         u = gen_u(8)
         for n in range(9):
-            raw = inv_formula_sum(n, u)
+            raw = _inversion_sums(u, [n])[0]
             _, odd = split_sqrt_parity(raw)
             assert odd.is_zero()
 
@@ -316,7 +314,7 @@ class TestTransforms:
         ]
         fake = type(gen_u(0))(RING_BC, fake_terms)
         for n in range(7):
-            _, odd = split_sqrt_parity(inv_formula_sum(n, fake))
+            _, odd = split_sqrt_parity(_inversion_sums(fake, [n])[0])
             assert odd.is_zero()
 
     def test_poisoned_input_breaks_reconstruction(self):
