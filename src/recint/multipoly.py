@@ -199,15 +199,6 @@ def _horner(acc: dict[int, int], arg: list[tuple[int, int]], steps: list[tuple[i
             _pair_sums(h, [(0, s)], pairs)
 
 
-def _lowest(den: int, num: dict) -> tuple[int, dict]:
-    """den and the numerators num divided by their gcd: num / den in lowest terms."""
-    if den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            return den // g, {k: c // g for k, c in num.items()}
-    return den, num
-
-
 def _from_packed(vs: VarSet, acc: dict[int, int], width: int, den: int, deg: int) -> MultiPoly:
     """The polynomial acc / den in lowest terms, for acc keyed by packed
     exponents at `width`, none of total degree above `deg`.  It keeps that
@@ -216,8 +207,13 @@ def _from_packed(vs: VarSet, acc: dict[int, int], width: int, den: int, deg: int
         acc = {k: c for k, c in acc.items() if c}
     if not acc:
         return MultiPoly.zero(vs)
-    den, acc = _lowest(den, acc)
-    return MultiPoly._new(vs, None, den, (width, deg, list(acc), list(acc.values())))
+    nums = list(acc.values())
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
+    return MultiPoly._new(vs, None, den, (width, deg, list(acc), nums))
 
 
 #: How many digits str() converts at most, 0 for no limit; Python versions
@@ -329,7 +325,10 @@ class MultiPoly:
     @classmethod
     def _make(cls, vs: VarSet, num: dict[tuple[int, ...], int], den: int) -> "MultiPoly":
         # Internal: nonzero numerators over den > 0, reduced to lowest terms here.
-        den, num = _lowest(den, num)
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den, num = den // g, {k: c // g for k, c in num.items()}
         return cls._new(vs, num, den)
 
     @classmethod
@@ -526,9 +525,23 @@ class MultiPoly:
             if isinstance(other, (int, Fraction)):
                 return self.is_constant() and self.constant_value() == Fraction(other)
             return NotImplemented
-        return self.vs == other.vs and self.den == other.den and self.num == other.num
+        if self.vs != other.vs or self.den != other.den:
+            return False
+        a, b = self._packed, other._packed
+        if a is None or b is None:
+            return self.num == other.num
+        # both kept forms, keys brought to one width: no num is built
+        if len(a[2]) != len(b[2]):
+            return False
+        width, nvars = max(a[0], b[0]), len(self.vs)
+        return dict(zip(_repack(a[2], a[0], width, nvars), a[3])) == dict(
+            zip(_repack(b[2], b[0], width, nvars), b[3])
+        )
 
     def __hash__(self):
+        # a constant hashes as its value, since it compares equal to it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.vs, self.den, frozenset(self.num.items())))
 
     # -- evaluation and substitution -----------------------------------------
@@ -654,13 +667,14 @@ def sum_of_products(
     """[sum(r * a * b for a, b, r in group) for group in groups], fused.
 
     Every distinct operand is packed once for the whole call, at one field
-    width (its kept keys, repacked if they have another width).  Each group
-    keeps one packed-key accumulator over the lcm of its rows'
-    r.denominator * a.den * b.den; a row's share of that denominator, times
-    r.numerator, is folded once into the numerators of its smaller operand.
-    Each group is normalised once, at the end, and keeps its packed form.
-    Rows with a zero weight or operand add nothing, and an empty group gives
-    zero.
+    width (its kept keys, repacked if they have another width).  Each row's
+    weight over its operands' denominators, r / (a.den * b.den), is reduced
+    to lowest terms f / d by one integer gcd, so a weight that cancels the
+    denominators leaves d == 1.  Each group keeps one packed-key accumulator
+    over the lcm of its rows' d; a row's share of that denominator, times f,
+    is folded once into the numerators of its smaller operand.  Each group
+    is normalised once, at the end, and keeps its packed form.  Rows with a
+    zero weight or operand add nothing, and an empty group gives zero.
     """
     operands: dict[int, MultiPoly] = {}  # id -> p
     width = 0
@@ -677,19 +691,21 @@ def sum_of_products(
                         raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
                     operands[id(p)] = p
             deg = max(deg, _kept(a) + _kept(b))
-            rows.append((a, b, r))
+            f, d = r.numerator, r.denominator * a.den * b.den
+            g = gcd(f, d)
+            rows.append((a, b, f // g, d // g))
         all_rows.append((rows, deg))
         width = max(width, deg.bit_length())
     packed = {key: _pairs(p, width) for key, p in operands.items()}
     out = []
     for rows, deg in all_rows:
-        den = lcm(*(r.denominator * a.den * b.den for a, b, r in rows))
+        den = lcm(*(d for _, _, _, d in rows))
         acc: dict[int, int] = {}
-        for a, b, r in rows:
+        for a, b, f, d in rows:
             left, right = packed[id(a)], packed[id(b)]
             if len(left) > len(right):
                 left, right = right, left
-            f = r.numerator * (den // (r.denominator * a.den * b.den))
+            f *= den // d
             if f != 1:
                 left = [(k, c * f) for k, c in left]
             _pair_sums(acc, left, right)

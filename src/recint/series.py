@@ -334,29 +334,61 @@ def _report(name: str, order: int, lhs: TruncSeries, rhs: TruncSeries, note: str
     return IdentityReport(name, order, mismatch is None, mismatch, note)
 
 
+def _weighted_sum(
+    vs: VarSet, order: int, terms: Sequence[tuple[MultiPoly, TruncSeries, Fraction | int]]
+) -> TruncSeries:
+    """sum(r * p * x for p, x, r in terms), for polynomials p, series x and
+    rational weights r: one sum_of_products group per degree."""
+    groups = ([(p, x.coeffs[d], r) for p, x, r in terms] for d in range(order + 1))
+    return TruncSeries._of(vs, order, sum_of_products(vs, groups))
+
+
+def _id3_rhs(order: int, w: Sequence[MultiPoly]) -> TruncSeries:
+    """The right side of id3 from w[0..order // 2]: coefficient 2n + 4k sums
+    the rows c^k * w[n] * (-1)^(n+k) n! binomial(n+k, k) binomial(2n+2k, n+k),
+    one sum_of_products group per even degree."""
+    c = MultiPoly.variable(RING_BC, "c")
+    ck = [MultiPoly.one(RING_BC)]
+    for _ in range(order // 4):
+        ck.append(ck[-1] * c)
+
+    def weight(n: int, k: int) -> int:
+        scal = factorial(n) * binomial(n + k, k) * binomial(2 * n + 2 * k, n + k)
+        return -scal if (n + k) % 2 else scal
+
+    groups = (
+        [(ck[k], w[m - 2 * k], weight(m - 2 * k, k)) for k in range(m // 2 + 1)]
+        for m in range(order // 2 + 1)
+    )
+    coeffs = [MultiPoly.zero(RING_BC)] * (order + 1)
+    coeffs[::2] = sum_of_products(RING_BC, groups)
+    return TruncSeries._of(RING_BC, order, coeffs)
+
+
 def verify_id3(order: int) -> IdentityReport:
     """Quartic-deformation transform of the even product series.
 
     sum u[n] t^(2n) = sum_k (-1)^k c^k t^(4k)
                       * sum_n n! w[n] binomial(n+k, k) binomial(2n+2k, n+k) (-1)^n t^(2n)
     """
-    lhs = product_series(order)
-    w = gen_w(order // 2)
+    return _report("id3", order, product_series(order), _id3_rhs(order, gen_w(order // 2)))
+
+
+def _r2_rhs(order: int, w: Sequence[MultiPoly]) -> TruncSeries:
+    """The right side of r2 from w[0..order // 2]: the powers x^n are series
+    products, and sum_n binomial(2n, n) n! w[n] x^n is one _weighted_sum."""
     c = MultiPoly.variable(RING_BC, "c")
-    zero = MultiPoly.zero(RING_BC)
-    coeffs = [zero] * (order + 1)
-    ck = MultiPoly.one(RING_BC)
-    for k in range(order // 4 + 1):
-        sign_k = -1 if k % 2 else 1
-        for n in range((order - 4 * k) // 2 + 1):
-            deg = 2 * n + 4 * k
-            scal = factorial(n) * binomial(n + k, k) * binomial(2 * n + 2 * k, n + k)
-            if n % 2:
-                scal = -scal
-            coeffs[deg] = coeffs[deg] + ck * w[n] * (sign_k * scal)
-        ck = ck * c
-    rhs = TruncSeries(RING_BC, order, coeffs)
-    return _report("id3", order, lhs, rhs)
+    quartic = TruncSeries(
+        RING_BC, order, [MultiPoly.one(RING_BC)] + [MultiPoly.zero(RING_BC)] * 3 + [c * 4]
+    )
+    s = inv_sqrt(quartic)
+    # x = -t^2 / (1 + 4c t^4), built as (-t^2) * s^2
+    x = (s * s).shift(2).scale(-1)
+    xpow = [TruncSeries.one(RING_BC, order)]
+    for _ in range(order // 2):
+        xpow.append(xpow[-1] * x)
+    terms = [(w[n], xn, binomial(2 * n, n) * factorial(n)) for n, xn in enumerate(xpow)]
+    return s * _weighted_sum(RING_BC, order, terms)
 
 
 def verify_r2(order: int) -> IdentityReport:
@@ -365,23 +397,7 @@ def verify_r2(order: int) -> IdentityReport:
     sum u[n] t^(2n) = (1 + 4c t^4)^(-1/2)
                       * sum_n binomial(2n, n) n! w[n] (-t^2 / (1 + 4c t^4))^n
     """
-    lhs = product_series(order)
-    c = MultiPoly.variable(RING_BC, "c")
-    quartic = TruncSeries(
-        RING_BC, order, [MultiPoly.one(RING_BC)] + [MultiPoly.zero(RING_BC)] * 3 + [c * 4]
-    )
-    s = inv_sqrt(quartic)
-    # x = -t^2 / (1 + 4c t^4), built as (-t^2) * s^2
-    x = (s * s).shift(2).scale(-1)
-    w = gen_w(order // 2)
-    acc = TruncSeries(RING_BC, order)
-    xpow = TruncSeries.one(RING_BC, order)
-    for n in range(order // 2 + 1):
-        acc = acc + xpow.scale(w[n] * (binomial(2 * n, n) * factorial(n)))
-        if 2 * (n + 1) <= order:
-            xpow = xpow * x
-    rhs = s * acc
-    return _report("r2", order, lhs, rhs)
+    return _report("r2", order, product_series(order), _r2_rhs(order, gen_w(order // 2)))
 
 
 def verify_hg_c0(order: int) -> IdentityReport:
@@ -402,6 +418,22 @@ def verify_hg_c0(order: int) -> IdentityReport:
     return _report("hg-c0", order, lhs, rhs)
 
 
+def _clausen_rhs(order: int, pochs: Sequence[MultiPoly]) -> TruncSeries:
+    """The right side of the Clausen square from P[0..order]: the powers
+    (t (1 - t))^n are series products, and sum_n P[n] binomial(2n, n) / n!^2
+    times them is one _weighted_sum."""
+    tm1t = TruncSeries(
+        RING_B, order, [MultiPoly.zero(RING_B), MultiPoly.one(RING_B), MultiPoly.const(RING_B, -1)]
+    )
+    xpow = [TruncSeries.one(RING_B, order)]
+    for _ in range(order):
+        xpow.append(xpow[-1] * tm1t)
+    terms = [
+        (pochs[n], xn, Fraction(binomial(2 * n, n), factorial(n) ** 2)) for n, xn in enumerate(xpow)
+    ]
+    return _weighted_sum(RING_B, order, terms)
+
+
 def verify_clausen(order: int) -> IdentityReport:
     """Clausen-type square: (sum P[n] t^n / n!^2)^2
     = sum P[n] binomial(2n, n) (t (1 - t))^n / n!^2."""
@@ -409,18 +441,7 @@ def verify_clausen(order: int) -> IdentityReport:
     f = TruncSeries(
         RING_B, order, [p * Fraction(1, factorial(n) ** 2) for n, p in enumerate(pochs)]
     )
-    lhs = f * f
-    tm1t = TruncSeries(
-        RING_B, order, [MultiPoly.zero(RING_B), MultiPoly.one(RING_B), MultiPoly.const(RING_B, -1)]
-    )
-    acc = TruncSeries(RING_B, order)
-    xpow = TruncSeries.one(RING_B, order)
-    for n in range(order + 1):
-        scal = pochs[n] * Fraction(binomial(2 * n, n), factorial(n) ** 2)
-        acc = acc + xpow.scale(scal)
-        if n < order:
-            xpow = xpow * tm1t
-    return _report("clausen", order, lhs, acc)
+    return _report("clausen", order, f * f, _clausen_rhs(order, pochs))
 
 
 def derivation_identity_check(f: TruncSeries, k: int) -> IdentityReport:

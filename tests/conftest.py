@@ -2,6 +2,7 @@
 
 Exposes the repo paths, an in-process CLI runner, a linear-form builder,
 the odd monomial atoms t^(2j+1), the term-pair convolution reference, the
+term-by-term right sides of the id3, r2 and Clausen identities, the
 closed form of u at c = 0, Apery's sequence with its closed form, the
 closed form of the all-t brackets, and the acceptance-line collector:
 acceptance tests append one PASS/FAIL line per criterion and the
@@ -84,6 +85,68 @@ def conv_by_products(n: int, w):
         for m in range(n + 1)
     )
     return ParamSeq(w.ring, sum_of_products(w.ring, groups))
+
+
+def id3_rhs_by_terms(order: int, w):
+    """The right side of id3 from w[0..order // 2], one MultiPoly product
+    and one addition per term: the reference for series._id3_rhs.
+
+    sum_k (-1)^k c^k t^(4k) sum_n n! w[n] binomial(n+k, k) binomial(2n+2k, n+k) (-1)^n t^(2n)
+    """
+    from recint.multipoly import MultiPoly
+    from recint.sequences import RING_BC
+    from recint.series import TruncSeries
+
+    c = MultiPoly.variable(RING_BC, "c")
+    coeffs = [MultiPoly.zero(RING_BC)] * (order + 1)
+    ck = MultiPoly.one(RING_BC)
+    for k in range(order // 4 + 1):
+        for n in range((order - 4 * k) // 2 + 1):
+            scal = math.factorial(n) * math.comb(n + k, k) * math.comb(2 * n + 2 * k, n + k)
+            coeffs[2 * n + 4 * k] = coeffs[2 * n + 4 * k] + ck * w[n] * ((-1) ** (n + k) * scal)
+        ck = ck * c
+    return TruncSeries(RING_BC, order, coeffs)
+
+
+def r2_rhs_by_terms(order: int, w):
+    """The right side of r2 from w[0..order // 2], summed with one series
+    scale and one series addition per n: the reference for series._r2_rhs.
+
+    (1 + 4c t^4)^(-1/2) * sum_n binomial(2n, n) n! w[n] (-t^2 / (1 + 4c t^4))^n
+    """
+    from recint.multipoly import MultiPoly
+    from recint.sequences import RING_BC
+    from recint.series import TruncSeries, inv_sqrt
+
+    c = MultiPoly.variable(RING_BC, "c")
+    quartic = TruncSeries(RING_BC, order, [1, 0, 0, 0, c * 4])
+    s = inv_sqrt(quartic)
+    x = (s * s).shift(2).scale(-1)
+    acc = TruncSeries(RING_BC, order)
+    xpow = TruncSeries.one(RING_BC, order)
+    for n in range(order // 2 + 1):
+        acc = acc + xpow.scale(w[n] * (math.comb(2 * n, n) * math.factorial(n)))
+        xpow = xpow * x
+    return s * acc
+
+
+def clausen_rhs_by_terms(order: int, pochs):
+    """The right side of the Clausen square from P[0..order], summed with one
+    series scale and one series addition per n: the reference for
+    series._clausen_rhs.
+
+    sum_n P[n] binomial(2n, n) (t (1 - t))^n / n!^2
+    """
+    from recint.sequences import RING_B
+    from recint.series import TruncSeries
+
+    tm1t = TruncSeries(RING_B, order, [0, 1, -1])
+    acc = TruncSeries(RING_B, order)
+    xpow = TruncSeries.one(RING_B, order)
+    for n in range(order + 1):
+        acc = acc + xpow.scale(pochs[n] * Fraction(math.comb(2 * n, n), math.factorial(n) ** 2))
+        xpow = xpow * tm1t
+    return acc
 
 
 def u_c0(n: int):

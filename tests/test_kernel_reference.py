@@ -28,6 +28,7 @@ from math import gcd
 import pytest
 
 from conftest import CORPUS, SPECS_DIR, linear_form
+from recint import multipoly
 from recint.brackets import SCALARS, BracketDivisionError, BracketTable, QTuple
 from recint.multipoly import (
     InexactDivisionError,
@@ -749,6 +750,46 @@ def test_cancelling_group_is_in_lowest_terms_before_any_read():
     [p] = sum_of_products(vs, [[(a, y, 1), (x, y, Fraction(-1, 3))]])
     assert p.den == 4
     assert_lowest_terms_unread(p)
+
+
+def cancels(a: MultiPoly, b: MultiPoly, r) -> bool:
+    """True when r / (a.den * b.den) is an integer."""
+    return (Fraction(r) / (a.den * b.den)).denominator == 1
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_weights_that_cancel_the_operand_denominators(seed, monkeypatch):
+    # a row's weight r is reduced against a.den * b.den before the group's
+    # lcm is taken, so a group whose weights all cancel those denominators
+    # accumulates over 1
+    rng = random.Random(seed)
+    vs = VarSet(tuple(f"x{i}" for i in range(seed % 4)))
+    groups = []
+    for _ in range(4):
+        rows = []
+        for _ in range(rng.randint(0, 4)):
+            a, b = rand_poly(rng, vs), rand_poly(rng, vs)
+            base = a.den * b.den * rng.choice((1, -1, 2, -3))
+            r = rng.choice((0, base, base * rng.randint(2, 9), Fraction(base, rng.choice(DENOMINATORS))))
+            rows.append((a, b, r))
+        if rng.random() < 0.3:  # a row whose weight need not cancel
+            r = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            rows.append((rand_poly(rng, vs), rand_poly(rng, vs), r))
+        groups.append(rows)
+    dens = []
+    from_packed = multipoly._from_packed
+
+    def recording(vs, acc, width, den, deg):
+        dens.append(den)
+        return from_packed(vs, acc, width, den, deg)
+
+    monkeypatch.setattr(multipoly, "_from_packed", recording)
+    results = sum_of_products(vs, groups)
+    monkeypatch.undo()
+    for got, den, rows in zip(results, dens, groups):
+        assert_twin(got, sum((naive_mul(a, b) * r for a, b, r in rows), MultiPoly.zero(vs)))
+        if all(cancels(*row) for row in rows):
+            assert den == 1
 
 
 def test_bracket_entries_are_in_lowest_terms_before_any_read():

@@ -17,8 +17,10 @@ from recint.multipoly import (
     MultiPoly,
     UPoly,
     VarSet,
+    _pack,
     denom_profile,
     horner_sum_div_linear,
+    sum_of_products,
     to_upoly,
 )
 from recint.reclang import parse_poly
@@ -228,6 +230,16 @@ class TestCanonicalText:
         q = parse_poly("2 + y*x", XY)
         assert p == q
         assert hash(p) == hash(q)
+
+    @pytest.mark.parametrize("value", [3, -1, 0, Fraction(3, 2), Fraction(-7, 4)])
+    def test_constant_hashes_as_its_value(self, value):
+        b = VarSet.of("b")
+        built = MultiPoly.variable(b, "b") * 0 + value  # no kernel form
+        kernel = MultiPoly.const(b, 2) * MultiPoly.const(b, Fraction(value, 2))  # kernel form
+        for p in (MultiPoly.const(b, value), built, kernel, MultiPoly.const(VarSet.of(), value)):
+            assert p == value
+            assert hash(p) == hash(value)
+            assert len({value, p}) == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -522,3 +534,61 @@ class TestRepresentation:
         }
         assert max(sum(e) for e in r.terms) > 2**33
         assert_normalised(r)
+
+
+def kept_only(vs: VarSet, den: int, terms: list[tuple[tuple[int, ...], int]], width: int) -> MultiPoly:
+    """The polynomial sum(c * x^e for e, c in terms) / den with only a kept
+    packed form, its keys at the given field width and in the given order."""
+    deg = max((sum(e) for e, _ in terms), default=0)
+    keys = _pack(list(zip(*(e for e, _ in terms))), width, len(terms))
+    return MultiPoly._new(vs, None, den, (width, deg, list(keys), [c for _, c in terms]))
+
+
+class TestPackedEquality:
+    """Two kept packed forms compare without building num."""
+
+    @pytest.mark.parametrize("names", [(), ("x",), ("x", "y"), ("x", "y", "z")])
+    def test_equal_across_widths_and_orders(self, names):
+        vs = VarSet(names)
+        rng = random.Random(len(names))
+        terms = {tuple(rng.randint(0, 3) for _ in vs): rng.choice((-5, 1, 2, 7)) for _ in range(6)}
+        terms = list(terms.items())
+        p = kept_only(vs, 3, terms, 4)
+        q = kept_only(vs, 3, terms[::-1], 9)
+        assert p == q and q == p
+        assert p._num is None and q._num is None
+        assert p == MultiPoly(vs, {e: Fraction(c, 3) for e, c in terms})
+        assert MultiPoly(vs, {e: Fraction(c, 3) for e, c in terms}) == q
+
+    @pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z")])
+    def test_products_in_either_order(self, names):
+        rng = random.Random(len(names))
+        vs = VarSet(names)
+        a, b = rand_poly(rng, vs, 3, 6), rand_poly(rng, vs, 4, 5)
+        ab, ba = a * b, b * a
+        [wide] = sum_of_products(vs, [[(a, b, 1), (a * a, b * b * b, 0)]])
+        assert ab == ba == wide
+        assert ab._num is None and ba._num is None and wide._num is None
+        assert ab == MultiPoly(vs, ab.terms)
+
+    @pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z")])
+    def test_unequal_when_one_part_differs(self, names):
+        vs = VarSet(names)
+        one = tuple(1 for _ in vs)
+        terms = [((0,) * len(vs), 5), (one, -2), (tuple(range(len(vs))), 3)]
+        terms = list(dict(terms).items())
+        p = kept_only(vs, 7, terms, 3)
+        (e0, c0), rest = terms[0], terms[1:]
+        moved = tuple(x + 4 for x in e0)
+        variants = [
+            kept_only(vs, 11, terms, 5),  # den
+            kept_only(vs, 7, [(e0, c0 + 1)] + rest, 5),  # one numerator
+            kept_only(vs, 7, [(moved, c0)] + rest, 5),  # one key
+            kept_only(vs, 7, rest, 5),  # the term count
+            kept_only(vs, 7, terms + [(moved, 1)], 5),  # the term count
+        ]
+        for q in variants:
+            assert p != q and q != p
+            plain = MultiPoly._new(vs, dict(q.num), q.den)  # no kept form
+            assert p != plain and plain != p
+        assert p == MultiPoly._new(vs, dict(p.num), 7)

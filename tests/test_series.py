@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clausen_rhs_by_terms, id3_rhs_by_terms, r2_rhs_by_terms
+from recint import sequences, series
 from recint.multipoly import MultiPoly, UPoly, VarSet
 from recint.scalars import binomial
-from recint.sequences import RING_BC, gen_u, gen_w
+from recint.sequences import RING_BC, gen_u, gen_w, poch_products
 from recint.series import (
     OdeOperator,
     TruncSeries,
+    _clausen_rhs,
     _dot,
+    _id3_rhs,
+    _r2_rhs,
     base_ode,
     base_series,
     derivation_identity_check,
@@ -440,3 +445,64 @@ class TestIdentityBattery:
         rep = _report("probe", 6, a, b)
         assert not rep.passed
         assert rep.first_mismatch[0] == 2
+
+
+class TestFusedRightSides:
+    """The right sides of id3, r2 and the Clausen square are one kernel call
+    each; tests/conftest.py keeps the term-by-term sums as references."""
+
+    @pytest.mark.parametrize("order", range(13))
+    def test_id3_matches_term_by_term(self, order):
+        w = gen_w(order // 2)
+        assert _id3_rhs(order, w).coeffs == id3_rhs_by_terms(order, w).coeffs
+
+    @pytest.mark.parametrize("order", range(13))
+    def test_r2_matches_term_by_term(self, order):
+        w = gen_w(order // 2)
+        assert _r2_rhs(order, w).coeffs == r2_rhs_by_terms(order, w).coeffs
+
+    @pytest.mark.parametrize("order", range(13))
+    def test_clausen_matches_term_by_term(self, order):
+        pochs = poch_products(order)
+        assert _clausen_rhs(order, pochs).coeffs == clausen_rhs_by_terms(order, pochs).coeffs
+
+    @pytest.mark.parametrize("verify, degree", [(verify_id3, 4), (verify_r2, 4), (verify_clausen, 2)])
+    def test_one_wrong_binomial_fails_the_identity(self, monkeypatch, verify, degree):
+        # binomial(4, 2) is in every right side, first at this degree
+        monkeypatch.setattr(series, "binomial", lambda n, k: binomial(n, k) + ((n, k) == (4, 2)))
+        report = verify(10)
+        assert not report.passed
+        assert report.first_mismatch[0] == degree
+
+    def test_id3_does_not_call_u_bin(self, monkeypatch):
+        # id3 and the bin route of verify must stay independent
+        def refuse(*args):
+            raise AssertionError("verify_id3 called u_bin")
+
+        assert "u_bin" not in vars(series)
+        monkeypatch.setattr(sequences, "u_bin", refuse)
+        assert verify_id3(24).passed
+
+    @pytest.mark.parametrize(
+        "verify, order, powers", [(verify_clausen, 30, 30), (verify_r2, 40, 20), (verify_id3, 40, 0)]
+    )
+    def test_at_most_order_plus_one_additions(self, monkeypatch, verify, order, powers):
+        # the sums are kernel calls, so only the inputs (the Pochhammer
+        # factors i(i+1) - b of clausen) may add polynomials; the powers
+        # x^n are still series products
+        combines, products = [], []
+        combine, mul = MultiPoly._combine, TruncSeries.__mul__
+
+        def counted_combine(self, other, sign):
+            combines.append(1)
+            return combine(self, other, sign)
+
+        def counted_mul(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(MultiPoly, "_combine", counted_combine)
+        monkeypatch.setattr(TruncSeries, "__mul__", counted_mul)
+        assert verify(order).passed
+        assert len(combines) <= order + 1
+        assert len(products) >= powers

@@ -3,7 +3,9 @@
 At seeded rational points (b, c), the coefficients of g = sum w[n] t^n, of
 g(-t), of theta^j g and of the Pochhammer series are built from their scalar
 recurrences with plain Fractions, and their Cauchy products by plain double
-loops; no MultiPoly arithmetic is involved.  Each is compared with
+loops; so are the right sides of id3, r2 and the Clausen square, with the
+coefficients of (1 + 4c t^4)^(-1/2) and of (t (1 - t))^n in closed form.  No
+MultiPoly arithmetic is involved.  Each is compared with
 MultiPoly.eval of the coefficients the library computes.  A wrong
 polynomial agrees with the right one at a random point of this size only
 with negligible probability (Schwartz-Zippel), so a few points check the
@@ -17,7 +19,16 @@ import pytest
 
 from recint.scalars import binomial, factorial
 from recint.sequences import RING_B, RING_BC, poch_products
-from recint.series import TruncSeries, _dot, base_series, product_series
+from recint.sequences import gen_w
+from recint.series import (
+    TruncSeries,
+    _clausen_rhs,
+    _dot,
+    _id3_rhs,
+    _r2_rhs,
+    base_series,
+    product_series,
+)
 
 ORDER = 24
 POCH_ORDER = 20
@@ -133,3 +144,55 @@ def test_pochhammer_series(seed):
     )
     fv = [v / factorial(n) ** 2 for n, v in enumerate(p)]
     assert at(f * f, {"b": b}) == cauchy(fv, fv)
+
+
+def power_sum(scalars: list[Fraction], x: list[Fraction]) -> list[Fraction]:
+    """sum_n scalars[n] * x^n, truncated to len(x) coefficients."""
+    acc = [Fraction(0)] * len(x)
+    xn = [Fraction(1)] + [Fraction(0)] * (len(x) - 1)
+    for s in scalars:
+        acc = [a + s * v for a, v in zip(acc, xn)]
+        xn = cauchy(xn, x)
+    return acc
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_id3_right_side(seed):
+    b, c = point(seed)
+    w = w_values(b, c, ORDER // 2)
+    expected = [Fraction(0)] * (ORDER + 1)
+    for k in range(ORDER // 4 + 1):
+        for n in range((ORDER - 4 * k) // 2 + 1):
+            scal = factorial(n) * binomial(n + k, k) * binomial(2 * n + 2 * k, n + k)
+            expected[2 * n + 4 * k] += (-1) ** (n + k) * c**k * scal * w[n]
+    assert at(_id3_rhs(ORDER, gen_w(ORDER // 2)), {"b": b, "c": c}) == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_r2_right_side(seed):
+    b, c = point(seed)
+    w = w_values(b, c, ORDER // 2)
+    # (1 + 4c t^4)^(-1/2) = sum_j (-1)^j binomial(2j, j) c^j t^(4j), and
+    # x = -t^2 / (1 + 4c t^4) = -sum_j (-4c)^j t^(4j + 2)
+    s = [Fraction(0)] * (ORDER + 1)
+    x = [Fraction(0)] * (ORDER + 1)
+    for j in range(ORDER // 4 + 1):
+        s[4 * j] = (-1) ** j * binomial(2 * j, j) * c**j
+        if 4 * j + 2 <= ORDER:
+            x[4 * j + 2] = -((-4 * c) ** j)
+    scalars = [binomial(2 * n, n) * factorial(n) * v for n, v in enumerate(w)]
+    expected = cauchy(s, power_sum(scalars, x))
+    assert at(_r2_rhs(ORDER, gen_w(ORDER // 2)), {"b": b, "c": c}) == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_clausen_right_side(seed):
+    b, _ = point(seed)
+    p = poch_values(b, POCH_ORDER)
+    scalars = [v * Fraction(binomial(2 * n, n), factorial(n) ** 2) for n, v in enumerate(p)]
+    # (t (1 - t))^n has coefficient (-1)^(d-n) binomial(n, d - n) at t^d
+    expected = [
+        sum(scalars[n] * (-1) ** (d - n) * binomial(n, d - n) for n in range(d // 2, d + 1))
+        for d in range(POCH_ORDER + 1)
+    ]
+    assert at(_clausen_rhs(POCH_ORDER, poch_products(POCH_ORDER)), {"b": b}) == expected
