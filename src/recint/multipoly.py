@@ -216,6 +216,24 @@ def _from_packed(vs: VarSet, acc: dict[int, int], width: int, den: int, deg: int
     return MultiPoly._new(vs, None, den, (width, deg, list(acc), nums))
 
 
+def _primitive(p: MultiPoly) -> tuple[int, MultiPoly, tuple]:
+    """(g, q, signature) with p = g * q / p.den, for a nonzero p: q is p's
+    primitive part over 1 on the keys p keeps (after _kept), its numerators
+    of content 1 and positive at the largest key, which is the lex-largest
+    exponent; the signature is (that exponent, its numerator, term count)."""
+    _kept(p)
+    width, deg, keys, nums = p._packed
+    top = max(keys)
+    lead, g = nums[keys.index(top)], gcd(*nums)
+    if lead < 0:
+        g = -g
+    q = p
+    if g != 1 or p.den != 1:
+        q = MultiPoly._new(p.vs, None, 1, (width, deg, keys, [c // g for c in nums]))
+    exps = tuple(col[0] for col in _columns([top], width, len(p.vs)))
+    return g, q, (exps, lead // g, len(keys))
+
+
 #: How many digits str() converts at most, 0 for no limit; Python versions
 #: before 3.10.7 have no limit and no such function.
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -664,17 +682,25 @@ def _monomial(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
 def sum_of_products(
     vs: VarSet, groups: Iterable[Iterable[tuple[MultiPoly, MultiPoly, Fraction | int]]]
 ) -> list[MultiPoly]:
-    """[sum(r * a * b for a, b, r in group) for group in groups], fused.
+    """[sum(r * a * b for a, b, r in group) for group in groups]: _sum_rows
+    with each weight r as the integer pair (r.numerator, r.denominator)."""
+    return _sum_rows(vs, (((a, b, r.numerator, r.denominator) for a, b, r in g) for g in groups))
 
-    Every distinct operand is packed once for the whole call, at one field
-    width (its kept keys, repacked if they have another width).  Each row's
-    weight over its operands' denominators, r / (a.den * b.den), is reduced
-    to lowest terms f / d by one integer gcd, so a weight that cancels the
-    denominators leaves d == 1.  Each group keeps one packed-key accumulator
-    over the lcm of its rows' d; a row's share of that denominator, times f,
-    is folded once into the numerators of its smaller operand.  Each group
-    is normalised once, at the end, and keeps its packed form.  Rows with a
-    zero weight or operand add nothing, and an empty group gives zero.
+
+def _sum_rows(
+    vs: VarSet, groups: Iterable[Iterable[tuple[MultiPoly, MultiPoly, int, int]]]
+) -> list[MultiPoly]:
+    """[sum(f / d * a * b for a, b, f, d in group) for group in groups], for
+    integer weights f / d, d > 0, not necessarily reduced: the one product kernel.
+
+    Every distinct operand is packed once for the call, at one field width
+    (its kept keys, repacked if they have another width).  Each row's weight
+    over its operands' denominators, f / (d * a.den * b.den), is reduced by
+    one integer gcd.  Each group accumulates packed keys over the lcm of its
+    rows' reduced denominators, a row's share of it times its numerator
+    folded once into its smaller operand, and is normalised once, keeping
+    its packed form.  Rows with a zero weight or operand add nothing, and an
+    empty group gives zero.
     """
     operands: dict[int, MultiPoly] = {}  # id -> p
     width = 0
@@ -682,8 +708,8 @@ def sum_of_products(
     for group in groups:
         rows = []
         deg = 0
-        for a, b, r in group:
-            if not r or a.is_zero() or b.is_zero():
+        for a, b, f, d in group:
+            if not f or a.is_zero() or b.is_zero():
                 continue
             for p in (a, b):
                 if id(p) not in operands:
@@ -691,7 +717,7 @@ def sum_of_products(
                         raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
                     operands[id(p)] = p
             deg = max(deg, _kept(a) + _kept(b))
-            f, d = r.numerator, r.denominator * a.den * b.den
+            d *= a.den * b.den
             g = gcd(f, d)
             rows.append((a, b, f // g, d // g))
         all_rows.append((rows, deg))

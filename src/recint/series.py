@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
-from .multipoly import MultiPoly, UPoly, VarSet, sum_of_products
+from .multipoly import MultiPoly, UPoly, VarSet, _primitive, _sum_rows, sum_of_products
 from .scalars import binomial, factorial
 from .sequences import RING_B, RING_BC, gen_u, gen_w, poch_products
 
@@ -139,58 +138,52 @@ def _dot(
     """Coefficients of sum(s * x * y for x, y, s in pairs) through the order,
     for series x, y and rational weights s: the one series product.
 
-    Each distinct coefficient is split once into factor * primitive part; the
-    primitive part has integer numerators of content 1 and a positive
-    coefficient at its lexicographically largest exponent.  In each degree,
-    the rows x[i] * y[d - i] whose primitive parts are equal as an unordered
-    pair (equal numerator dicts, not just equal signatures) become one row
-    whose weight is the sum of theirs; rows whose weight cancels to exactly
-    zero are dropped, and the rest are one sum_of_products group.  So the
-    mirror pairs of a square or of g * g(-t), and theta-scaled copies of a
-    coefficient, are multiplied once per degree.
+    Each distinct coefficient is split once by _primitive, on its kept
+    packed form, into an integer factor over its den times a primitive part;
+    parts with equal signatures are compared exactly, by ==.  In each
+    degree, the rows x[i] * y[d - i] whose parts form the same unordered
+    pair become one row whose weight, an unreduced integer pair (n, d), is
+    the sum of theirs; rows whose weight cancels to zero are dropped, and
+    the rest are one _sum_rows group.  So mirror pairs (a square, g * g(-t))
+    and theta-scaled copies of a coefficient are multiplied once per degree.
     """
-    parts: dict[int, tuple[Fraction | int, int]] = {}  # id -> (factor, class)
+    parts: dict[int, tuple[int, int, int]] = {}  # id -> (factor, den, class)
     classes: dict[tuple, list[int]] = {}  # signature -> classes
     prims: list[MultiPoly] = []  # class -> primitive part
 
-    def split(p: MultiPoly) -> tuple[Fraction | int, int]:
+    def split(p: MultiPoly) -> tuple[int, int, int]:
         if id(p) in parts:
             return parts[id(p)]
-        lead = max(p.num)
-        g = gcd(*p.num.values())
-        if p.num[lead] < 0:
-            g = -g
-        prim = p.num if g == 1 else {e: c // g for e, c in p.num.items()}
-        bucket = classes.setdefault((lead, p.num[lead] // g, len(prim)), [])
+        g, prim, signature = _primitive(p)
+        bucket = classes.setdefault(signature, [])
         for cls in bucket:
-            if prims[cls].num == prim:
+            if prims[cls] == prim:
                 break
         else:
             cls = len(prims)
-            prims.append(p if g == 1 and p.den == 1 else MultiPoly._new(vs, prim, 1))
+            prims.append(prim)
             bucket.append(cls)
-        parts[id(p)] = (g if p.den == 1 else Fraction(g, p.den), cls)
+        parts[id(p)] = (g, p.den, cls)
         return parts[id(p)]
 
-    weights: list[dict[tuple[int, int], Fraction | int]] = [{} for _ in range(order + 1)]
+    weights: list[dict[tuple[int, int], tuple[int, int]]] = [{} for _ in range(order + 1)]
     for x, y, s in pairs:
-        ys = [(j, *split(c)) for j, c in enumerate(y.coeffs) if c.num]
+        ys = [(j, *split(c)) for j, c in enumerate(y.coeffs) if not c.is_zero()]
         for i, c in enumerate(x.coeffs):
-            if not c.num:
+            if c.is_zero():
                 continue
-            fx, cx = split(c)
-            sx = s * fx
-            for j, fy, cy in ys:
+            fx, dx, cx = split(c)
+            fx, dx = fx * s.numerator, dx * s.denominator
+            for j, fy, dy, cy in ys:
                 if i + j > order:
                     break
                 w = weights[i + j]
                 key = (cx, cy) if cx <= cy else (cy, cx)
-                if key in w:
-                    w[key] += sx * fy
-                else:
-                    w[key] = sx * fy
-    groups = ([(prims[a], prims[b], r) for (a, b), r in w.items() if r] for w in weights)
-    return sum_of_products(vs, groups)
+                n, d = fx * fy, dx * dy
+                n0, d0 = w.get(key, (0, d))
+                w[key] = (n0 + n, d) if d0 == d else (n0 * d + n * d0, d0 * d)
+    groups = ([(prims[a], prims[b], n, d) for (a, b), (n, d) in w.items() if n] for w in weights)
+    return _sum_rows(vs, groups)
 
 
 def inv_sqrt(a: TruncSeries) -> TruncSeries:

@@ -2,11 +2,12 @@
 
 Exposes the repo paths, an in-process CLI runner, a linear-form builder,
 the odd monomial atoms t^(2j+1), the term-pair convolution reference, the
-term-by-term right sides of the id3, r2 and Clausen identities, the
-closed form of u at c = 0, Apery's sequence with its closed form, the
-closed form of the all-t brackets, and the acceptance-line collector:
-acceptance tests append one PASS/FAIL line per criterion and the
-terminal-summary hook prints them as a block at the end of the run.
+per-degree series-product reference, the term-by-term right sides of the
+id3, r2 and Clausen identities, the closed form of u at c = 0, Apery's
+sequence with its closed form, the closed form of the all-t brackets, and
+the acceptance-line collector: acceptance tests append one PASS/FAIL line
+per criterion and the terminal-summary hook prints them as a block at the
+end of the run.
 """
 
 from __future__ import annotations
@@ -85,6 +86,20 @@ def conv_by_products(n: int, w):
         for m in range(n + 1)
     )
     return ParamSeq(w.ring, sum_of_products(w.ring, groups))
+
+
+def dot_by_products(vs, order: int, pairs):
+    """Coefficients of sum(s * x * y for x, y, s in pairs) through the order,
+    one MultiPoly product and one addition per coefficient pair in each
+    degree: the reference for series._dot."""
+    from recint.multipoly import MultiPoly
+
+    out = [MultiPoly.zero(vs)] * (order + 1)
+    for x, y, s in pairs:
+        for i, a in enumerate(x.coeffs):
+            for j in range(order + 1 - i):
+                out[i + j] = out[i + j] + a * y.coeffs[j] * s
+    return out
 
 
 def id3_rhs_by_terms(order: int, w):

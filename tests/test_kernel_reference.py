@@ -10,7 +10,9 @@ ring operations (Horner with `*` and `+`, synthetic division slice by slice,
 the recurrence loop term by term), or, for text(), the one-key sort and
 per-term join, or, for eval(), a Fraction power and product per term; the
 kernels must give equal polynomials (or equal strings or numbers), and equal
-remainders when a division is inexact.
+remainders when a division is inexact.  sum_of_products and the
+integer-row core it converts its rows into must keep the same den and
+packed keys and numerators.
 
 Kernel results keep their packed form, and later kernel calls read it,
 repacked when their field width differs.  The chained tests below feed
@@ -39,6 +41,7 @@ from recint.multipoly import (
     _max_str_digits,
     _pack,
     _repack,
+    _sum_rows,
     denom_profile,
     horner_sum_div_linear,
     sum_of_products,
@@ -790,6 +793,48 @@ def test_weights_that_cancel_the_operand_denominators(seed, monkeypatch):
         assert_twin(got, sum((naive_mul(a, b) * r for a, b, r in rows), MultiPoly.zero(vs)))
         if all(cancels(*row) for row in rows):
             assert den == 1
+
+
+def kept_dict(p: MultiPoly) -> tuple[int, int, dict[int, int]]:
+    """(den, width, key -> numerator) of the packed form a kernel result keeps."""
+    width, _, keys, nums = p._packed
+    return p.den, width, dict(zip(keys, nums))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_rows_match_sum_of_products(seed):
+    # the integer-row core takes each weight as an unreduced pair (f, d);
+    # sum_of_products is that core on (r.numerator, r.denominator)
+    rng = random.Random(seed)
+    vs = VarSet(tuple(f"x{i}" for i in range(seed % 4)))
+    groups, int_groups = [], []
+    for _ in range(rng.randint(0, 5)):
+        rows, int_rows = [], []
+        for _ in range(rng.randint(0, 4)):
+            a, b = rand_poly(rng, vs), rand_poly(rng, vs)
+            r = rng.choice(
+                (
+                    0,
+                    Fraction(rng.randint(-9, -1), rng.randint(1, 9)),
+                    # a numerator that shares factors with an operand's den
+                    Fraction(a.den * rng.choice((1, -2, 3)), rng.choice(DENOMINATORS)),
+                    b.den * rng.randint(-6, 6),
+                )
+            )
+            k = rng.randint(1, 12)  # the core must reduce f / d itself
+            rows.append((a, b, r))
+            int_rows.append((a, b, Fraction(r).numerator * k, Fraction(r).denominator * k))
+        groups.append(rows)
+        int_groups.append(int_rows)
+    expected = sum_of_products(vs, groups)
+    got = _sum_rows(vs, int_groups)
+    assert len(got) == len(expected) == len(groups)
+    for p, q, rows in zip(got, expected, groups):
+        assert p == q == sum((naive_mul(a, b) * r for a, b, r in rows), MultiPoly.zero(vs))
+        if p.is_zero():
+            assert q.is_zero() and p._packed is q._packed is None
+        else:
+            assert kept_dict(p) == kept_dict(q)
 
 
 def test_bracket_entries_are_in_lowest_terms_before_any_read():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clausen_rhs_by_terms, id3_rhs_by_terms, r2_rhs_by_terms
+from conftest import clausen_rhs_by_terms, dot_by_products, id3_rhs_by_terms, r2_rhs_by_terms
 from recint import sequences, series
-from recint.multipoly import MultiPoly, UPoly, VarSet
+from recint.multipoly import MultiPoly, UPoly, VarSet, _pack
 from recint.scalars import binomial
 from recint.sequences import RING_BC, gen_u, gen_w, poch_products
 from recint.series import (
@@ -202,11 +202,7 @@ class TestPinnedOperators:
 
 def naive_mul(x: TruncSeries, y: TruncSeries) -> TruncSeries:
     """Reference product: out[i + j] += x[i] * y[j], one MultiPoly at a time."""
-    out = [MultiPoly.zero(x.vs)] * (x.order + 1)
-    for i, a in enumerate(x.coeffs):
-        for j in range(x.order + 1 - i):
-            out[i + j] = out[i + j] + a * y.coeffs[j]
-    return TruncSeries(x.vs, x.order, out)
+    return TruncSeries(x.vs, x.order, dot_by_products(x.vs, x.order, [(x, y, 1)]))
 
 
 def naive_apply(op: OdeOperator, y: TruncSeries) -> TruncSeries:
@@ -445,6 +441,162 @@ class TestIdentityBattery:
         rep = _report("probe", 6, a, b)
         assert not rep.passed
         assert rep.first_mismatch[0] == 2
+
+
+def kept_at(p: MultiPoly, width: int) -> MultiPoly:
+    """p with its keys kept at the given field width, as a kernel result
+    whose total-degree bound needed that width keeps them."""
+    deg = (1 << width) - 1
+    keys = _pack(list(zip(*p.num)), width, len(p.num))
+    return MultiPoly._new(p.vs, None, p.den, (width, deg, keys, list(p.num.values())))
+
+
+def rand_poly(rng: random.Random, vs: VarSet) -> MultiPoly:
+    """A nonzero polynomial over vs with 1-4 terms and mixed denominators."""
+    while True:
+        terms = {
+            tuple(rng.randint(0, 3) for _ in vs): Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6)))
+            for _ in range(rng.randint(1, 4))
+        }
+        p = MultiPoly(vs, terms)
+        if not p.is_zero():
+            return p
+
+
+def recorded_rows(monkeypatch) -> list[list]:
+    """The groups of rows that _dot hands to the product kernel, one list per
+    call, recorded as the calls are made."""
+    calls = []
+    sum_rows = series._sum_rows
+
+    def recording(vs, groups):
+        groups = [list(g) for g in groups]
+        calls.append(groups)
+        return sum_rows(vs, groups)
+
+    monkeypatch.setattr(series, "_sum_rows", recording)
+    return calls
+
+
+class TestPackedClassMerge:
+    """_dot splits each coefficient on its kept packed form and merges rows
+    by exact class; every case is checked against the per-degree reference
+    of tests/conftest.py."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_parts_kept_at_different_widths_are_one_row(self, seed, monkeypatch):
+        rng = random.Random(4000 + seed)
+        vs = VarSet(("b", "c", "d")[: 2 + seed % 2])
+        base, r = rand_poly(rng, vs), rand_poly(rng, vs)
+        narrow = base.total_degree().bit_length()
+        f1, f2 = Fraction(rng.randint(1, 9), rng.randint(1, 5)), Fraction(-rng.randint(1, 9), 7)
+        x = TruncSeries(vs, 1, [kept_at(base * f1, narrow), kept_at(base * f2, narrow + 3 + seed)])
+        y = TruncSeries(vs, 1, [r, r])
+        calls = recorded_rows(monkeypatch)
+        assert x * y == naive_mul(x, y)
+        [groups] = calls
+        assert [len(g) for g in groups] == [1, 1]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_distinct_parts_with_one_signature_stay_apart(self, seed, monkeypatch):
+        # same lead exponent, lead coefficient and term count, both primitive
+        rng = random.Random(5000 + seed)
+        vs = VarSet.of("b", "c")
+        lead = rng.randint(1, 5)
+        mid = rng.sample([m for m in range(-7, 8) if m], 2)
+        p, q = (MultiPoly(vs, {(2, 0): lead, (1, 1): m, (0, 0): 1}) for m in mid)
+        scales = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)) for _ in range(2)]
+        x = TruncSeries(vs, 1, [p * scales[0], q * scales[1]])
+        r = rand_poly(rng, vs)
+        y = TruncSeries(vs, 1, [r, r])
+        calls = recorded_rows(monkeypatch)
+        assert x * y == naive_mul(x, y)
+        [groups] = calls
+        assert [len(g) for g in groups] == [1, 2]
+
+    def test_weights_over_unequal_denominators_are_added(self, monkeypatch):
+        vs = VarSet.of("b", "c")
+        p = MultiPoly(vs, {(1, 0): 1, (0, 1): 1})
+        r = MultiPoly(vs, {(0, 1): 1, (0, 0): 3})
+        # p/2 * r/3 and p/3 * r/2 are one row of weight 1/6 + 1/6
+        x = TruncSeries(vs, 1, [p * Fraction(1, 2), p * Fraction(1, 3)])
+        y = TruncSeries(vs, 1, [r * Fraction(1, 2), r * Fraction(1, 3)])
+        calls = recorded_rows(monkeypatch)
+        prod = x * y
+        assert prod == naive_mul(x, y)
+        assert prod.coeffs[1] == p * r * Fraction(1, 3)
+        [groups] = calls
+        [(_, _, n, d)] = groups[1]
+        assert Fraction(n, d) == Fraction(1, 3)
+
+    def test_weights_that_cancel_to_zero_are_dropped(self, monkeypatch):
+        vs = VarSet.of("b", "c")
+        p = MultiPoly(vs, {(1, 0): 1, (0, 0): 1})
+        r = MultiPoly(vs, {(0, 1): 1, (0, 0): 3})
+        # p/2 * 2r and -p * r: weights 2/2 and -1/1, over unequal
+        # denominators, cancel exactly
+        x = TruncSeries(vs, 2, [p * Fraction(1, 2), -p])
+        y = TruncSeries(vs, 2, [r, r * 2])
+        calls = recorded_rows(monkeypatch)
+        prod = x * y
+        assert prod == naive_mul(x, y)
+        assert prod.coeffs[1].is_zero()
+        [groups] = calls
+        assert [len(g) for g in groups] == [1, 0, 1]
+        # and across pairs: x * y - y * x is zero in every degree
+        assert _dot(vs, 2, [(x, y, 1), (y, x, -1)]) == [MultiPoly.zero(vs)] * 3
+        assert [len(g) for g in calls[-1]] == [0, 0, 0]
+
+    @pytest.mark.parametrize("nvars", range(3))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_over_zero_one_and_two_variables(self, nvars, seed):
+        rng = random.Random(6000 + 10 * nvars + seed)
+        vs = VarSet(("b", "c")[:nvars])
+        bases = [rand_poly(rng, vs) for _ in range(2)]
+        order = rng.randint(2, 8)
+
+        def rand_series():
+            coeffs = []
+            for _ in range(order + 1):
+                scale = Fraction(rng.choice((-1, 0, 1, 2)) * rng.randint(1, 6), rng.choice((1, 2, 3, 5)))
+                coeffs.append(rng.choice(bases) * scale)
+            return TruncSeries(vs, order, coeffs)
+
+        x, y = rand_series(), rand_series()
+        pairs = [(x, y, Fraction(rng.randint(-5, 5), rng.randint(1, 4))), (x, x.reflect(), 1), (y.theta(), x, -2)]
+        expected = dot_by_products(vs, order, pairs)
+        assert _dot(vs, order, pairs) == expected
+        assert x * y == naive_mul(x, y)
+
+    def test_constant_series_merge_into_one_row_per_degree(self, monkeypatch):
+        # over no variables every coefficient's primitive part is 1, with
+        # lead exponent ()
+        x = const_series(S, 4, [2, Fraction(-3, 4), 5, 0, Fraction(1, 6)])
+        calls = recorded_rows(monkeypatch)
+        assert x * x == naive_mul(x, x)
+        [groups] = calls
+        assert [len(g) for g in groups] == [1] * 5
+
+
+class TestSeriesProductsOnPackedForm:
+    def test_no_kept_coefficient_is_unpacked(self, monkeypatch):
+        # the series products split, merge and compare the kept packed form;
+        # reading num would unpack it
+        f12, f8 = base_series(12), base_series(8)
+        num = MultiPoly.num
+
+        def guarded(self):
+            if self._num is None:
+                raise AssertionError("a kept coefficient was unpacked")
+            return num.fget(self)
+
+        monkeypatch.setattr(MultiPoly, "num", property(guarded))
+        assert verify_hg_c0(20).passed
+        assert verify_clausen(12).passed
+        for k in range(3):
+            assert derivation_identity_check(f12, k).passed
+        prod = f8 * f8.reflect()
+        assert prod.coeffs[1].is_zero() and prod.coeffs[2]._num is None
 
 
 class TestFusedRightSides:
