@@ -9,12 +9,13 @@ den == 1.  The arithmetic kernels work on these integers and never build a
 Fraction per term; `terms` is the Fraction-valued view for callers that want
 coefficients.
 
-The kernels (`*`, sum_of_products, UPoly.eval_poly, horner_sum_div_linear)
-pack each exponent vector into one int key, and the polynomials they make or
-pack keep the packed form (width, deg, keys, numerators), deg a bound on
-the total degree, for the next kernel call.  A polynomial a kernel made
-fills `num` on first read; before that read its den is already final, so
-denom_profile, is_zero, negation and scaling need no unpacking.
+Every polynomial carries, from the moment it is built, the packed form
+(width, deg, keys, numerators) of its terms: each exponent vector packed into
+one int key, deg a bound on the total degree.  The kernels (`*`, `+`, `-`,
+sum_of_products, UPoly.eval_poly, horner_sum_div_linear) read their operands
+and make their results in this form; `num` is unpacked from it on first
+read.  Before that read den is already final, so denom_profile, is_zero,
+equality, negation and scaling need no unpacking.
 
 UPoly layers a dense univariate polynomial (in an auxiliary indeterminate)
 over MultiPoly coefficients; it carries the parity predicates and affine
@@ -145,30 +146,28 @@ def _repack(keys: Sequence[int], old: int, new: int, nvars: int) -> Sequence[int
     return _pack(_columns(keys, old, nvars), new, len(keys))
 
 
-def _kept(p: MultiPoly) -> int:
-    """The total-degree bound of the packed form p keeps (see MultiPoly); if
-    it keeps none, num is packed at the width of its total degree and kept."""
-    kept = p._packed
-    if kept is None:
-        num = p._num
-        deg = max(map(sum, num), default=0)
-        width = deg.bit_length()
-        kept = p._packed = (width, deg, _pack(list(zip(*num)), width, len(num)), list(num.values()))
-    return kept[1]
+#: The packed form of the zero polynomial, shared by every zero.
+_EMPTY = (0, 0, (), ())
+
+
+def _packing(num: dict[tuple[int, ...], int]) -> tuple:
+    """The packed form of num (see MultiPoly), at the width of its total degree."""
+    deg = max(map(sum, num), default=0)
+    width = deg.bit_length()
+    return width, deg, _pack(list(zip(*num)), width, len(num)), list(num.values())
 
 
 def _exponent_columns(p: MultiPoly) -> tuple[list[list[int]], Sequence[int]]:
     """The exponents of p's terms, one column per variable, and their
-    numerators in the same order, read from the packed form p keeps (after
-    _kept), so that no exponent tuple is built."""
-    _kept(p)
+    numerators in the same order, read from p's packed form, so that no
+    exponent tuple is built."""
     width, _, keys, nums = p._packed
     return _columns(keys, width, len(p.vs)), nums
 
 
 def _pairs(p: MultiPoly, width: int, scale: int = 1) -> list[tuple[int, int]]:
-    """(key, numerator * scale) pairs of the form p keeps (after _kept),
-    with the keys repacked by shifts if they were packed at another width."""
+    """(key, numerator * scale) pairs of p's packed form, with the keys
+    repacked by shifts if they were packed at another width."""
     old, _, keys, nums = p._packed
     if scale != 1:
         nums = [c * scale for c in nums]
@@ -218,10 +217,9 @@ def _from_packed(vs: VarSet, acc: dict[int, int], width: int, den: int, deg: int
 
 def _primitive(p: MultiPoly) -> tuple[int, MultiPoly, tuple]:
     """(g, q, signature) with p = g * q / p.den, for a nonzero p: q is p's
-    primitive part over 1 on the keys p keeps (after _kept), its numerators
-    of content 1 and positive at the largest key, which is the lex-largest
-    exponent; the signature is (that exponent, its numerator, term count)."""
-    _kept(p)
+    primitive part over 1 on p's packed keys, its numerators of content 1
+    and positive at the largest key, which is the lex-largest exponent; the
+    signature is (that exponent, its numerator, term count)."""
     width, deg, keys, nums = p._packed
     top = max(keys)
     lead, g = nums[keys.index(top)], gcd(*nums)
@@ -292,18 +290,15 @@ class MultiPoly:
     equal (vs, den, num).  Monomials print in descending graded-lexicographic
     order, which makes text() a canonical form.
 
-    A polynomial that a kernel made keeps the kernel's packed form in
-    `_packed`: (width, deg, keys, numerators), with the keys packed in
-    width-bit fields as _pack lays them out, no total degree (and so no
-    exponent) above deg, deg < 2^width, and the numerators in the order of
-    the keys.  The kernels read their operands in this form, and a
-    polynomial that has none gets one the first time a kernel packs it.
-    num is filled from the packed form on first read; before that read
-    den is already final, and the kept numerators are nonzero and share no
-    factor with it.
+    Every polynomial is built with its packed form in `_packed`: (width,
+    deg, keys, numerators), with the keys packed in width-bit fields as _pack
+    lays them out, no total degree (and so no exponent) above deg,
+    deg < 2^width, and the numerators, nonzero and sharing no factor with
+    den, in the order of the keys.  The kernels read and make this form;
+    num is its one lazily unpacked view, filled on first read.
     """
 
-    __slots__ = ("vs", "_num", "den", "_terms", "_packed")
+    __slots__ = ("vs", "_num", "den", "_packed")
 
     def __init__(self, vs: VarSet, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         nvars = len(vs)
@@ -321,8 +316,7 @@ class MultiPoly:
         self.vs = vs
         self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         self.den = den
-        self._terms = None
-        self._packed = None
+        self._packed = _packing(self._num)
 
     # -- construction ------------------------------------------------------
 
@@ -331,13 +325,13 @@ class MultiPoly:
         cls, vs: VarSet, num: dict[tuple[int, ...], int] | None, den: int, packed: tuple | None = None
     ) -> "MultiPoly":
         # Internal fast path: caller guarantees the normalised form, given as
-        # num, as a packed form (see the class docstring) or as both.
+        # num, as a packed form (see the class docstring) or as both; num
+        # alone is packed here.
         self = cls.__new__(cls)
         self.vs = vs
         self._num = num
         self.den = den
-        self._terms = None
-        self._packed = packed
+        self._packed = _packing(num) if packed is None else packed
         return self
 
     @classmethod
@@ -351,14 +345,14 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, vs: VarSet) -> "MultiPoly":
-        return cls._new(vs, {}, 1)
+        return cls._new(vs, {}, 1, _EMPTY)
 
     @classmethod
     def const(cls, vs: VarSet, value) -> "MultiPoly":
         c = Fraction(value)
         if not c:
             return cls.zero(vs)
-        return cls._new(vs, {(0,) * len(vs): c.numerator}, c.denominator)
+        return cls._new(vs, {(0,) * len(vs): c.numerator}, c.denominator, (0, 0, [0], [c.numerator]))
 
     @classmethod
     def one(cls, vs: VarSet) -> "MultiPoly":
@@ -367,8 +361,10 @@ class MultiPoly:
     @classmethod
     def variable(cls, vs: VarSet, name: str) -> "MultiPoly":
         exps = [0] * len(vs)
-        exps[vs.index(name)] = 1
-        return cls._new(vs, {tuple(exps): 1}, 1)
+        i = vs.index(name)
+        exps[i] = 1
+        # total degree 1, so one bit per field
+        return cls._new(vs, {tuple(exps): 1}, 1, (1, 1, [1 << (len(vs) - 1 - i)], [1]))
 
     @classmethod
     def monomial(cls, vs: VarSet, exps: Sequence[int], coef) -> "MultiPoly":
@@ -379,7 +375,7 @@ class MultiPoly:
     @property
     def num(self) -> dict[tuple[int, ...], int]:
         """Map from exponent vector to nonzero integer numerator over den;
-        unpacked from the kept packed form on first read."""
+        unpacked from the packed form on first read."""
         num = self._num
         if num is None:
             width, _, keys, nums = self._packed
@@ -390,30 +386,23 @@ class MultiPoly:
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        """Read-only map from exponent vector to nonzero Fraction coefficient."""
-        view = self._terms
-        if view is None:
-            den = self.den
-            if den == 1:  # Fraction(c) skips the gcd that Fraction(c, 1) runs
-                view = {e: Fraction(c) for e, c in self.num.items()}
-            else:
-                view = {e: Fraction(c, den) for e, c in self.num.items()}
-            view = self._terms = MappingProxyType(view)
-        return view
+        """Read-only map from exponent vector to nonzero Fraction coefficient,
+        built on each read."""
+        den = self.den
+        if den == 1:  # Fraction(c) skips the gcd that Fraction(c, 1) runs
+            return MappingProxyType({e: Fraction(c) for e, c in self.num.items()})
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.num.items()})
 
     def is_zero(self) -> bool:
-        num = self._num
-        return not (self._packed[3] if num is None else num)
+        return not self._packed[3]
 
     def is_constant(self) -> bool:
-        if self._num is None:
-            return not any(self._packed[2])
-        return all(not any(e) for e in self._num)
+        return not any(self._packed[2])
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self.text()}")
-        return Fraction(next(iter(self.num.values()), 0), self.den)
+        return Fraction(next(iter(self._packed[3]), 0), self.den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -431,21 +420,18 @@ class MultiPoly:
         return NotImplemented
 
     def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
-        """self + sign * other, over the lcm of the two denominators."""
+        """self + sign * other: both packed forms, at the wider width and
+        over the lcm of the two denominators, merged into one accumulator."""
         if other.is_zero():
             return self
         den = lcm(self.den, other.den)
-        s1, s2 = den // self.den, sign * (den // other.den)
-        out = dict(self.num) if s1 == 1 else {e: c * s1 for e, c in self.num.items()}
-        add = other.num if s2 == 1 else {e: c * s2 for e, c in other.num.items()}
-        get = out.get
-        for e, c in add.items():
-            s = get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return MultiPoly._make(self.vs, out, den)
+        a, b = self._packed, other._packed
+        width = max(a[0], b[0])
+        acc = dict(_pairs(self, width, den // self.den))
+        get = acc.get
+        for k, c in _pairs(other, width, sign * (den // other.den)):
+            acc[k] = get(k, 0) + c
+        return _from_packed(self.vs, acc, width, den, max(a[1], b[1]))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -478,25 +464,21 @@ class MultiPoly:
             den //= g
         g = 1
         if q != 1:
-            g = gcd(q, *(self._packed[3] if self._num is None else self._num.values()))
+            g = gcd(q, *self._packed[3])
             den *= q // g
         return self._mapped(g, p, den)
 
     def _mapped(self, div: int, mul: int, den: int) -> "MultiPoly":
         """The polynomial with the monomials of self and numerators
-        c // div * mul over den.  A kept packed form is carried over (same
-        keys and bounds) in place of num."""
-        kept = self._packed
+        c // div * mul over den, on the same packed keys and bounds."""
+        packed = self._packed
         if div == mul == 1:
-            return MultiPoly._new(self.vs, self._num, den, kept)
-        values = self._num.values() if kept is None else kept[3]
+            return MultiPoly._new(self.vs, self._num, den, packed)
         if div == 1:
-            values = [c * mul for c in values]
+            values = [c * mul for c in packed[3]]
         else:
-            values = [c // div * mul for c in values]
-        if kept is None:
-            return MultiPoly._new(self.vs, dict(zip(self._num, values)), den)
-        return MultiPoly._new(self.vs, None, den, (*kept[:3], values))
+            values = [c // div * mul for c in packed[3]]
+        return MultiPoly._new(self.vs, None, den, (*packed[:3], values))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -510,7 +492,7 @@ class MultiPoly:
             return MultiPoly.zero(self.vs)
         # Monagan-Pearce packed exponents: one int per monomial, with fields
         # wide enough that adding two keys never carries between variables
-        deg = _kept(self) + _kept(other)
+        deg = self._packed[1] + other._packed[1]
         width = deg.bit_length()
         acc: dict[int, int] = {}
         _pair_sums(acc, _pairs(self, width), _pairs(other, width))
@@ -545,22 +527,14 @@ class MultiPoly:
             return NotImplemented
         if self.vs != other.vs or self.den != other.den:
             return False
+        # the packed forms, keys brought to one width: no num is built
         a, b = self._packed, other._packed
-        if a is None or b is None:
-            return self.num == other.num
-        # both kept forms, keys brought to one width: no num is built
         if len(a[2]) != len(b[2]):
             return False
         width, nvars = max(a[0], b[0]), len(self.vs)
         return dict(zip(_repack(a[2], a[0], width, nvars), a[3])) == dict(
             zip(_repack(b[2], b[0], width, nvars), b[3])
         )
-
-    def __hash__(self):
-        # a constant hashes as its value, since it compares equal to it
-        if self.is_constant():
-            return hash(self.constant_value())
-        return hash((self.vs, self.den, frozenset(self.num.items())))
 
     # -- evaluation and substitution -----------------------------------------
 
@@ -694,7 +668,7 @@ def _sum_rows(
     integer weights f / d, d > 0, not necessarily reduced: the one product kernel.
 
     Every distinct operand is packed once for the call, at one field width
-    (its kept keys, repacked if they have another width).  Each row's weight
+    (its packed keys, repacked if they have another width).  Each row's weight
     over its operands' denominators, f / (d * a.den * b.den), is reduced by
     one integer gcd.  Each group accumulates packed keys over the lcm of its
     rows' reduced denominators, a row's share of it times its numerator
@@ -716,7 +690,7 @@ def _sum_rows(
                     if p.vs != vs:
                         raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
                     operands[id(p)] = p
-            deg = max(deg, _kept(a) + _kept(b))
+            deg = max(deg, a._packed[1] + b._packed[1])
             d *= a.den * b.den
             g = gcd(f, d)
             rows.append((a, b, f // g, d // g))
@@ -833,7 +807,7 @@ class UPoly:
         if not self.coeffs:
             return MultiPoly.zero(vs)
         coeffs = self.coeffs if vs == self.vs else [c.cast(vs) for c in self.coeffs]
-        bound = (len(coeffs) - 1) * _kept(arg) + max(map(_kept, coeffs))
+        bound = (len(coeffs) - 1) * arg._packed[1] + max([c._packed[1] for c in coeffs])
         width = bound.bit_length()
         den, a = lcm(*(c.den for c in coeffs)), arg.den
         # step i = deg - j adds a^i * C_j, and C_j is c_j's numerators times L / c_j.den
@@ -941,7 +915,7 @@ def horner_sum_div_linear(
     for h, _, _, p in rows:
         if p.vs != vs:
             raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
-        bound = max(bound, _kept(p) + len(h) - 1)
+        bound = max(bound, p._packed[1] + len(h) - 1)
     width = bound.bit_length()
     den = lcm(*(s * p.den for _, _, s, p in rows))
     total: dict[int, int] = {}

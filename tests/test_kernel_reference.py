@@ -14,11 +14,12 @@ remainders when a division is inexact.  sum_of_products and the
 integer-row core it converts its rows into must keep the same den and
 packed keys and numerators.
 
-Kernel results keep their packed form, and later kernel calls read it,
-repacked when their field width differs.  The chained tests below feed
-kernel results into kernel calls at wider and narrower widths and compare
-each result with a plain reference and with its eager twin
-MultiPoly(vs, p.terms), which keeps no packed form.
+Every polynomial carries its packed form from construction, and kernel
+calls read it, repacked when their field width differs.  The chained tests
+below feed kernel results into kernel calls at wider and narrower widths
+and compare each result with a plain reference and with its twin
+MultiPoly(vs, p.terms), packed at the width of its own total degree.  One
+test checks the packed form itself on every route that builds a polynomial.
 """
 
 import itertools
@@ -604,15 +605,16 @@ def horner_sum_reference(vs: VarSet, rows, m) -> MultiPoly:
 
 
 def assert_twin(p: MultiPoly, expected: MultiPoly):
-    """p equals expected and its eager twin in num, den, text(), eval and hash."""
+    """p equals expected and its twin, built from p's terms and so packed at
+    the width of its own total degree, in num, den, text() and eval."""
     twin = MultiPoly(p.vs, p.terms)
-    assert twin._packed is None
+    deg = max(twin.total_degree(), 0)
+    assert twin._packed[:2] == (deg.bit_length(), deg)
     assert p.num == twin.num == expected.num
     assert p.den == twin.den == expected.den
     assert p.text() == twin.text() == reference_text(expected)
     point = {name: Fraction(2 * i + 3, i + 2) for i, name in enumerate(p.vs.names)}
     assert p.eval(point) == twin.eval(point) == loop_eval(expected, point)
-    assert hash(p) == hash(twin) == hash(expected)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -683,7 +685,7 @@ def test_total_degree_wider_than_the_top_exponent(names):
     # from the pivot to the other variables, up to the total degree
     # (x^3*y^3 = (x + y)(x^2*y^3 - x*y^4 + y^5) - y^6), so the kept bound
     # and the field width must come from the total degree, both for kernel
-    # results and for the sums and eager polynomials packed by one scan.
+    # results and for the polynomials packed when they are built.
     vs = VarSet(names)
 
     def poly(*terms):  # (coefficient, x exponent, y exponent), no kernel call
@@ -832,7 +834,7 @@ def test_integer_rows_match_sum_of_products(seed):
     for p, q, rows in zip(got, expected, groups):
         assert p == q == sum((naive_mul(a, b) * r for a, b, r in rows), MultiPoly.zero(vs))
         if p.is_zero():
-            assert q.is_zero() and p._packed is q._packed is None
+            assert q.is_zero() and p._packed == q._packed == (0, 0, (), ())
         else:
             assert kept_dict(p) == kept_dict(q)
 
@@ -843,3 +845,96 @@ def test_bracket_entries_are_in_lowest_terms_before_any_read():
     for m, entry in table.entries.items():
         if any(m):
             assert_lowest_terms_unread(entry)
+
+
+# -- the packed form on every construction route -------------------------------------
+
+
+def terms_add(*parts: tuple[Fraction | int, dict]) -> dict:
+    """sum(r * t for r, t in parts) over Fraction term dicts."""
+    out: dict = {}
+    for r, t in parts:
+        for e, c in t.items():
+            out[e] = out.get(e, 0) + r * c
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_packed_form(p: MultiPoly, expected: dict):
+    """p's packed keys decode, field by field, to num, and num / den is
+    expected; its bound is at least the total degree and below 2^width; its
+    numerators are nonzero and share no factor with den."""
+    width, deg, keys, nums = p._packed
+    nvars = len(p.vs)
+    mask = (1 << width) - 1
+    decoded = {}
+    for key, c in zip(keys, nums):
+        assert 0 <= key < 1 << width * nvars
+        decoded[tuple((key >> width * (nvars - 1 - i)) & mask for i in range(nvars))] = c
+    assert len(decoded) == len(keys) == len(nums)
+    assert decoded == p.num
+    assert {e: Fraction(c, p.den) for e, c in decoded.items()} == expected
+    assert p.total_degree() <= deg < 1 << width
+    assert all(nums) and gcd(p.den, *nums) == 1
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_every_construction_route_carries_its_packed_form(seed):
+    rng = random.Random(seed)
+    vs = VarSet(tuple(f"x{i}" for i in range(seed % 4)))
+    n = len(vs)
+
+    def draw() -> dict:
+        t = {
+            tuple(rng.randint(0, 3) for _ in vs): Fraction(rng.randint(-30, 30), rng.choice(DENOMINATORS))
+            for _ in range(5)
+        }
+        t[(1,) * n] = Fraction(1, rng.choice(DENOMINATORS))  # nonzero
+        return {e: c for e, c in t.items() if c}
+
+    ta, tb, tc = draw(), draw(), draw()
+    a, b, c = MultiPoly(vs, ta), MultiPoly(vs, tb), MultiPoly(vs, tc)
+    big = MultiPoly.monomial(vs, (9,) * n, 1)
+    ab = a * b
+    # the call packs at big * big's width, so ac is kept wider than ab
+    ac, _ = sum_of_products(vs, [[(a, c, 1)], [(big, big, 1)]])
+    # naive_mul builds its result from Fraction terms, not from a packed form
+    tab, tac = naive_mul(a, b).terms, naive_mul(a, c).terms
+    if n:
+        assert ac._packed[0] > ab._packed[0]
+    one = (0,) * n
+    routes = [
+        (a, ta),
+        (MultiPoly.const(vs, Fraction(-3, 4)), {one: Fraction(-3, 4)}),
+        (MultiPoly.const(vs, 0), {}),
+        (MultiPoly.zero(vs), {}),
+        (MultiPoly.monomial(vs, (2,) * n, Fraction(5, 6)), {(2,) * n: Fraction(5, 6)}),
+        (ab, tab),
+        (ac, tac),
+        (a ** 2, naive_mul(a, a).terms),
+        (ab + ac, terms_add((1, tab), (1, tac))),
+        (ac - ab, terms_add((1, tac), (-1, tab))),
+        (ab - ab, {}),
+        (ac + a * Fraction(1, 7), terms_add((1, tac), (Fraction(1, 7), ta))),
+        (a + 1, terms_add((1, ta), (1, {one: 1}))),
+        (-ac, terms_add((-1, tac))),
+        (-a, terms_add((-1, ta))),
+        (ac * Fraction(-6, 35), terms_add((Fraction(-6, 35), tac))),
+        (a / 3, terms_add((Fraction(1, 3), ta))),
+        (UPoly(vs, [a, b]).eval_poly(c), terms_add((1, ta), (1, naive_mul(b, c).terms))),
+    ]
+    for i, name in enumerate(vs.names):
+        e = tuple(int(j == i) for j in range(n))
+        routes.append((MultiPoly.variable(vs, name), {e: 1}))
+    if n:
+        m = rand_weights(rng, n)
+        lin = linear_form(vs, m)
+        routes.append((horner_sum_div_linear(vs, [((1,), (), 1, ab * lin)], m), tab))
+        # cast into the variables reversed, after a new one
+        wide = VarSet(("y",) + vs.names[::-1])
+        routes.append((ac.cast(wide), {(0,) + e[::-1]: c for e, c in tac.items()}))
+        u = to_upoly(ac, vs.names[0])
+        for k, coef in enumerate(u.coeffs):
+            routes.append((coef, {e[1:]: c for e, c in tac.items() if e[0] == k}))
+        routes.append((u.to_multipoly("t"), {e[1:] + e[:1]: c for e, c in tac.items()}))
+    for p, expected in routes:
+        assert_packed_form(p, expected)
