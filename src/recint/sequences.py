@@ -8,15 +8,16 @@ coefficient sequence of the even product series built from the
 w-generating series; u_conv, u_bin and w_inv are the independent routes
 between the two families that the test suite plays against each other.
 u_bin and w_inv sum their products in multipoly's fused kernel, which the
-recurrence engine also runs on; u_conv shares no kernel with gen_u, since
-it evaluates w at integer points and interpolates each u[m] from its values
-on the lower set of exponents that the supports of w allow it.
+recurrence engine also runs on; w_inv, over Z[b, c] alone, checks on every
+call that the half-integer powers of c in its sum vanish.  u_conv shares no
+kernel with gen_u, since it evaluates w at integer points and interpolates
+each u[m] from its values on the lower set of exponents that the supports
+of w allow it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import accumulate, chain, product, repeat
 from math import lcm, prod
 from operator import add, itemgetter, mul, sub
@@ -28,6 +29,7 @@ from .multipoly import (
     _columns,
     _exponent_columns,
     _pack,
+    _sum_rows,
     denom_profile,
     sum_of_products,
 )
@@ -36,10 +38,6 @@ from .scalars import binomial, factorial
 
 RING_BC = VarSet.of("b", "c")
 RING_B = VarSet.of("b")
-#: Square-root cover of RING_BC used by w_inv: s stands in for sqrt(c).
-RING_BS = VarSet.of("b", "s")
-
-_C = MultiPoly.variable(RING_BC, "c")
 
 WSEQ_TEXT = """\
 ring b c;
@@ -423,6 +421,11 @@ def _lines(points: list[tuple], v: int) -> list[list[int]]:
     return list(lines.values())
 
 
+def _c_powers(k: int) -> list[MultiPoly]:
+    """c^0..c^k over Z[b, c]."""
+    return [MultiPoly.monomial(RING_BC, (0, j), 1) for j in range(k + 1)]
+
+
 def u_bin(n: int, w: ParamSeq) -> ParamSeq:
     """u via the single binomial sum.
 
@@ -433,9 +436,7 @@ def u_bin(n: int, w: ParamSeq) -> ParamSeq:
         raise ValueError("negative length")
     if len(w) < n + 1:
         raise ValueError(f"need w terms up to index {n}, have {len(w) - 1}")
-    ck = [MultiPoly.one(RING_BC)]
-    for _ in range(n // 2):
-        ck.append(ck[-1] * _C)
+    ck = _c_powers(n // 2)
 
     def weight(m: int, k: int) -> int:
         coef = factorial(m - 2 * k) * binomial(m - k, k) * binomial(2 * m - 2 * k, m - k)
@@ -447,80 +448,53 @@ def u_bin(n: int, w: ParamSeq) -> ParamSeq:
     return ParamSeq(RING_BC, sum_of_products(RING_BC, groups))
 
 
-def _embed_sqrt(p: MultiPoly) -> MultiPoly:
-    """Map Z[b, c] into Z[b, s] by c -> s^2."""
-    if p.vs != RING_BC:
-        raise ValueError("expected a polynomial over (b, c)")
-    return MultiPoly._new(RING_BS, {(i, 2 * j): coef for (i, j), coef in p.num.items()}, p.den)
-
-
-def split_sqrt_parity(p: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Split a Z[b, s] polynomial into its even-in-s and odd-in-s parts."""
-    even: dict[tuple[int, int], int] = {}
-    odd: dict[tuple[int, int], int] = {}
-    for (i, j), coef in p.num.items():
-        (odd if j % 2 else even)[(i, j)] = coef
-    return MultiPoly._make(RING_BS, even, p.den), MultiPoly._make(RING_BS, odd, p.den)
-
-
-def _inversion_sums(u: ParamSeq, ns: Sequence[int]) -> list[MultiPoly]:
-    """The raw inversion sum for n! * w[n] over Z[b, s], s^2 = c, for each n in ns:
+def _inversion_sums(u: ParamSeq, ns: Sequence[int]) -> list[tuple[MultiPoly, MultiPoly]]:
+    """The raw inversion sum for n! * w[n], for each n in ns,
 
         sum_{m=0}^{n} binomial(n,m)/binomial(2m,m)
           * sum_{k=0}^{m} (-1)^(n+m+k) (binomial(2m,m-k) - binomial(2m,m-k-1))
-                          * 2^(m-k) * s^(n-k) * u[k](b, s^2)
+                          * 2^(m-k) * sqrt(c)^(n-k) * u[k],
 
-    The half-integer powers of c appear as odd powers of s; they must cancel
-    identically in the total (w_inv checks that).  With s^(n-k) = s^(n-m) s^(m-k),
-    the inner sum over k does not depend on n, and all n share it:
-
-        I(m) = sum_{k=0}^{m} (-1)^k (binomial(2m,m-k) - binomial(2m,m-k-1))
-                                * 2^(m-k) * s^(m-k) * u[k](b, s^2)
-        total(n) = sum_{m=0}^{n} (-1)^(n+m) binomial(n,m)/binomial(2m,m) * s^(n-m) * I(m)
+    as the pair (E, O) over Z[b, c] whose E + sqrt(c) * O it is.  Summed
+    over m first, in integers over d = lcm(binomial(2m,m) : m <= max(ns)),
+    u[k] has a weight f[k] / d: E sums f[k] / d * c^((n-k)/2) * u[k] over
+    k = n (mod 2), O sums f[k] / d * c^((n-k-1)/2) * u[k] over the other k,
+    whose f[k] a binomial-coefficient identity makes 0.  One kernel call.
     """
     top = max(ns)
-    us = [_embed_sqrt(u[k]) for k in range(top + 1)]
-    spow = [MultiPoly.monomial(RING_BS, (0, j), 1) for j in range(top + 1)]
-
-    def inner_weight(m: int, k: int) -> int:
-        return (-1) ** k * (binomial(2 * m, m - k) - binomial(2 * m, m - k - 1)) * 2 ** (m - k)
-
-    inner = sum_of_products(
-        RING_BS,
-        ([(spow[m - k], us[k], inner_weight(m, k)) for k in range(m + 1)] for m in range(top + 1)),
-    )
-
-    def outer_weight(n: int, m: int) -> Fraction:
-        return Fraction((-1) ** (n + m) * binomial(n, m), binomial(2 * m, m))
-
-    return sum_of_products(
-        RING_BS,
-        ([(spow[n - m], inner[m], outer_weight(n, m)) for m in range(n + 1)] for n in ns),
-    )
+    d = lcm(*(binomial(2 * m, m) for m in range(top + 1)))
+    # the m-th summand of f[k] is (-1)^(n+m+k) binomial(n,m) d / binomial(2m,m) * inner[m][k]
+    inner = [
+        [(binomial(2 * m, m - k) - binomial(2 * m, m - k - 1)) * 2 ** (m - k) for k in range(m + 1)]
+        for m in range(top + 1)
+    ]
+    cs = _c_powers(top // 2)
+    groups = []
+    for n in ns:
+        f = [0] * (n + 1)
+        for m in range(n + 1):
+            scale = (-1) ** m * binomial(n, m) * (d // binomial(2 * m, m))
+            f[: m + 1] = map(add, f, map(scale.__mul__, inner[m]))
+        groups += (
+            [(cs[(n - k) // 2], u[k], (-1) ** odd * f[k], d) for k in range(n - odd, -1, -2)]
+            for odd in (0, 1)
+        )
+    sums = _sum_rows(RING_BC, groups)
+    return list(zip(sums[::2], sums[1::2]))
 
 
 def w_inv(n: int, u: ParamSeq) -> ParamSeq:
-    """n! * w[n] recovered from u alone, via the inversion sum.
-
-    Raises IdentityViolationError if any odd power of s survives; otherwise
-    reduces s^2 -> c and returns the factorial-scaled w prefix.
-    """
+    """n! * w[n] recovered from u alone, as the parts E of _inversion_sums;
+    raises IdentityViolationError if a half-integer power of c survives."""
     if n < 0:
         raise ValueError("negative length")
     if len(u) < n + 1:
         raise ValueError(f"need u terms up to index {n}, have {len(u) - 1}")
-    terms = []
-    for m, raw in enumerate(_inversion_sums(u, range(n + 1))):
-        even, odd = split_sqrt_parity(raw)
+    sums = _inversion_sums(u, range(n + 1))
+    for m, (_, odd) in enumerate(sums):
         if not odd.is_zero():
-            raise IdentityViolationError(
-                f"inversion sum at n={m}: odd sqrt powers survive: {odd.text()}"
-            )
-        reduced = MultiPoly._new(
-            RING_BC, {(i, j // 2): coef for (i, j), coef in even.num.items()}, even.den
-        )
-        terms.append(reduced)
-    return ParamSeq(RING_BC, terms)
+            raise IdentityViolationError(f"inversion sum at n={m}: sqrt(c)*({odd.text()}) survives")
+    return ParamSeq(RING_BC, [even for even, _ in sums])
 
 
 # -- specializations -------------------------------------------------------------

@@ -42,7 +42,6 @@ from recint.sequences import (
     _inversion_sums,
     gen_u,
     gen_w,
-    split_sqrt_parity,
     u_bin,
     u_conv,
     w_inv,
@@ -88,15 +87,13 @@ def test_criterion_02_three_constructions_agree():
 def test_criterion_03_inversion_recovers_scaled_base_sequence():
     n = 25
     expected = [t * factorial(k) for k, t in enumerate(gen_w(n).terms)]
-    recovered = w_inv(n, gen_u(n))  # raises if any odd power of s survives
+    recovered = w_inv(n, gen_u(n))  # raises if a half-integer power of c survives
     equal = list(recovered.terms) == expected
-    odd_parts_vanish = all(
-        split_sqrt_parity(raw)[1].is_zero() for raw in _inversion_sums(gen_u(8), range(9))
-    )
+    odd_parts_vanish = all(odd.is_zero() for _, odd in _inversion_sums(gen_u(8), range(9)))
     conclude(
         "3",
         equal and odd_parts_vanish,
-        "inversion reproduces n! * w[n] for n <= 25 with odd s-powers cancelling",
+        "inversion reproduces n! * w[n] for n <= 25 with half-integer powers of c cancelling",
         "only k = n (mod 2) contributes; raw sums for n <= 8 have zero odd part",
     )
 

@@ -9,15 +9,16 @@ from conftest import apery_closed_form, conv_by_products, gen_apery, u_c0
 from recint import multipoly, sequences
 from recint.multipoly import MultiPoly, VarSet, denom_profile
 from recint.reclang import ParamSeq, parse_poly
-from recint.scalars import factorial, lcm_upto
+from recint.scalars import binomial, factorial, lcm_upto
 from recint.sequences import (
+    RING_B,
     RING_BC,
+    IdentityViolationError,
     _inversion_sums,
     gen_u,
     gen_w,
     poch_products,
     seq_records,
-    split_sqrt_parity,
     u_bin,
     u_conv,
     w_inv,
@@ -285,18 +286,8 @@ class TestTransforms:
     def test_inversion_raw_sum_has_no_odd_sqrt_powers(self):
         u = gen_u(8)
         for n in range(9):
-            raw = _inversion_sums(u, [n])[0]
-            _, odd = split_sqrt_parity(raw)
+            _, odd = _inversion_sums(u, [n])[0]
             assert odd.is_zero()
-
-    def test_sqrt_parity_split_recombines(self):
-        from recint.sequences import RING_BS
-
-        p = parse_poly("b^2*s + 3*s^2 - s^3 + 7", RING_BS)
-        even, odd = split_sqrt_parity(p)
-        assert even + odd == p
-        assert all(j % 2 == 0 for (_, j) in even.terms)
-        assert all(j % 2 == 1 for (_, j) in odd.terms)
 
     def test_odd_power_cancellation_is_structural(self):
         # the cancellation is a binomial-coefficient identity: it holds for
@@ -314,8 +305,38 @@ class TestTransforms:
         ]
         fake = type(gen_u(0))(RING_BC, fake_terms)
         for n in range(7):
-            _, odd = split_sqrt_parity(_inversion_sums(fake, [n])[0])
+            _, odd = _inversion_sums(fake, [n])[0]
             assert odd.is_zero()
+
+    def test_inversion_unpacks_no_kept_polynomial(self, monkeypatch):
+        # the inversion sum is one kernel call on the packed forms of u and
+        # of the powers of c; reading num would unpack a kept polynomial
+        u = gen_u(12)
+        num = MultiPoly.num
+
+        def guarded(self):
+            if self._num is None:
+                raise AssertionError("a kept polynomial was unpacked")
+            return num.fget(self)
+
+        monkeypatch.setattr(MultiPoly, "num", property(guarded))
+        wi = w_inv(12, u)
+        assert wi[12]._num is None
+
+    def test_surviving_odd_part_names_its_index(self, monkeypatch):
+        # binomial(5, 2) enters only the weights of n = 5, as binomial(n, m);
+        # one off there, the odd part gets u[0] * c^2 and u[2] * c weights
+        def off_by_one(n, k):
+            return binomial(n, k) + ((n, k) == (5, 2))
+
+        monkeypatch.setattr(sequences, "binomial", off_by_one)
+        with pytest.raises(IdentityViolationError, match=r"n=5\b"):
+            w_inv(6, gen_u(6))
+
+    def test_inversion_rejects_another_ring(self):
+        u = ParamSeq(RING_B, poch_products(4))
+        with pytest.raises(ValueError, match="variable-set mismatch"):
+            w_inv(4, u)
 
     def test_poisoned_input_breaks_reconstruction(self):
         # what a wrong input does break is the equality with the scaled
