@@ -182,12 +182,8 @@ def _seq_report(name: str, n: int, lhs, rhs) -> series.IdentityReport:
 
 
 def _derivation(n: int) -> series.IdentityReport:
-    f = series.base_series(max(n, 4))
-    report = series.derivation_identity_check(f, 1)
-    for k in (0, 2):
-        extra = series.derivation_identity_check(f, k)
-        if not extra.passed and report.passed:
-            report = extra
+    reports = series.derivation_identity_check(series.base_series(max(n, 4)), (1, 0, 2))
+    report = next((r for r in reports if not r.passed), reports[0])
     report.note = "k in {0, 1, 2} on the base series"
     return report
 

@@ -673,10 +673,12 @@ def _sum_rows(
     one integer gcd.  Each group accumulates packed keys over the lcm of its
     rows' reduced denominators, a row's share of it times its numerator
     folded once into its smaller operand, and is normalised once, keeping
-    its packed form.  Rows with a zero weight or operand add nothing, and an
-    empty group gives zero.
+    its packed form.  A pair of multi-term operands in several rows of the
+    call is multiplied once, each row adding its share times the product.
+    Rows with a zero weight or operand add nothing; an empty group gives zero.
     """
     operands: dict[int, MultiPoly] = {}  # id -> p
+    uses: dict[tuple[int, int], int] = {}  # unordered pair of multi-term operands -> rows
     width = 0
     all_rows = []
     for group in groups:
@@ -690,23 +692,33 @@ def _sum_rows(
                     if p.vs != vs:
                         raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
                     operands[id(p)] = p
+            pair = None
+            if len(a._packed[2]) > 1 < len(b._packed[2]):
+                pair = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
+                uses[pair] = uses.get(pair, 0) + 1
             deg = max(deg, a._packed[1] + b._packed[1])
             d *= a.den * b.den
             g = gcd(f, d)
-            rows.append((a, b, f // g, d // g))
+            rows.append((a, b, f // g, d // g, pair))
         all_rows.append((rows, deg))
         width = max(width, deg.bit_length())
     packed = {key: _pairs(p, width) for key, p in operands.items()}
+    shared: dict[tuple[int, int], dict[int, int]] = {}  # pair in several rows -> product
+    for pair, r in uses.items():
+        if r > 1:
+            _pair_sums(shared.setdefault(pair, {}), packed[pair[0]], packed[pair[1]])
     out = []
     for rows, deg in all_rows:
-        den = lcm(*(d for _, _, _, d in rows))
+        den = lcm(*(row[3] for row in rows))
         acc: dict[int, int] = {}
-        for a, b, f, d in rows:
+        for a, b, f, d, pair in rows:
             left, right = packed[id(a)], packed[id(b)]
             if len(left) > len(right):
                 left, right = right, left
             f *= den // d
-            if f != 1:
+            if pair in shared:
+                left, right = [(0, f)], shared[pair].items()
+            elif f != 1:
                 left = [(k, c * f) for k, c in left]
             _pair_sums(acc, left, right)
         out.append(_from_packed(vs, acc, width, den, deg))

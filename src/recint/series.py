@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .multipoly import MultiPoly, UPoly, VarSet, _primitive, _sum_rows, sum_of_products
 from .scalars import binomial, factorial
@@ -132,20 +132,23 @@ class TruncSeries:
         return f"TruncSeries[{' + '.join(parts) or '0'} + O(t^{self.order + 1})]"
 
 
-def _dot(
-    vs: VarSet, order: int, pairs: Sequence[tuple["TruncSeries", "TruncSeries", Fraction | int]]
-) -> list[MultiPoly]:
-    """Coefficients of sum(s * x * y for x, y, s in pairs) through the order,
-    for series x, y and rational weights s: the one series product.
+def _dot(vs: VarSet, order: int, pairs: Sequence[tuple]) -> list[MultiPoly]:
+    """Coefficients of sum(s * x * y for x, y, s in pairs): the one series product."""
+    return _sum_rows(vs, (groups[0] for groups in _dot_groups(order, [pairs])))
+
+
+def _dot_groups(order: int, sums: Sequence[Sequence[tuple]]) -> Iterator[list[list[tuple]]]:
+    """The weight stage of _dot: per degree through the order, one _sum_rows
+    group for each sum in sums, a list of (x, y, s) pairs as _dot takes.
 
     Each distinct coefficient is split once by _primitive, on its kept
     packed form, into an integer factor over its den times a primitive part;
     parts with equal signatures are compared exactly, by ==.  In each
-    degree, the rows x[i] * y[d - i] whose parts form the same unordered
-    pair become one row whose weight, an unreduced integer pair (n, d), is
-    the sum of theirs; rows whose weight cancels to zero are dropped, and
-    the rest are one _sum_rows group.  So mirror pairs (a square, g * g(-t))
-    and theta-scaled copies of a coefficient are multiplied once per degree.
+    degree, the rows x[i] * y[d - i] of a sum whose parts form the same
+    unordered pair become one row whose weight, an unreduced integer pair
+    (n, d), is the sum of theirs; rows whose weight cancels to zero are
+    dropped.  So mirror pairs (a square, g * g(-t)) and theta-scaled copies
+    of a coefficient make one row per degree, on parts the sums share.
     """
     parts: dict[int, tuple[int, int, int]] = {}  # id -> (factor, den, class)
     classes: dict[tuple, list[int]] = {}  # signature -> classes
@@ -166,24 +169,27 @@ def _dot(
         parts[id(p)] = (g, p.den, cls)
         return parts[id(p)]
 
-    weights: list[dict[tuple[int, int], tuple[int, int]]] = [{} for _ in range(order + 1)]
-    for x, y, s in pairs:
-        ys = [(j, *split(c)) for j, c in enumerate(y.coeffs) if not c.is_zero()]
-        for i, c in enumerate(x.coeffs):
-            if c.is_zero():
-                continue
-            fx, dx, cx = split(c)
-            fx, dx = fx * s.numerator, dx * s.denominator
-            for j, fy, dy, cy in ys:
-                if i + j > order:
-                    break
-                w = weights[i + j]
-                key = (cx, cy) if cx <= cy else (cy, cx)
-                n, d = fx * fy, dx * dy
-                n0, d0 = w.get(key, (0, d))
-                w[key] = (n0 + n, d) if d0 == d else (n0 * d + n * d0, d0 * d)
-    groups = ([(prims[a], prims[b], n, d) for (a, b), (n, d) in w.items() if n] for w in weights)
-    return _sum_rows(vs, groups)
+    weights = [[{} for _ in sums] for _ in range(order + 1)]
+    for m, pairs in enumerate(sums):
+        for x, y, s in pairs:
+            ys = [(j, *split(c)) for j, c in enumerate(y.coeffs) if not c.is_zero()]
+            for i, c in enumerate(x.coeffs):
+                if c.is_zero():
+                    continue
+                fx, dx, cx = split(c)
+                fx, dx = fx * s.numerator, dx * s.denominator
+                for j, fy, dy, cy in ys:
+                    if i + j > order:
+                        break
+                    w = weights[i + j][m]
+                    key = (cx, cy) if cx <= cy else (cy, cx)
+                    n, d = fx * fy, dx * dy
+                    n0, d0 = w.get(key, (0, d))
+                    w[key] = (n0 + n, d) if d0 == d else (n0 * d + n * d0, d0 * d)
+    return (
+        [[(prims[a], prims[b], n, d) for (a, b), (n, d) in w.items() if n] for w in ws]
+        for ws in weights
+    )
 
 
 def inv_sqrt(a: TruncSeries) -> TruncSeries:
@@ -437,28 +443,34 @@ def verify_clausen(order: int) -> IdentityReport:
     return _report("clausen", order, f * f, _clausen_rhs(order, pochs))
 
 
-def derivation_identity_check(f: TruncSeries, k: int) -> IdentityReport:
-    """Telescoping identity for the derivation theta = t d/dt:
+def derivation_identity_check(f: TruncSeries, ks: Sequence[int]) -> list[IdentityReport]:
+    """Telescoping identity for the derivation theta = t d/dt, one report per k in ks:
 
     f * theta^(2k+1)(f) = (1/2) theta( sum_{j=0}^{2k} (-1)^j theta^j(f) theta^(2k-j)(f) )
 
     theta is degree-preserving, so both sides are exact at the full order.
-    The sum on the right is one _dot over its 2k+1 pairs.  The identity holds
-    for any commutative bilinear Cauchy product, so fusing the sum relies on
-    nothing that 2k+1 separate products and 2k additions did not; the factor
-    d/2 in degree d is applied afterwards by theta and scale, so the two
-    sides still reach the kernel with different weights.
+    As theta^j(f)[i] = i^j f[i], in each degree both sides of every k are rows
+    on the same primitive parts, so one _sum_rows call multiplies each pair
+    once and the sides differ only in weights.  Both trusted that kernel on
+    those parts before, so no route is shared anew.  Right side: d/2 * sum[d].
     """
-    if k < 0:
+    if any(k < 0 for k in ks):
         raise ValueError("negative order")
     powers = [f]
-    for _ in range(2 * k + 1):
+    for _ in range(2 * max(ks, default=0) + 1):
         powers.append(powers[-1].theta())
-    lhs = f * powers[2 * k + 1]
-    pairs = [(powers[j], powers[2 * k - j], -1 if j % 2 else 1) for j in range(2 * k + 1)]
-    acc = TruncSeries._of(f.vs, f.order, _dot(f.vs, f.order, pairs))
-    rhs = acc.theta().scale(Fraction(1, 2))
-    return _report("derivation", f.order, lhs, rhs, note=f"k={k}")
+    sums = []
+    for k in ks:
+        sums.append([(f, powers[2 * k + 1], 1)])
+        sums.append([(powers[j], powers[2 * k - j], -1 if j % 2 else 1) for j in range(2 * k + 1)])
+    mismatches = [None] * len(ks)
+    for d, groups in enumerate(_dot_groups(f.order, sums)):
+        sides = _sum_rows(f.vs, groups)
+        for i, m in enumerate(mismatches):
+            lhs, rhs = sides[2 * i], sides[2 * i + 1] * Fraction(d, 2)
+            if m is None and lhs != rhs:
+                mismatches[i] = (d, lhs.text(), rhs.text())
+    return [IdentityReport("derivation", f.order, m is None, m, f"k={k}") for k, m in zip(ks, mismatches)]
 
 
 def verify_ode_g(order: int) -> IdentityReport:

@@ -2,12 +2,13 @@
 
 Exposes the repo paths, an in-process CLI runner, a linear-form builder,
 the odd monomial atoms t^(2j+1), the term-pair convolution reference, the
-per-degree series-product reference, the term-by-term right sides of the
-id3, r2 and Clausen identities, the closed form of u at c = 0, Apery's
-sequence with its closed form, the closed form of the all-t brackets, and
-the acceptance-line collector: acceptance tests append one PASS/FAIL line
-per criterion and the terminal-summary hook prints them as a block at the
-end of the run.
+per-degree series-product reference, a perturbation of the derivation
+check's kernel calls with a product reference for its left side, the
+term-by-term right sides of the id3, r2 and Clausen identities, the closed
+form of u at c = 0, Apery's sequence with its closed form, the closed form
+of the all-t brackets, and the acceptance-line collector: acceptance tests
+append one PASS/FAIL line per criterion and the terminal-summary hook
+prints them as a block at the end of the run.
 """
 
 from __future__ import annotations
@@ -100,6 +101,34 @@ def dot_by_products(vs, order: int, pairs):
             for j in range(order + 1 - i):
                 out[i + j] = out[i + j] + a * y.coeffs[j] * s
     return out
+
+
+def perturb_derivation(monkeypatch, degree: int, group: int):
+    """Rebind series._sum_rows so that in its call for `degree` of a
+    derivation check, one call per degree from 0, result `group` gains 1.
+    With ks = (1, 0, 2) the groups are the left and right side of k = 1,
+    then of k = 0, then of k = 2."""
+    from recint import series
+
+    calls = [0]
+    sum_rows = series._sum_rows
+
+    def perturbed(vs, groups):
+        out = sum_rows(vs, groups)
+        if calls[0] == degree:
+            out[group] = out[group] + 1
+        calls[0] += 1
+        return out
+
+    monkeypatch.setattr(series, "_sum_rows", perturbed)
+
+
+def derivation_lhs_by_products(f, k: int, degree: int):
+    """Coefficient `degree` of f * theta^(2k+1)(f), one product per pair."""
+    g = f
+    for _ in range(2 * k + 1):
+        g = g.theta()
+    return dot_by_products(f.vs, f.order, [(f, g, 1)])[degree]
 
 
 def id3_rhs_by_terms(order: int, w):

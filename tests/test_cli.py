@@ -10,7 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DATA_DIR, REPO_ROOT, SPECS_DIR, digits_value, run_cli
+from conftest import (
+    DATA_DIR,
+    REPO_ROOT,
+    SPECS_DIR,
+    derivation_lhs_by_products,
+    digits_value,
+    perturb_derivation,
+    run_cli,
+)
 from recint import cli, series
 from recint.multipoly import MAX_COEF_BITS, MAX_DEGREE, MAX_ORDER, _decimal
 from recint.scalars import factorial
@@ -120,6 +128,19 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["passed"] is False
         assert doc["first_mismatch"] == {"degree": 4, "lhs": "b^2", "rhs": "2*c"}
+
+    def test_derivation_mismatch_exits_1(self, monkeypatch):
+        # the k = 2 right side gains 1 in degree 7: k = 1 and k = 0 pass, so
+        # the k = 2 mismatch is the one printed
+        lhs = derivation_lhs_by_products(series.base_series(20), 2, 7)
+        rhs = lhs + Fraction(7, 2)
+        perturb_derivation(monkeypatch, degree=7, group=5)
+        code, out, err = run_cli("verify", "derivation", "--order", "20")
+        assert (code, err) == (1, "")
+        assert out == (
+            "derivation: FAIL (order 20) [k in {0, 1, 2} on the base series]\n"
+            f"  first mismatch at degree 7:\n    lhs = {lhs.text()}\n    rhs = {rhs.text()}\n"
+        )
 
     @pytest.mark.parametrize("flags", [("--order", "40", "--n", "5"), ("--n", "5", "--order", "5")])
     def test_n_and_order_together_is_usage_error(self, flags):

@@ -12,7 +12,10 @@ per-term join, or, for eval(), a Fraction power and product per term; the
 kernels must give equal polynomials (or equal strings or numbers), and equal
 remainders when a division is inexact.  sum_of_products and the
 integer-row core it converts its rows into must keep the same den and
-packed keys and numerators.
+packed keys and numerators.  The core multiplies a pair of multi-term
+operands that recurs across the rows of a call once; seeded calls check
+its sums against naive products and its term-pair steps against the count
+that sharing gives.
 
 Every polynomial carries its packed form from construction, and kernel
 calls read it, repacked when their field width differs.  The chained tests
@@ -837,6 +840,123 @@ def test_integer_rows_match_sum_of_products(seed):
             assert q.is_zero() and p._packed == q._packed == (0, 0, (), ())
         else:
             assert kept_dict(p) == kept_dict(q)
+
+
+def multi_term_poly(rng: random.Random, vs: VarSet) -> MultiPoly:
+    """A seeded polynomial of at least two terms over vs, divided by 2, 6 or
+    35, so that its den is seldom 1."""
+    while True:
+        p = rand_poly(rng, vs) * Fraction(1, rng.choice((2, 6, 35)))
+        if len(p.terms) > 1:
+            return p
+
+
+def counted_pair_sums(monkeypatch) -> list[int]:
+    """Wrap multipoly._pair_sums; the one-item list counts its term-pair steps."""
+    steps = [0]
+    pair_sums = multipoly._pair_sums
+
+    def counting(acc, left, right):
+        left = list(left)
+        steps[0] += len(left) * len(right)
+        pair_sums(acc, left, right)
+
+    monkeypatch.setattr(multipoly, "_pair_sums", counting)
+    return steps
+
+
+def shared_pair_groups(rng: random.Random, vs: VarSet) -> list[list]:
+    """_sum_rows groups that repeat pairs of multi-term operands: (a, b) twice
+    in one group and in two more, once as (b, a); the square c * c in two
+    groups; (c, a) once; and the one-term operands m, n in several rows.
+    Weights are unreduced integer pairs, some of them zero."""
+    a, b, c = (multi_term_poly(rng, vs) for _ in range(3))
+    m = MultiPoly.variable(vs, "x0") * Fraction(rng.randint(1, 9), 4)
+    n = MultiPoly.const(vs, Fraction(-5, 3))
+
+    def w() -> tuple[int, int]:
+        k = rng.randint(1, 4)  # the kernel must reduce f / d itself
+        return rng.choice((0, 1, -1, 3, -12)) * k, rng.choice((1, 2, 9)) * k
+
+    return [
+        [(a, b, *w()), (a, b, *w()), (c, c, *w()), (m, a, *w())],
+        [(b, a, *w()), (c, a, *w()), (m, a, *w()), (n, c, *w())],
+        [(a, b, *w()), (c, c, *w()), (a, m, *w()), (m, n, *w())],
+        [],
+    ]
+
+
+def product_support(a: MultiPoly, b: MultiPoly) -> int:
+    """|a * b| before cancellation: the distinct sums of an exponent of a
+    and one of b."""
+    return len({tuple(map(sum, zip(e1, e2))) for e1 in a.terms for e2 in b.terms})
+
+
+def shared_pair_steps(groups: list[list]) -> int:
+    """The term-pair steps of _sum_rows on groups: a pair of multi-term
+    operands in r > 1 rows of nonzero weight costs |a| * |b| + r * |a * b|,
+    with |a * b| its product_support, and any other row |a| * |b|."""
+    rows: dict[tuple[int, int], list] = {}
+    for a, b, f, _ in itertools.chain(*groups):
+        if f:
+            rows.setdefault(tuple(sorted((id(a), id(b)))), []).append((a, b))
+    steps = 0
+    for pair in rows.values():
+        (a, b), r = pair[0], len(pair)
+        size = len(a.terms) * len(b.terms)
+        if r > 1 and min(len(a.terms), len(b.terms)) > 1:
+            steps += size + r * product_support(a, b)
+        else:
+            steps += r * size
+    return steps
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_shared_pairs_match_the_row_reference(seed, monkeypatch):
+    # a pair of multi-term operands in several rows of a call is multiplied
+    # once; each group must still be its rows summed one naive product at a time
+    rng = random.Random(seed)
+    vs = VarSet(tuple(f"x{i}" for i in range(1 + seed % 3)))
+    groups = shared_pair_groups(rng, vs)
+    steps = counted_pair_sums(monkeypatch)
+    results = _sum_rows(vs, groups)
+    monkeypatch.undo()
+    assert steps[0] == shared_pair_steps(groups)
+    assert len(results) == len(groups)
+    for got, rows in zip(results, groups):
+        expected = sum(
+            (naive_mul(a, b) * Fraction(f, d) for a, b, f, d in rows), MultiPoly.zero(vs)
+        )
+        assert_twin(got, expected)
+
+
+def test_a_shared_pair_costs_one_product_and_one_pass_per_row(monkeypatch):
+    # (a, b) in three rows of three groups, once as (b, a): one product of
+    # |a| * |b| steps, then |a * b| steps per row
+    vs = VarSet.of("x", "y")
+    x, y = MultiPoly.variable(vs, "x"), MultiPoly.variable(vs, "y")
+    a, b = x + y * Fraction(1, 2), x - y + 3
+    steps = counted_pair_sums(monkeypatch)
+    first, second, third = _sum_rows(vs, [[(a, b, 2, 1)], [(b, a, -1, 3)], [(a, b, 6, 4), (a, x, 1, 1)]])
+    monkeypatch.undo()
+    ab = naive_mul(a, b)
+    assert len(ab.terms) == product_support(a, b) == 5  # x^2 - 1/2*x*y - 1/2*y^2 + 3*x + 3/2*y
+    assert steps[0] == 2 * 3 + 3 * 5 + 2 * 1
+    assert (first, second, third) == (ab * 2, ab * Fraction(-1, 3), ab * Fraction(3, 2) + naive_mul(a, x))
+
+
+def test_one_term_operands_keep_the_direct_path(monkeypatch):
+    # (c, p) rows, as OdeOperator.apply and w_inv make them, are not shared:
+    # each costs |c| * |p| steps
+    vs = VarSet.of("x", "y")
+    c = MultiPoly.variable(vs, "y") * 3
+    p = MultiPoly.variable(vs, "x") + Fraction(1, 5)
+    steps = counted_pair_sums(monkeypatch)
+    results = _sum_rows(vs, [[(c, p, 1, 1)], [(c, p, 2, 1)], [(p, c, 1, 2), (c, c, 1, 1)], [(c, c, 3, 1)]])
+    monkeypatch.undo()
+    assert steps[0] == 3 * 2 + 2 * 1
+    cp, cc = naive_mul(c, p), naive_mul(c, c)
+    assert results == [cp, cp * 2, cp * Fraction(1, 2) + cc, cc * 3]
 
 
 def test_bracket_entries_are_in_lowest_terms_before_any_read():

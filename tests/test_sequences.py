@@ -8,7 +8,7 @@ import pytest
 from conftest import apery_closed_form, conv_by_products, gen_apery, u_c0
 from recint import multipoly, sequences
 from recint.multipoly import MultiPoly, VarSet, denom_profile
-from recint.reclang import ParamSeq, parse_poly
+from recint.reclang import ParamSeq, parse_poly, parse_spec
 from recint.scalars import binomial, factorial, lcm_upto
 from recint.sequences import (
     RING_B,
@@ -86,6 +86,28 @@ class TestGenW:
         w = gen_w(10)
         for n in range(11):
             assert w[n].terms.get((n, 0)) == Fraction(1, factorial(n))
+
+    def test_scaled_recurrence_gives_finding_1_for_every_n(self):
+        # n*w[n] = q1(n)*w[n-1] + q3(n)*w[n-3], times (n-1)!, is
+        # W[n] = q1(n)*W[n-1] + (n-1)*(n-2)*q3(n)*W[n-3] for W[n] = n!*w[n].
+        # Its coefficients lie in Z[b, c][n], so W[n] is in Z[b, c] for every
+        # n by induction from W[0] = 1.  Only q1 has b, as b plus terms
+        # without b, so the b^n coefficient of W[n] is 1: that of w[n] is 1/n!.
+        spec = parse_spec(sequences.WSEQ_TEXT)
+        assert (spec.lead_power, spec.order) == (1, 3)
+        n = MultiPoly.variable(spec.q[0].vs, "n")
+        scaled = [spec.q[0], spec.q[1] * (n - 1), spec.q[2] * (n - 1) * (n - 2)]
+        assert all(denom_profile(q).lcm_denominator == 1 for q in scaled)
+        assert spec.q[0].vs.names == ("b", "c", "n")
+        assert {e: v for e, v in scaled[0].terms.items() if e[0]} == {(1, 0, 0): 1}
+        assert scaled[1].is_zero() and all(e[0] == 0 for e in scaled[2].terms)
+        w = gen_w(12)
+        big_w = [w[k] * factorial(k) for k in range(13)]
+        assert big_w[0] == 1
+        for k in range(1, 13):
+            q1, q3 = (scaled[i].subst_value("n", k).cast(RING_BC) for i in (0, 2))
+            lag3 = q3 * big_w[k - 3] if k >= 3 else 0
+            assert big_w[k] == q1 * big_w[k - 1] + lag3
 
     def test_weighted_degree_is_index(self):
         # wt(b) = 1, wt(c) = 2: the maximum weighted degree equals n

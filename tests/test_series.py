@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clausen_rhs_by_terms, dot_by_products, id3_rhs_by_terms, r2_rhs_by_terms
+from conftest import (
+    clausen_rhs_by_terms,
+    derivation_lhs_by_products,
+    dot_by_products,
+    id3_rhs_by_terms,
+    perturb_derivation,
+    r2_rhs_by_terms,
+)
 from recint import sequences, series
 from recint.multipoly import MultiPoly, UPoly, VarSet, _pack
 from recint.scalars import binomial
@@ -408,16 +415,17 @@ class TestIdentityBattery:
     @settings(max_examples=40, deadline=None)
     def test_derivation_identity_holds_for_all_series(self, f, k):
         # the telescoping identity is exact for arbitrary series, any k
-        assert derivation_identity_check(f, k).passed
+        [report] = derivation_identity_check(f, [k])
+        assert report.passed
 
     def test_derivation_on_base_series(self):
         f = base_series(10)
-        for k in range(3):
-            assert derivation_identity_check(f, k).passed
+        for report in derivation_identity_check(f, range(3)):
+            assert report.passed
 
     def test_derivation_rejects_negative_k(self):
         with pytest.raises(ValueError):
-            derivation_identity_check(base_series(4), -1)
+            derivation_identity_check(base_series(4), [-1])
 
     def test_identities_trivial_at_origin(self):
         # at b = c = 0 every positive-index term vanishes, collapsing the
@@ -593,10 +601,32 @@ class TestSeriesProductsOnPackedForm:
         monkeypatch.setattr(MultiPoly, "num", property(guarded))
         assert verify_hg_c0(20).passed
         assert verify_clausen(12).passed
-        for k in range(3):
-            assert derivation_identity_check(f12, k).passed
+        for report in derivation_identity_check(f12, range(3)):
+            assert report.passed
         prod = f8 * f8.reflect()
         assert prod.coeffs[1].is_zero() and prod.coeffs[2]._num is None
+
+
+class TestDerivationFailurePath:
+    """The identity holds for every series, so the failure path is reached
+    by perturbing one group of the check's kernel call in one degree."""
+
+    def test_perturbed_right_side_of_k2_fails_at_its_degree(self, monkeypatch):
+        f = base_series(20)
+        perturb_derivation(monkeypatch, degree=7, group=5)
+        reports = derivation_identity_check(f, (1, 0, 2))
+        assert [(r.passed, r.note) for r in reports] == [(True, "k=1"), (True, "k=0"), (False, "k=2")]
+        lhs = derivation_lhs_by_products(f, 2, 7)
+        assert reports[2].first_mismatch == (7, lhs.text(), (lhs + Fraction(7, 2)).text())
+        assert reports[0].first_mismatch is reports[1].first_mismatch is None
+
+    def test_perturbed_left_side_of_k1_fails_the_k1_report(self, monkeypatch):
+        f = base_series(12)
+        perturb_derivation(monkeypatch, degree=3, group=0)
+        reports = derivation_identity_check(f, (1, 0, 2))
+        assert [r.passed for r in reports] == [False, True, True]
+        lhs = derivation_lhs_by_products(f, 1, 3)
+        assert reports[0].first_mismatch == (3, (lhs + 1).text(), lhs.text())
 
 
 class TestFusedRightSides:
