@@ -19,9 +19,8 @@ recurrence with x fixed, in Fractions, and builds no table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .multipoly import (
     InexactDivisionError,
@@ -185,26 +184,33 @@ def _simplex_level(d: int, level: int) -> list[tuple[int, ...]]:
 # -- certification ------------------------------------------------------------------
 
 
-@dataclass
 class BracketCertification:
     """Outcome of sweeping a bracket table up to a level bound."""
 
-    tuple_text: str
-    odd_tuple: bool
-    bound: int
-    entry_count: int
-    level_max_defect: list[int]
-    slope: float
-    all_pow2: bool
-    even_degree_ok: bool
-    inexact_at: list[int] | None
-    inexact_remainder: str | None
-    violations: list[dict]
-    certified: bool
+    __slots__ = (
+        "tuple_text", "odd_tuple", "bound", "entry_count", "level_max_defect", "slope",
+        "all_pow2", "even_degree_ok", "inexact_at", "inexact_remainder", "violations", "certified",
+    )
+
+    def __init__(
+        self, tuple_text, odd_tuple, bound, entry_count, level_max_defect, slope, all_pow2,
+        even_degree_ok, inexact_at, inexact_remainder, violations, certified,
+    ):
+        self.tuple_text: str = tuple_text
+        self.odd_tuple: bool = odd_tuple
+        self.bound: int = bound
+        self.entry_count: int = entry_count
+        self.level_max_defect: list[int] = level_max_defect
+        self.slope: float = slope
+        self.all_pow2: bool = all_pow2
+        self.even_degree_ok: bool = even_degree_ok
+        self.inexact_at: list[int] | None = inexact_at
+        self.inexact_remainder: str | None = inexact_remainder
+        self.violations: list[dict] = violations
+        self.certified: bool = certified
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return {"tuple": d.pop("tuple_text"), **d}
+        return {("tuple" if f == "tuple_text" else f): getattr(self, f) for f in self.__slots__}
 
 
 def certify_table(q: QTuple, bound: int, table: BracketTable | None = None) -> BracketCertification:
@@ -286,21 +292,25 @@ def _fit_slope(level_max: list[int]) -> float:
 # -- odd-form expansion ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Atom:
     """One monomial a * t^(2j+1) of an odd-form recurrence polynomial p_i."""
 
-    weight: int  # i: how far back the recurrence term reaches
-    halfdeg: int  # j: the monomial is t^(2j+1)
-    coeff: MultiPoly  # a: coefficient in the recurrence's parameter ring
+    __slots__ = ("weight", "halfdeg", "coeff")
+
+    def __init__(self, weight, halfdeg, coeff):
+        self.weight: int = weight  # i: how far back the recurrence term reaches
+        self.halfdeg: int = halfdeg  # j: the monomial is t^(2j+1)
+        self.coeff: MultiPoly = coeff  # a: coefficient in the recurrence's parameter ring
 
 
-@dataclass
 class OddFormExpansion:
     """All atoms of an odd-form recurrence, in canonical (weight, halfdeg) order."""
 
-    ring: VarSet
-    atoms: tuple[Atom, ...]
+    __slots__ = ("ring", "atoms")
+
+    def __init__(self, ring, atoms):
+        self.ring: VarSet = ring
+        self.atoms: tuple[Atom, ...] = atoms
 
 
 def decompose_odd(p: UPoly) -> list[tuple[int, MultiPoly]]:
@@ -348,13 +358,15 @@ def _multisets(atoms: Sequence[Atom], n: int) -> list[list[tuple[Atom, int]]]:
     return out
 
 
-@dataclass
 class ExpansionTerm:
     """One multiset's contribution to the expansion of u[n]."""
 
-    multiset: list[tuple[int, int, int]]  # (weight, halfdeg, multiplicity)
-    bracket_value: Fraction
-    contribution: MultiPoly
+    __slots__ = ("multiset", "bracket_value", "contribution")
+
+    def __init__(self, multiset, bracket_value, contribution):
+        self.multiset: list[tuple[int, int, int]] = multiset  # (weight, halfdeg, multiplicity)
+        self.bracket_value: Fraction = bracket_value
+        self.contribution: MultiPoly = contribution
 
 
 def _point_bracket(values: dict, atoms: tuple, m: tuple[int, ...]) -> Fraction:

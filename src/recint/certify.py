@@ -15,32 +15,40 @@ underlying theorem, not a bug in the input.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import lcm
 
 from .multipoly import _decimal, denom_profile, json_text
 from .reclang import RecurrenceSpec, run_spec, spec_hash, to_odd_form
 
 
-@dataclass
 class IntegralityReport:
-    spec_hash: str
-    seq_name: str
-    ring_vars: tuple[str, ...]
-    n_checked: int
-    pipeline: str  # "odd-form" or "plain"
-    theorem2_applicable: bool
-    offenders: list[dict]
-    reason: str
-    in_ring: bool
-    in_ring_half: bool
-    dn_scaled_integral: bool
-    v2_defects: list[int]
-    per_term: list[dict]
-    critical: bool
+    __slots__ = (
+        "spec_hash", "seq_name", "ring_vars", "n_checked", "pipeline", "theorem2_applicable",
+        "offenders", "reason", "in_ring", "in_ring_half", "dn_scaled_integral", "v2_defects",
+        "per_term", "critical",
+    )
+
+    def __init__(
+        self, spec_hash, seq_name, ring_vars, n_checked, pipeline, theorem2_applicable, offenders,
+        reason, in_ring, in_ring_half, dn_scaled_integral, v2_defects, per_term, critical,
+    ):
+        self.spec_hash: str = spec_hash
+        self.seq_name: str = seq_name
+        self.ring_vars: tuple[str, ...] = ring_vars
+        self.n_checked: int = n_checked
+        self.pipeline: str = pipeline  # "odd-form" or "plain"
+        self.theorem2_applicable: bool = theorem2_applicable
+        self.offenders: list[dict] = offenders
+        self.reason: str = reason
+        self.in_ring: bool = in_ring
+        self.in_ring_half: bool = in_ring_half
+        self.dn_scaled_integral: bool = dn_scaled_integral
+        self.v2_defects: list[int] = v2_defects
+        self.per_term: list[dict] = per_term
+        self.critical: bool = critical
 
     def to_json(self) -> str:
-        return json_text(asdict(self))  # field order is the key order
+        return json_text({f: getattr(self, f) for f in self.__slots__})  # key order: __slots__
 
     def table_lines(self) -> list[str]:
         flags = (

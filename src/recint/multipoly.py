@@ -28,12 +28,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 #: Deepest nesting of parentheses and chained unary signs a polynomial or
 #: spec expression may use; deeper input is a parse error, not a crash.
@@ -70,7 +69,6 @@ class InexactDivisionError(ArithmeticError):
         self.remainder = remainder
 
 
-@dataclass(frozen=True)
 class VarSet:
     """Ordered, immutable tuple of variable names.
 
@@ -79,14 +77,21 @@ class VarSet:
     their VarSets compare equal.
     """
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names: {self.names}")
-        for name in self.names:
+    def __init__(self, names):
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names: {names}")
+        for name in names:
             if not name.isidentifier():
                 raise ValueError(f"invalid variable name: {name!r}")
+        self.names: tuple[str, ...] = names
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is VarSet and self.names == other.names)
+
+    def __hash__(self) -> int:
+        return hash(self.names)
 
     @classmethod
     def of(cls, *names: str) -> "VarSet":
@@ -865,7 +870,6 @@ def to_upoly(p: MultiPoly, var: str) -> UPoly:
 # -- denominator profile and exact division ------------------------------------
 
 
-@dataclass(frozen=True)
 class DenomProfile:
     """Summary of a polynomial's coefficient denominators.
 
@@ -874,9 +878,16 @@ class DenomProfile:
     largest 2-adic defect, the exponent of 2 in a coefficient's denominator.
     """
 
-    lcm_denominator: int
-    two_adic_only: bool
-    max_neg_v2: int
+    __slots__ = ("lcm_denominator", "two_adic_only", "max_neg_v2")
+
+    def __init__(self, lcm_denominator, two_adic_only, max_neg_v2):
+        self.lcm_denominator: int = lcm_denominator
+        self.two_adic_only: bool = two_adic_only
+        self.max_neg_v2: int = max_neg_v2
+
+    def __eq__(self, other) -> bool:
+        same = (getattr(self, f) == getattr(other, f) for f in DenomProfile.__slots__)
+        return type(other) is DenomProfile and all(same)
 
 
 def denom_profile(p: MultiPoly) -> DenomProfile:

@@ -32,9 +32,7 @@ printed text's hash identifies the recurrence.
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .multipoly import (
@@ -59,12 +57,14 @@ class SpecSyntaxError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "int", "name", "op", "end"
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind, value, line, col):
+        self.kind: str = kind  # "int", "name", "op", "end"
+        self.value: str = value
+        self.line: int = line
+        self.col: int = col
 
 
 # ASCII digits and names only: str.isdigit() also admits "²" and "٣".  A
@@ -92,7 +92,6 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass
 class RecurrenceSpec:
     """A parsed recurrence: n^lead_power * seq[n] = sum q_i(n) * seq[n-i].
 
@@ -100,10 +99,17 @@ class RecurrenceSpec:
     variables plus the reserved indeterminate n (zero entries mark gaps).
     """
 
-    ring_vars: tuple[str, ...]
-    seq_name: str
-    lead_power: int
-    q: tuple[MultiPoly, ...]
+    __slots__ = ("ring_vars", "seq_name", "lead_power", "q")
+
+    def __init__(self, ring_vars, seq_name, lead_power, q):
+        self.ring_vars: tuple[str, ...] = ring_vars
+        self.seq_name: str = seq_name
+        self.lead_power: int = lead_power
+        self.q: tuple[MultiPoly, ...] = q
+
+    def __eq__(self, other) -> bool:
+        same = (getattr(self, f) == getattr(other, f) for f in RecurrenceSpec.__slots__)
+        return type(other) is RecurrenceSpec and all(same)
 
     @property
     def order(self) -> int:
@@ -430,13 +436,13 @@ def pretty_print(spec: RecurrenceSpec) -> str:
 
 
 def spec_hash(spec: RecurrenceSpec) -> str:
+    import hashlib  # on first use: importing it costs every process milliseconds
     return hashlib.sha256(pretty_print(spec).encode()).hexdigest()
 
 
 # -- odd form ----------------------------------------------------------------------------
 
 
-@dataclass
 class OddFormReport:
     """Outcome of the half-shift reindexing p_i(t) = q_i(t + i/2).
 
@@ -445,10 +451,13 @@ class OddFormReport:
     of n the analysis does not apply at all and reason says so.
     """
 
-    applicable: bool
-    p: tuple[UPoly, ...] | None
-    offenders: tuple[tuple[int, UPoly], ...]
-    reason: str = ""
+    __slots__ = ("applicable", "p", "offenders", "reason")
+
+    def __init__(self, applicable, p, offenders, reason=""):
+        self.applicable: bool = applicable
+        self.p: tuple[UPoly, ...] | None = p
+        self.offenders: tuple[tuple[int, UPoly], ...] = offenders
+        self.reason: str = reason
 
 
 def to_odd_form(spec: RecurrenceSpec) -> OddFormReport:
@@ -474,12 +483,17 @@ def to_odd_form(spec: RecurrenceSpec) -> OddFormReport:
 # -- running ------------------------------------------------------------------------------
 
 
-@dataclass
 class ParamSeq:
     """A finite prefix of a parametric sequence: one MultiPoly per index."""
 
-    ring: VarSet
-    terms: list[MultiPoly]
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms):
+        self.ring: VarSet = ring
+        self.terms: list[MultiPoly] = terms
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ParamSeq and (self.ring, self.terms) == (other.ring, other.terms)
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -18,10 +18,10 @@ of w allow it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from itertools import accumulate, chain, product, repeat
 from math import lcm, prod
 from operator import add, itemgetter, mul, sub
-from typing import Sequence
 
 from .multipoly import (
     MultiPoly,

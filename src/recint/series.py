@@ -9,9 +9,8 @@ is trustworthy through order N - k and the residual is truncated there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .multipoly import MultiPoly, UPoly, VarSet, _primitive, _sum_rows, sum_of_products
 from .scalars import binomial, factorial
@@ -212,7 +211,6 @@ def inv_sqrt(a: TruncSeries) -> TruncSeries:
 # -- pinned differential operators -----------------------------------------------
 
 
-@dataclass(frozen=True)
 class OdeOperator:
     """Linear differential operator sum_k p_k(t) * D^k with polynomial
     coefficients; p_k is a UPoly in t.  Applying an operator of maximal
@@ -220,8 +218,11 @@ class OdeOperator:
     through order N - k.
     """
 
-    vs: VarSet
-    terms: tuple[tuple[int, UPoly], ...]
+    __slots__ = ("vs", "terms")
+
+    def __init__(self, vs, terms):
+        self.vs: VarSet = vs
+        self.terms: tuple[tuple[int, UPoly], ...] = terms
 
     @property
     def max_order(self) -> int:
@@ -304,15 +305,17 @@ def product_series(order: int) -> TruncSeries:
 # -- identity battery --------------------------------------------------------------
 
 
-@dataclass
 class IdentityReport:
     """Structured outcome of one identity check."""
 
-    name: str
-    order: int
-    passed: bool
-    first_mismatch: tuple[int, str, str] | None = None
-    note: str = ""
+    __slots__ = ("name", "order", "passed", "first_mismatch", "note")
+
+    def __init__(self, name, order, passed, first_mismatch=None, note=""):
+        self.name: str = name
+        self.order: int = order
+        self.passed: bool = passed
+        self.first_mismatch: tuple[int, str, str] | None = first_mismatch
+        self.note: str = note
 
     def to_dict(self) -> dict:
         mismatch = None
