@@ -679,7 +679,8 @@ def _sum_rows(
     rows' reduced denominators, a row's share of it times its numerator
     folded once into its smaller operand, and is normalised once, keeping
     its packed form.  A pair of multi-term operands in several rows of the
-    call is multiplied once, each row adding its share times the product.
+    call is multiplied once, after the other rows, and each of its rows adds
+    its share times the product; so one such product is alive at a time.
     Rows with a zero weight or operand add nothing; an empty group gives zero.
     """
     operands: dict[int, MultiPoly] = {}  # id -> p
@@ -708,26 +709,31 @@ def _sum_rows(
         all_rows.append((rows, deg))
         width = max(width, deg.bit_length())
     packed = {key: _pairs(p, width) for key, p in operands.items()}
-    shared: dict[tuple[int, int], dict[int, int]] = {}  # pair in several rows -> product
-    for pair, r in uses.items():
-        if r > 1:
-            _pair_sums(shared.setdefault(pair, {}), packed[pair[0]], packed[pair[1]])
-    out = []
+    shared = {pair: [] for pair, r in uses.items() if r > 1}  # pair -> (acc, share) per row
+    out: list = []
     for rows, deg in all_rows:
         den = lcm(*(row[3] for row in rows))
         acc: dict[int, int] = {}
         for a, b, f, d, pair in rows:
+            f *= den // d
+            if pair in shared:
+                shared[pair].append((acc, f))
+                continue
             left, right = packed[id(a)], packed[id(b)]
             if len(left) > len(right):
                 left, right = right, left
-            f *= den // d
-            if pair in shared:
-                left, right = [(0, f)], shared[pair].items()
-            elif f != 1:
+            if f != 1:
                 left = [(k, c * f) for k, c in left]
             _pair_sums(acc, left, right)
-        out.append(_from_packed(vs, acc, width, den, deg))
-    return out
+        out.append((acc, den, deg) if shared else _from_packed(vs, acc, width, den, deg))
+    if not shared:
+        return out
+    for pair, shares in shared.items():
+        product: dict[int, int] = {}
+        _pair_sums(product, packed[pair[0]], packed[pair[1]])
+        for acc, f in shares:
+            _pair_sums(acc, [(0, f)], product.items())
+    return [_from_packed(vs, acc, width, den, deg) for acc, den, deg in out]
 
 
 # -- univariate layer ----------------------------------------------------------

@@ -9,7 +9,7 @@ is trustworthy through order N - k and the residual is truncated there.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
 from .multipoly import MultiPoly, UPoly, VarSet, _primitive, _sum_rows, sum_of_products
@@ -336,35 +336,28 @@ def _report(name: str, order: int, lhs: TruncSeries, rhs: TruncSeries, note: str
     return IdentityReport(name, order, mismatch is None, mismatch, note)
 
 
-def _weighted_sum(
-    vs: VarSet, order: int, terms: Sequence[tuple[MultiPoly, TruncSeries, Fraction | int]]
-) -> TruncSeries:
-    """sum(r * p * x for p, x, r in terms), for polynomials p, series x and
-    rational weights r: one sum_of_products group per degree."""
-    groups = ([(p, x.coeffs[d], r) for p, x, r in terms] for d in range(order + 1))
-    return TruncSeries._of(vs, order, sum_of_products(vs, groups))
-
-
-def _id3_rhs(order: int, w: Sequence[MultiPoly]) -> TruncSeries:
-    """The right side of id3 from w[0..order // 2]: coefficient 2n + 4k sums
-    the rows c^k * w[n] * (-1)^(n+k) n! binomial(n+k, k) binomial(2n+2k, n+k),
-    one sum_of_products group per even degree."""
+def _even_rhs(order: int, w: Sequence[MultiPoly], weight: Callable[[int, int], int]) -> TruncSeries:
+    """sum of (-1)^(n+k) weight(n, k) c^k w[n] t^(2n + 4k) over w[0..order // 2]:
+    one sum_of_products group per even degree, of the rows (c^k, w[n], weight)."""
     c = MultiPoly.variable(RING_BC, "c")
     ck = [MultiPoly.one(RING_BC)]
     for _ in range(order // 4):
         ck.append(ck[-1] * c)
-
-    def weight(n: int, k: int) -> int:
-        scal = factorial(n) * binomial(n + k, k) * binomial(2 * n + 2 * k, n + k)
-        return -scal if (n + k) % 2 else scal
-
-    groups = (
-        [(ck[k], w[m - 2 * k], weight(m - 2 * k, k)) for k in range(m // 2 + 1)]
+    groups = (  # n + k = m - k
+        [(ck[k], w[m - 2 * k], (-1) ** (m - k) * weight(m - 2 * k, k)) for k in range(m // 2 + 1)]
         for m in range(order // 2 + 1)
     )
     coeffs = [MultiPoly.zero(RING_BC)] * (order + 1)
     coeffs[::2] = sum_of_products(RING_BC, groups)
     return TruncSeries._of(RING_BC, order, coeffs)
+
+
+def _id3_rhs(order: int, w: Sequence[MultiPoly]) -> TruncSeries:
+    """The right side of id3 from w[0..order // 2]: coefficient 2n + 4k sums
+    the rows c^k * w[n] * (-1)^(n+k) n! binomial(n+k, k) binomial(2n+2k, n+k)."""
+    return _even_rhs(
+        order, w, lambda n, k: factorial(n) * binomial(n + k, k) * binomial(2 * n + 2 * k, n + k)
+    )
 
 
 def verify_id3(order: int) -> IdentityReport:
@@ -377,20 +370,20 @@ def verify_id3(order: int) -> IdentityReport:
 
 
 def _r2_rhs(order: int, w: Sequence[MultiPoly]) -> TruncSeries:
-    """The right side of r2 from w[0..order // 2]: the powers x^n are series
-    products, and sum_n binomial(2n, n) n! w[n] x^n is one _weighted_sum."""
+    """The right side of r2 from w[0..order // 2].  By the negative binomial
+    series, x^n = (-t^2 / (1 + 4c t^4))^n has coefficient
+    (-1)^(n+k) binomial(n+k-1, k) 4^k c^k at t^(2n+4k), and x^0 = 1, so
+    sum_n binomial(2n, n) n! w[n] x^n has rows laid out as id3's; it is
+    multiplied by s = (1 + 4c t^4)^(-1/2) from inv_sqrt once."""
     c = MultiPoly.variable(RING_BC, "c")
-    quartic = TruncSeries(
-        RING_BC, order, [MultiPoly.one(RING_BC)] + [MultiPoly.zero(RING_BC)] * 3 + [c * 4]
-    )
-    s = inv_sqrt(quartic)
-    # x = -t^2 / (1 + 4c t^4), built as (-t^2) * s^2
-    x = (s * s).shift(2).scale(-1)
-    xpow = [TruncSeries.one(RING_BC, order)]
-    for _ in range(order // 2):
-        xpow.append(xpow[-1] * x)
-    terms = [(w[n], xn, binomial(2 * n, n) * factorial(n)) for n, xn in enumerate(xpow)]
-    return s * _weighted_sum(RING_BC, order, terms)
+    s = inv_sqrt(TruncSeries(RING_BC, order, [1, 0, 0, 0, c * 4]))
+
+    def weight(n: int, k: int) -> int:
+        if not n:  # binomial(k - 1, k) is undefined at k = 0
+            return int(not k)
+        return binomial(2 * n, n) * factorial(n) * binomial(n + k - 1, k) * 4**k
+
+    return s * _even_rhs(order, w, weight)
 
 
 def verify_r2(order: int) -> IdentityReport:
@@ -421,19 +414,20 @@ def verify_hg_c0(order: int) -> IdentityReport:
 
 
 def _clausen_rhs(order: int, pochs: Sequence[MultiPoly]) -> TruncSeries:
-    """The right side of the Clausen square from P[0..order]: the powers
-    (t (1 - t))^n are series products, and sum_n P[n] binomial(2n, n) / n!^2
-    times them is one _weighted_sum."""
-    tm1t = TruncSeries(
-        RING_B, order, [MultiPoly.zero(RING_B), MultiPoly.one(RING_B), MultiPoly.const(RING_B, -1)]
+    """The right side of the Clausen square from P[0..order].  By the binomial
+    theorem [t^d] (t (1 - t))^n = (-1)^(d-n) binomial(n, d - n), so coefficient
+    d sums the rows P[n] (-1)^(d-n) binomial(n, d - n) binomial(2n, n) / n!^2
+    for d / 2 <= n <= d, one sum_of_products group per degree."""
+
+    def weight(n: int, k: int) -> Fraction:
+        return Fraction((-1) ** k * binomial(n, k) * binomial(2 * n, n), factorial(n) ** 2)
+
+    one = MultiPoly.one(RING_B)
+    groups = (
+        [(pochs[n], one, weight(n, d - n)) for n in range((d + 1) // 2, d + 1)]
+        for d in range(order + 1)
     )
-    xpow = [TruncSeries.one(RING_B, order)]
-    for _ in range(order):
-        xpow.append(xpow[-1] * tm1t)
-    terms = [
-        (pochs[n], xn, Fraction(binomial(2 * n, n), factorial(n) ** 2)) for n, xn in enumerate(xpow)
-    ]
-    return _weighted_sum(RING_B, order, terms)
+    return TruncSeries._of(RING_B, order, sum_of_products(RING_B, groups))
 
 
 def verify_clausen(order: int) -> IdentityReport:

@@ -153,8 +153,9 @@ def id3_rhs_by_terms(order: int, w):
 
 
 def r2_rhs_by_terms(order: int, w):
-    """The right side of r2 from w[0..order // 2], summed with one series
-    scale and one series addition per n: the reference for series._r2_rhs.
+    """The right side of r2 from w[0..order // 2], with the powers x^n built
+    by series products from x = -t^2 s^2 and summed with one series scale and
+    one series addition per n: the reference for series._r2_rhs.
 
     (1 + 4c t^4)^(-1/2) * sum_n binomial(2n, n) n! w[n] (-t^2 / (1 + 4c t^4))^n
     """
@@ -175,9 +176,9 @@ def r2_rhs_by_terms(order: int, w):
 
 
 def clausen_rhs_by_terms(order: int, pochs):
-    """The right side of the Clausen square from P[0..order], summed with one
-    series scale and one series addition per n: the reference for
-    series._clausen_rhs.
+    """The right side of the Clausen square from P[0..order], with the powers
+    (t (1 - t))^n built by series products and summed with one series scale
+    and one series addition per n: the reference for series._clausen_rhs.
 
     sum_n P[n] binomial(2n, n) (t (1 - t))^n / n!^2
     """
