@@ -27,6 +27,7 @@ from .multipoly import (
     MultiPoly,
     UPoly,
     VarSet,
+    _degrees,
     denom_profile,
     horner_sum_div_linear,
 )
@@ -250,7 +251,7 @@ def certify_table(q: QTuple, bound: int, table: BracketTable | None = None) -> B
             violations.append(
                 {"m": list(m), "denominator": prof.lcm_denominator, "poly": poly.text()}
             )
-        if any(sum(e) % 2 for e in poly.num):
+        if any(d % 2 for d in _degrees(poly._packed[0], poly._packed[2])):
             even_ok = False
     if violations and q.is_odd():
         worst = violations[0]

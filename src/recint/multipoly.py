@@ -14,8 +14,8 @@ Every polynomial carries, from the moment it is built, the packed form
 one int key, deg a bound on the total degree.  The kernels (`*`, `+`, `-`,
 sum_of_products, UPoly.eval_poly, horner_sum_div_linear) read their operands
 and make their results in this form; `num` is unpacked from it on first
-read.  Before that read den is already final, so denom_profile, is_zero,
-equality, negation and scaling need no unpacking.
+read.  Before that read den is already final, and text, total_degree,
+denom_profile, is_zero, equality, negation and scaling never unpack it.
 
 UPoly layers a dense univariate polynomial (in an auxiliary indeterminate)
 over MultiPoly coefficients; it carries the parity predicates and affine
@@ -138,6 +138,14 @@ def _columns(keys: Sequence[int], width: int, nvars: int) -> list[list[int]]:
     return cols
 
 
+def _degrees(width: int, keys: Iterable[int]) -> list[int]:
+    """Total degrees of keys packed at width, in order: a key's field sum d
+    is at most m = 2^width - 1 and key = d modulo m, so d = (key - 1) mod m
+    + 1 for key > 0 (d = m leaves 0 like d = 0); width 0 has only key 0."""
+    m = (1 << width) - 1
+    return [(k - 1) % m + 1 if k else 0 for k in keys]
+
+
 def _repack(keys: Sequence[int], old: int, new: int, nvars: int) -> Sequence[int]:
     """Keys packed at field width `old`, packed again at width `new`; every
     exponent must fit in `new` bits.  With one variable or none a key does
@@ -193,12 +201,13 @@ def _pair_sums(acc: dict[int, int], left: Iterable[tuple[int, int]], right: list
 def _horner(acc: dict[int, int], arg: list[tuple[int, int]], steps: list[tuple[int, list]]):
     """Add H to acc, where H starts at 0 and each step (s, pairs) makes it
     H * arg + s * pairs, over packed (key, numerator) pairs.  The last step
-    accumulates straight into acc."""
+    accumulates straight into acc.  arg, a linear form or a Horner argument,
+    is the short operand: its terms run outermost, H's innermost."""
     h: dict[int, int] = {}
     last = len(steps) - 1
     for i, (s, pairs) in enumerate(steps):
         prior, h = h, (acc if i == last else {})
-        _pair_sums(h, prior.items(), arg)
+        _pair_sums(h, arg, list(prior.items()))
         if s:
             _pair_sums(h, [(0, s)], pairs)
 
@@ -410,8 +419,8 @@ class MultiPoly:
         return Fraction(next(iter(self._packed[3]), 0), self.den)
 
     def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.num), default=-1)
+        """Total degree, read off the packed keys; -1 for the zero polynomial."""
+        return max(_degrees(self._packed[0], self._packed[2]), default=-1)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -615,27 +624,24 @@ class MultiPoly:
         * and ^, rational coefficients as p/q.  Round-trips through
         reclang.parse_poly within the parser's limits.
 
-        Two C-level sorts give the order (descending exponents, then a stable
-        sort by descending total degree); monomial strings come from a bounded
-        cache, and no gcd is taken when den == 1.
+        On the packed form, num unread: one C-level sort of (total degree, key)
+        descending, as keys order like exponents; monomial strings from a
+        cache bounded and keyed by (names, width, key); no gcd when den == 1.
         """
-        num, den, names = self.num, self.den, self.vs.names
-        if not num:
+        (width, _, keys, nums), den, names = self._packed, self.den, self.vs.names
+        if not keys:
             return "0"
         limit = 3 * _max_str_digits()  # bits that str() always converts
-        wide = limit and max(den, *map(abs, num.values())).bit_length() > limit
+        wide = limit and max(den, *map(abs, nums)).bit_length() > limit
         digits = _decimal if wide else str
-        order = sorted(num, reverse=True)
-        order.sort(key=sum, reverse=True)
         out = []
-        for exps in order:
-            coef = num[exps]
+        for _, key, coef in sorted(zip(_degrees(width, keys), keys, nums), reverse=True):
             out.append(" - " if coef < 0 else " + ")
             p, q = abs(coef), 1
             if den != 1:
                 g = gcd(p, den)
                 p, q = p // g, den // g
-            mono = _monomial(names, exps)
+            mono = _monomial(names, width, key)
             if q != 1:
                 mag = f"{digits(p)}/{digits(q)}"
             elif p == 1 and mono:
@@ -652,9 +658,10 @@ class MultiPoly:
 
 
 @lru_cache(maxsize=1 << 14)
-def _monomial(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
-    """The monomial of exponent vector exps over the variables names, as
+def _monomial(names: tuple[str, ...], width: int, key: int) -> str:
+    """The monomial of a key packed at width over the variables names, as
     text() prints it ("" for the constant monomial)."""
+    exps = [col[0] for col in _columns([key], width, len(names))]
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
 
 
@@ -863,10 +870,11 @@ def to_upoly(p: MultiPoly, var: str) -> UPoly:
     remaining variables."""
     i = p.vs.index(var)
     sub = p.vs.without(var)
+    cols, nums = _exponent_columns(p)
+    powers = cols.pop(i)
     buckets: dict[int, dict[tuple[int, ...], int]] = {}
-    for exps, c in p.num.items():
-        k = exps[i]
-        buckets.setdefault(k, {})[exps[:i] + exps[i + 1 :]] = c
+    for k, exps, c in zip(powers, zip(*cols) if cols else [()] * len(nums), nums):
+        buckets.setdefault(k, {})[exps] = c
     deg = max(buckets, default=-1)
     return UPoly(
         sub, [MultiPoly._make(sub, buckets.get(k, {}), p.den) for k in range(deg + 1)]
@@ -917,20 +925,21 @@ def horner_sum_div_linear(
     zero p add nothing.  Every p is packed once, at one field width for the
     call (the largest total-degree bound of p plus deg h), with its
     numerators scaled to the lcm of the rows' s * p.den.  h(A) * p is Horner
-    in A, one pair per term of A and of the running sum at each step, and
-    the rows add into one accumulator.
+    in A, each step one pass over the running sum per term of A, and the
+    rows add into one accumulator.
 
     The division is synthetic, on the pivot, the first variable with a
     nonzero weight.  Level k is the part of the sum of degree k in the
     pivot.  From the top level down, level k divided by the pivot weight is
-    the quotient's level k - 1, and that times the rest of the form is
-    subtracted from level k - 1.  Level 0 must come out empty; otherwise
-    InexactDivisionError carries it as the remainder.  At least one weight
-    must be nonzero.  The levels and the quotient live over the lcm times f,
-    where f grows by |m_pivot| / gcd(m_pivot, level numerators) only at a
-    level whose numerators the pivot weight does not divide.  The quotient
-    is normalised once and keeps its packed form, with the call's bound
-    less one as its total-degree bound.
+    the quotient's level k - 1, and that times the rest of the form, one pass
+    over the quotient level per term of the form, is subtracted from level
+    k - 1.  Level 0 must come out empty; otherwise InexactDivisionError
+    carries it as the remainder.  At least one weight must be nonzero.  The
+    levels and the quotient live over the lcm times f, where f grows by
+    |m_pivot| / gcd(m_pivot, level numerators) only at a level whose
+    numerators the pivot weight does not divide.  The quotient is normalised
+    once and keeps its packed form, with the call's bound less one as its
+    total-degree bound.
     """
     nvars = len(vs)
     if len(m) != nvars:
@@ -978,11 +987,7 @@ def horner_sum_div_linear(
         cur = levels.get(k - 1, {})
         if f != 1:
             cur = {key: c * f for key, c in cur.items()}
-        get = cur.get
-        for key, c in q.items():
-            for step, w in steps:
-                k2 = key + step
-                cur[k2] = get(k2, 0) + c * w
+        _pair_sums(cur, steps, list(q.items()))
     if any(cur.values()):
         remainder = _from_packed(vs, cur, width, den * f, bound)
         raise InexactDivisionError(

@@ -42,6 +42,8 @@ from .multipoly import (
     MultiPoly,
     UPoly,
     VarSet,
+    _degrees,
+    _from_packed,
     sum_of_products,
     to_upoly,
 )
@@ -148,7 +150,7 @@ def _coef_bits(value: dict) -> int:
     """Bit length of the largest max(sum of |numerators|, denominator) among
     value's polynomials: products of these bound products' numerators and
     denominators alike."""
-    return max(max(sum(map(abs, p.num.values())), p.den).bit_length() for p in value.values())
+    return max(max(sum(map(abs, p._packed[3])), p.den).bit_length() for p in value.values())
 
 
 def _coef_bounded(tok: Token, bits: int):
@@ -531,13 +533,15 @@ class SpecRunner:
 
 def _q_at(q: MultiPoly, ring: VarSet, k: int) -> MultiPoly:
     """A q_i of a spec (over ring + (n,)) at the integer n = k, over ring: one
-    pass over the integer numerators."""
-    acc: dict[tuple[int, ...], int] = {}
+    pass over the packed keys, whose lowest field is n's exponent."""
+    width, _, keys, nums = q._packed
+    mask = (1 << width) - 1
+    acc: dict[int, int] = {}
     get = acc.get
-    for e, c in q.num.items():
-        r = e[:-1]
-        acc[r] = get(r, 0) + c * k ** e[-1]
-    return MultiPoly._make(ring, {r: c for r, c in acc.items() if c}, q.den)
+    for key, c in zip(keys, nums):
+        r = key >> width
+        acc[r] = get(r, 0) + c * k ** (key & mask)
+    return _from_packed(ring, acc, width, q.den, max(_degrees(width, acc), default=0))
 
 
 def run_spec(spec: RecurrenceSpec, n: int) -> ParamSeq:

@@ -193,6 +193,23 @@ class TestCertification:
         assert table.entry((1,)) == parse_poly("1/4*x1", x_varset(1))
         assert table.entry((2,)) == parse_poly("9/32*x1^2", x_varset(1))
 
+    @pytest.mark.parametrize(
+        "coeff_lists, inexact",
+        [(([0, 0, 1], []), False), (([0, 0, 1], [0, 0, 0, 0, 1]), True), (([], [0, 1], [0, 0, 1]), True)],
+    )
+    def test_permissive_odd_degree_in_several_variables(self, coeff_lists, inexact):
+        # the parity check reads each entry's total degrees off its packed
+        # keys; an entry of odd total degree must fail it, whether or not a
+        # later division is inexact
+        q = q_tuple(*coeff_lists, permissive=True)
+        table = BracketTable(q)
+        cert = certify_table(q, 4, table=table)
+        assert any(sum(e) % 2 for p in table.entries.values() for e in p.num)
+        assert cert.all_pow2
+        assert not cert.even_degree_ok
+        assert not cert.certified
+        assert (cert.inexact_at is not None) == inexact
+
     def test_permissive_first_inexact_failure_recorded(self):
         q = q_tuple([1, 0, 1], permissive=True)
         cert = certify_table(q, 3)

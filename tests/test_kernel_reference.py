@@ -41,7 +41,9 @@ from recint.multipoly import (
     MultiPoly,
     UPoly,
     VarSet,
+    _columns,
     _decimal,
+    _degrees,
     _max_str_digits,
     _pack,
     _repack,
@@ -303,6 +305,64 @@ def test_text_coefficients_longer_than_str_converts():
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def composition(rng: random.Random, total: int, parts: int) -> tuple[int, ...]:
+    """A random exponent vector of `parts` entries summing to total (parts > 0)."""
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+@pytest.mark.parametrize("nvars", range(4))
+@pytest.mark.parametrize("width", range(7))
+def test_degrees_match_the_field_sums(width, nvars):
+    # every total degree below 2^width, the top one 2^width - 1 (a key of
+    # which is 0 mod 2^width - 1, as is the constant key) included
+    rng = random.Random(8 * width + nvars)
+    top = (1 << width) - 1
+    exps = [(0,) * nvars]
+    if nvars:
+        exps += [composition(rng, rng.choice((top, rng.randint(0, top))), nvars) for _ in range(60)]
+        exps += [(top,) + (0,) * (nvars - 1), (0,) * (nvars - 1) + (top,)]
+    keys = _pack(list(zip(*exps)), width, len(exps))
+    cols = _columns(keys, width, nvars)
+    sums = [sum(col[j] for col in cols) for j in range(len(keys))]
+    assert sums == [sum(e) for e in exps]
+    assert _degrees(width, keys) == sums
+    if nvars:
+        assert top in sums
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 3, 7, 15])
+def test_text_at_a_total_degree_of_all_ones(degree, nvars):
+    # packed at the width of its own total degree, 2^width - 1, whose keys
+    # are 0 mod 2^width - 1 like the constant's: they must still print first
+    rng = random.Random(4 * degree + nvars)
+    vs = VarSet(tuple(f"x{i}" for i in range(nvars)))
+    terms = {(0,) * nvars: Fraction(rng.randint(-9, 9), 4)}
+    for _ in range(6):
+        top = composition(rng, degree, nvars)
+        terms[top] = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice(DENOMINATORS))
+        terms[tuple(rng.randint(0, e) for e in top)] = rng.randint(-9, 9)
+    p = MultiPoly(vs, terms)
+    assert p._packed[:2] == (degree.bit_length(), degree)
+    assert p.total_degree() == degree
+    assert_text(p)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_text_of_results_kept_wider_than_their_degree(seed):
+    # a _sum_rows call packs every group at the width of its highest one,
+    # so the low group's keys have wider fields than its own degree needs
+    rng = random.Random(seed)
+    vs = VarSet(tuple(f"x{i}" for i in range(1 + seed % 3)))
+    a, b = (rand_poly(rng, vs, 2, 5) + MultiPoly.monomial(vs, (1,) * len(vs), 1) for _ in range(2))
+    big = MultiPoly.monomial(vs, (9,) * len(vs), Fraction(1, 3))
+    low, high = _sum_rows(vs, [[(a, b, 1, 1), (b, b, -2, 3)], [(big, big, 1, 1), (a, b, 1, 1)]])
+    assert low._packed[0] > low.total_degree().bit_length()
+    for p in (low, high, MultiPoly(vs, low.terms)):
+        assert_text(p)
 
 
 # -- compose_affine ----------------------------------------------------------------------
