@@ -104,7 +104,7 @@ class BracketTable:
         # 2^D * Q_i(A / 2) = sum(c_k * 2^(D - k) * A^k) for D = deg Q_i: the
         # Horner multipliers c_D, 2 c_(D-1), ..., 2^D c_0 (none for Q_i = 0)
         self._horner = [
-            [c.num.get((), 0) << k for k, c in enumerate(reversed(p.coeffs))] for p in q.polys
+            [int(c.constant_value()) << k for k, c in enumerate(reversed(p.coeffs))] for p in q.polys
         ]
         self.entries: dict[tuple[int, ...], MultiPoly] = {
             (0,) * q.d: MultiPoly.one(self.vs)

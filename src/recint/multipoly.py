@@ -229,23 +229,6 @@ def _from_packed(vs: VarSet, acc: dict[int, int], width: int, den: int, deg: int
     return MultiPoly._new(vs, None, den, (width, deg, list(acc), nums))
 
 
-def _primitive(p: MultiPoly) -> tuple[int, MultiPoly, tuple]:
-    """(g, q, signature) with p = g * q / p.den, for a nonzero p: q is p's
-    primitive part over 1 on p's packed keys, its numerators of content 1
-    and positive at the largest key, which is the lex-largest exponent; the
-    signature is (that exponent, its numerator, term count)."""
-    width, deg, keys, nums = p._packed
-    top = max(keys)
-    lead, g = nums[keys.index(top)], gcd(*nums)
-    if lead < 0:
-        g = -g
-    q = p
-    if g != 1 or p.den != 1:
-        q = MultiPoly._new(p.vs, None, 1, (width, deg, keys, [c // g for c in nums]))
-    exps = tuple(col[0] for col in _columns([top], width, len(p.vs)))
-    return g, q, (exps, lead // g, len(keys))
-
-
 #: How many digits str() converts at most, 0 for no limit; Python versions
 #: before 3.10.7 have no limit and no such function.
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -596,26 +579,20 @@ class MultiPoly:
         return MultiPoly(self.vs, {e: c / self.den for e, c in out.items()})
 
     def cast(self, vs: VarSet) -> "MultiPoly":
-        """Reinterpret over another VarSet, matching variables by name.
+        """Reinterpret over another VarSet, matching variables by name, on
+        the packed keys: each exponent column moves to its variable's place.
 
         Every variable actually used must exist in the target VarSet.
         """
-        positions = []
-        for i, name in enumerate(self.vs.names):
+        width, deg, keys, nums = self._packed
+        cols = [[0] * len(keys) for _ in vs]
+        for name, col in zip(self.vs.names, _columns(keys, width, len(self.vs))):
             try:
-                positions.append(vs.index(name))
+                cols[vs.index(name)] = col
             except KeyError:
-                if any(e[i] for e in self.num):
+                if any(col):
                     raise
-                positions.append(None)
-        out: dict[tuple[int, ...], int] = {}
-        for exps, coef in self.num.items():
-            e = [0] * len(vs)
-            for i, p in enumerate(positions):
-                if exps[i]:
-                    e[p] = exps[i]
-            out[tuple(e)] = coef
-        return MultiPoly._new(vs, out, self.den)
+        return MultiPoly._new(vs, None, self.den, (width, deg, _pack(cols, width, len(keys)), nums))
 
     # -- canonical text -------------------------------------------------------
 
@@ -847,16 +824,22 @@ class UPoly:
         return _from_packed(vs, acc, width, den * a ** (len(coeffs) - 1), bound)
 
     def to_multipoly(self, indet: str) -> MultiPoly:
-        """Flatten into a MultiPoly over vs + (indet,), indet appended last;
-        its monomials are distinct, so over the lcm of the coefficients'
+        """Flatten into a MultiPoly over vs + (indet,), indet appended last,
+        on the packed keys: a coefficient's keys at the width of the largest
+        total degree, shifted up by one field that holds the power.  Its
+        monomials are distinct, so over the lcm of the coefficients'
         denominators it is in lowest terms, as in MultiPoly.__init__."""
-        den = lcm(*(c.den for c in self.coeffs))
-        num: dict[tuple[int, ...], int] = {}
+        full = VarSet(self.vs.names + (indet,))
+        if not self.coeffs:
+            return MultiPoly.zero(full)
+        deg = max(c._packed[1] + k for k, c in enumerate(self.coeffs))
+        width, den = deg.bit_length(), lcm(*(c.den for c in self.coeffs))
+        keys, nums = [], []
         for k, coef in enumerate(self.coeffs):
-            s = den // coef.den
-            for exps, c in coef.num.items():
-                num[exps + (k,)] = c * s
-        return MultiPoly._new(VarSet(self.vs.names + (indet,)), num, den)
+            for key, c in _pairs(coef, width, den // coef.den):
+                keys.append((key << width) | k)
+                nums.append(c)
+        return MultiPoly._new(full, None, den, (width, deg, keys, nums))
 
     def text(self, indet: str = "t") -> str:
         return self.to_multipoly(indet).text()
@@ -867,18 +850,18 @@ class UPoly:
 
 def to_upoly(p: MultiPoly, var: str) -> UPoly:
     """View a MultiPoly as univariate in `var` with coefficients over the
-    remaining variables."""
-    i = p.vs.index(var)
+    remaining variables: each packed key of p, with var's field taken out,
+    is a key of its coefficient at p's width, over p's den."""
+    width, deg, keys, nums = p._packed
     sub = p.vs.without(var)
-    cols, nums = _exponent_columns(p)
-    powers = cols.pop(i)
-    buckets: dict[int, dict[tuple[int, ...], int]] = {}
-    for k, exps, c in zip(powers, zip(*cols) if cols else [()] * len(nums), nums):
-        buckets.setdefault(k, {})[exps] = c
-    deg = max(buckets, default=-1)
-    return UPoly(
-        sub, [MultiPoly._make(sub, buckets.get(k, {}), p.den) for k in range(deg + 1)]
-    )
+    shift = width * (len(sub) - p.vs.index(var))
+    low, mask = (1 << shift) - 1, (1 << width) - 1
+    buckets: dict[int, dict[int, int]] = {}
+    for key, c in zip(keys, nums):
+        high = (key >> (shift + width)) << shift
+        buckets.setdefault((key >> shift) & mask, {})[high | (key & low)] = c
+    top = max(buckets, default=-1)
+    return UPoly(sub, [_from_packed(sub, buckets.get(k, {}), width, p.den, deg) for k in range(top + 1)])
 
 
 # -- denominator profile and exact division ------------------------------------

@@ -262,6 +262,8 @@ class _Parser:
             if tok.value in self.vs.names:
                 return {None: MultiPoly.variable(self.vs, tok.value)}
             self.fail(tok, f"unknown variable {tok.value!r}")
+        if tok.kind == "end":
+            self.fail(tok, "unexpected end of input")
         self.fail(tok, f"unexpected token {tok.value!r}")
 
     def _parse_ref_index(self) -> int:

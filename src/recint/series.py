@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
-from .multipoly import MultiPoly, UPoly, VarSet, _primitive, _sum_rows, sum_of_products
+from .multipoly import MultiPoly, UPoly, VarSet, _sum_rows, sum_of_products
 from .scalars import binomial, factorial
 from .sequences import RING_B, RING_BC, gen_u, gen_w, poch_products
 
@@ -73,7 +73,8 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        return TruncSeries._of(self.vs, self.order, _dot(self.vs, self.order, [(self, other, 1)]))
+        coeffs = _dot(self.vs, self.order, [(self, other, lambda i, j: 1)])
+        return TruncSeries._of(self.vs, self.order, coeffs)
 
     def scale(self, factor) -> "TruncSeries":
         """Coefficientwise multiplication by a scalar or MultiPoly."""
@@ -132,63 +133,37 @@ class TruncSeries:
 
 
 def _dot(vs: VarSet, order: int, pairs: Sequence[tuple]) -> list[MultiPoly]:
-    """Coefficients of sum(s * x * y for x, y, s in pairs): the one series product."""
+    """Coefficients of sum(w(i, j) * x[i] * y[j] * t^(i+j) for x, y, w in
+    pairs) through the order, each weight w(i, j) an int or Fraction: the
+    one series product.  A caller states a scaled copy of a series as a
+    weight instead of building it: theta^m(y) as j^m, y(-t) as (-1)^j."""
     return _sum_rows(vs, (groups[0] for groups in _dot_groups(order, [pairs])))
 
 
 def _dot_groups(order: int, sums: Sequence[Sequence[tuple]]) -> Iterator[list[list[tuple]]]:
-    """The weight stage of _dot: per degree through the order, one _sum_rows
-    group for each sum in sums, a list of (x, y, s) pairs as _dot takes.
-
-    Each distinct coefficient is split once by _primitive, on its kept
-    packed form, into an integer factor over its den times a primitive part;
-    parts with equal signatures are compared exactly, by ==.  In each
-    degree, the rows x[i] * y[d - i] of a sum whose parts form the same
-    unordered pair become one row whose weight, an unreduced integer pair
-    (n, d), is the sum of theirs; rows whose weight cancels to zero are
-    dropped.  So mirror pairs (a square, g * g(-t)) and theta-scaled copies
-    of a coefficient make one row per degree, on parts the sums share.
-    """
-    parts: dict[int, tuple[int, int, int]] = {}  # id -> (factor, den, class)
-    classes: dict[tuple, list[int]] = {}  # signature -> classes
-    prims: list[MultiPoly] = []  # class -> primitive part
-
-    def split(p: MultiPoly) -> tuple[int, int, int]:
-        if id(p) in parts:
-            return parts[id(p)]
-        g, prim, signature = _primitive(p)
-        bucket = classes.setdefault(signature, [])
-        for cls in bucket:
-            if prims[cls] == prim:
-                break
-        else:
-            cls = len(prims)
-            prims.append(prim)
-            bucket.append(cls)
-        parts[id(p)] = (g, p.den, cls)
-        return parts[id(p)]
-
-    weights = [[{} for _ in sums] for _ in range(order + 1)]
-    for m, pairs in enumerate(sums):
-        for x, y, s in pairs:
-            ys = [(j, *split(c)) for j, c in enumerate(y.coeffs) if not c.is_zero()]
-            for i, c in enumerate(x.coeffs):
-                if c.is_zero():
-                    continue
-                fx, dx, cx = split(c)
-                fx, dx = fx * s.numerator, dx * s.denominator
-                for j, fy, dy, cy in ys:
-                    if i + j > order:
+    """The weight stage of _dot, one degree at a time: per degree through the
+    order, one _sum_rows group for each sum in sums, a list of (x, y, w)
+    pairs as _dot takes.  In degree d, the rows x[i] * y[d - i] of a sum on
+    the same unordered pair of coefficient objects become one row whose
+    weight is the sum of theirs, and rows of weight zero are dropped."""
+    sums = [
+        [([(i, c) for i, c in enumerate(x.coeffs) if not c.is_zero()], y.coeffs, w) for x, y, w in ps]
+        for ps in sums
+    ]
+    for d in range(order + 1):
+        groups = []
+        for pairs in sums:
+            rows: dict[tuple[int, int], list] = {}
+            for xs, ys, w in pairs:
+                for i, a in xs:
+                    if i > d:
                         break
-                    w = weights[i + j][m]
-                    key = (cx, cy) if cx <= cy else (cy, cx)
-                    n, d = fx * fy, dx * dy
-                    n0, d0 = w.get(key, (0, d))
-                    w[key] = (n0 + n, d) if d0 == d else (n0 * d + n * d0, d0 * d)
-    return (
-        [[(prims[a], prims[b], n, d) for (a, b), (n, d) in w.items() if n] for w in ws]
-        for ws in weights
-    )
+                    b = ys[d - i]
+                    if not b.is_zero():
+                        key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
+                        rows.setdefault(key, [a, b, 0])[2] += w(i, d - i)
+            groups.append([(a, b, r.numerator, r.denominator) for a, b, r in rows.values() if r])
+        yield groups
 
 
 def inv_sqrt(a: TruncSeries) -> TruncSeries:
@@ -399,12 +374,16 @@ def verify_hg_c0(order: int) -> IdentityReport:
     """c = 0 collapse: with P[n] = prod_{i<n} (i(i+1) - b) (poch_products),
 
     (sum P[n] t^n / n!) * (sum P[n] (-t)^n / n!) = sum P[n] binomial(2n, n) t^(2n)
+
+    The left side is a * a with the sign of a(-t) as the weight (-1)^j, so
+    a[i] * a[j] and a[j] * a[i] are one row: weights 2 (-1)^i or 1 at even
+    degrees, and at odd degrees they cancel and no row is left.
     """
     pochs = poch_products(order)
     a = TruncSeries(
         RING_B, order, [p * Fraction(1, factorial(n)) for n, p in enumerate(pochs)]
     )
-    lhs = a * a.reflect()
+    lhs = TruncSeries._of(RING_B, order, _dot(RING_B, order, [(a, a, lambda i, j: (-1) ** j)]))
     zero = MultiPoly.zero(RING_B)
     coeffs = [zero] * (order + 1)
     for n in range(order // 2 + 1):
@@ -446,20 +425,20 @@ def derivation_identity_check(f: TruncSeries, ks: Sequence[int]) -> list[Identit
     f * theta^(2k+1)(f) = (1/2) theta( sum_{j=0}^{2k} (-1)^j theta^j(f) theta^(2k-j)(f) )
 
     theta is degree-preserving, so both sides are exact at the full order.
-    As theta^j(f)[i] = i^j f[i], in each degree both sides of every k are rows
-    on the same primitive parts, so one _sum_rows call multiplies each pair
-    once and the sides differ only in weights.  Both trusted that kernel on
-    those parts before, so no route is shared anew.  Right side: d/2 * sum[d].
+    As theta^j(f)[i] = i^j f[i], both sides of every k are f * f with
+    weights, j^(2k+1) on the left and sum_t (-1)^t i^t j^(2k-t) on the
+    right, so no theta series is built.  In each degree one _sum_rows call
+    takes both sides of every k, at most d/2 + 1 rows each on the same pairs
+    of coefficients, and multiplies each pair once; the sides differ only in
+    weights.  Right side: d/2 * sum[d].
     """
     if any(k < 0 for k in ks):
         raise ValueError("negative order")
-    powers = [f]
-    for _ in range(2 * max(ks, default=0) + 1):
-        powers.append(powers[-1].theta())
     sums = []
     for k in ks:
-        sums.append([(f, powers[2 * k + 1], 1)])
-        sums.append([(powers[j], powers[2 * k - j], -1 if j % 2 else 1) for j in range(2 * k + 1)])
+        e = 2 * k
+        sums.append([(f, f, lambda i, j, e=e: j ** (e + 1))])
+        sums.append([(f, f, lambda i, j, e=e: sum((-i) ** t * j ** (e - t) for t in range(e + 1)))])
     mismatches = [None] * len(ks)
     for d, groups in enumerate(_dot_groups(f.order, sums)):
         sides = _sum_rows(f.vs, groups)

@@ -2,13 +2,14 @@
 
 Exposes the repo paths, an in-process CLI runner, a linear-form builder,
 the odd monomial atoms t^(2j+1), the term-pair convolution reference, the
-per-degree series-product reference, a perturbation of the derivation
-check's kernel calls with a product reference for its left side, the
-term-by-term right sides of the id3, r2 and Clausen identities, the closed
-form of u at c = 0, Apery's sequence with its closed form, the closed form
-of the all-t brackets, and the acceptance-line collector: acceptance tests
-append one PASS/FAIL line per criterion and the terminal-summary hook
-prints them as a block at the end of the run.
+per-degree series-product reference, the exponent-tuple route of to_upoly,
+a perturbation of the derivation check's kernel calls with a product
+reference for its left side, the term-by-term right sides of the id3, r2
+and Clausen identities, the closed form of u at c = 0, Apery's sequence
+with its closed form, the closed form of the all-t brackets, and the
+acceptance-line collector: acceptance tests append one PASS/FAIL line per
+criterion and the terminal-summary hook prints them as a block at the end
+of the run.
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ def conv_by_products(n: int, w):
 
 def dot_by_products(vs, order: int, pairs):
     """Coefficients of sum(s * x * y for x, y, s in pairs) through the order,
-    one MultiPoly product and one addition per coefficient pair in each
-    degree: the reference for series._dot."""
+    for scalars s, one MultiPoly product and one addition per coefficient
+    pair in each degree: the reference for series._dot, with its weights
+    given here as s and as scaled series (theta, reflect)."""
     from recint.multipoly import MultiPoly
 
     out = [MultiPoly.zero(vs)] * (order + 1)
@@ -101,6 +103,21 @@ def dot_by_products(vs, order: int, pairs):
             for j in range(order + 1 - i):
                 out[i + j] = out[i + j] + a * y.coeffs[j] * s
     return out
+
+
+def to_upoly_by_exponents(p, var: str):
+    """p as univariate in var, from its exponent tuples: per power of var a
+    dict of the other exponents, normalised by MultiPoly._make.  The
+    reference for multipoly.to_upoly, which splits the packed keys instead."""
+    from recint.multipoly import MultiPoly, UPoly
+
+    i = p.vs.index(var)
+    sub = p.vs.without(var)
+    buckets: dict = {}
+    for exps, c in p.num.items():
+        buckets.setdefault(exps[i], {})[exps[:i] + exps[i + 1 :]] = c
+    deg = max(buckets, default=-1)
+    return UPoly(sub, [MultiPoly._make(sub, buckets.get(k, {}), p.den) for k in range(deg + 1)])
 
 
 def perturb_derivation(monkeypatch, degree: int, group: int):

@@ -63,6 +63,13 @@ class TestGen:
         assert out == ""
         assert "malformed.spec" in err
 
+    def test_spec_cut_off_is_end_of_input(self, tmp_path):
+        spec = tmp_path / "cut.spec"
+        spec.write_text("ring b c;\nseq w;\nrec: n*w[n] = (b +")
+        code, out, err = run_cli("gen", "--spec", str(spec))
+        assert (code, out) == (2, "")
+        assert err == f"recint: {spec}: line 3, col 19: unexpected end of input\n"
+
     def test_missing_file_is_io_error(self):
         code, _, err = run_cli("gen", "--spec", str(DATA_DIR / "no-such.spec"))
         assert code == 3
@@ -182,6 +189,11 @@ class TestBrackets:
         code, _, err = run_cli("brackets", "t^", "--n", "2")
         assert code == 2
         assert "tuple" in err
+
+    def test_tuple_cut_off_is_end_of_input(self):
+        code, out, err = run_cli("brackets", "t, ", "--n", "2")
+        assert (code, out) == (2, "")
+        assert err == "recint: tuple: line 1, col 4: unexpected end of input\n"
 
 
 class TestCertify:

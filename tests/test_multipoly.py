@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import digits_value, linear_form
+from conftest import digits_value, linear_form, to_upoly_by_exponents
 from recint.multipoly import (
     MAX_NESTING,
     DenomProfile,
@@ -538,6 +538,30 @@ def kept_only(vs: VarSet, den: int, terms: list[tuple[tuple[int, ...], int]], wi
     deg = max((sum(e) for e, _ in terms), default=0)
     keys = _pack(list(zip(*(e for e, _ in terms))), width, len(terms))
     return MultiPoly._new(vs, None, den, (width, deg, list(keys), [c for _, c in terms]))
+
+
+class TestToUpolyOnPackedKeys:
+    """to_upoly splits p's packed keys at p's width; the exponent-tuple route
+    of tests/conftest.py is the reference."""
+
+    @pytest.mark.parametrize("nvars", (1, 2, 3))
+    @pytest.mark.parametrize("width", range(7))
+    def test_every_width_and_position(self, width, nvars):
+        rng = random.Random(10 * width + nvars)
+        vs = VarSet(("x", "y", "z")[:nvars])
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            e = [0] * nvars
+            for _ in range(rng.randint(0, (1 << width) - 1)):  # total degree < 2^width
+                e[rng.randrange(nvars)] += 1
+            terms[tuple(e)] = rng.choice((-5, 1, 2, 7))
+        p = kept_only(vs, rng.choice((1, 3)), list(terms.items()), width)
+        for var in vs.names:
+            got = to_upoly(p, var)
+            kept = [c for c in got.coeffs if not c.is_zero()]
+            assert all(c._num is None and c._packed[0] == width for c in kept)
+            assert got == to_upoly_by_exponents(p, var)
+            assert got.to_multipoly(var).cast(vs) == p
 
 
 class TestPackedEquality:

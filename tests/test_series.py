@@ -14,6 +14,7 @@ from conftest import (
     id3_rhs_by_terms,
     perturb_derivation,
     r2_rhs_by_terms,
+    run_cli,
 )
 from recint import sequences, series
 from recint.multipoly import MultiPoly, UPoly, VarSet, _pack
@@ -309,8 +310,8 @@ class TestAgainstNaiveReference:
 
     @pytest.mark.parametrize("seed", range(16))
     def test_proportional_coefficients(self, seed):
-        # products whose coefficient pairs merge: multiples of 2-3 bases,
-        # squares, g * g(-t) and theta^j-scaled copies
+        # products of multiples of 2-3 bases: squares, g * g(-t) and
+        # theta^j-scaled copies
         rng = random.Random(1000 + seed)
         order = rng.randint(3, 10)
         bases = proportional_bases(rng)[: rng.choice((2, 3))]
@@ -342,12 +343,12 @@ class TestAgainstNaiveReference:
             proportional_series(rng, 9, proportional_bases(rng)),
             random_series(rng, 7),
         )
+
+        def weight(i, j):  # theta^t(f)[i] theta^(2k-t)(f)[j] = i^t j^(2k-t) f[i] f[j]
+            return sum((-1) ** t * i**t * j ** (2 * k - t) for t in range(2 * k + 1))
+
         for f in cases:
-            powers = [f]
-            for _ in range(2 * k):
-                powers.append(powers[-1].theta())
-            pairs = [(powers[j], powers[2 * k - j], -1 if j % 2 else 1) for j in range(2 * k + 1)]
-            fused = TruncSeries(f.vs, f.order, _dot(f.vs, f.order, pairs))
+            fused = TruncSeries(f.vs, f.order, _dot(f.vs, f.order, [(f, f, weight)]))
             assert fused == unfused_derivation_sum(f, k)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -487,27 +488,32 @@ def recorded_rows(monkeypatch) -> list[list]:
 
 
 class TestPackedClassMerge:
-    """_dot splits each coefficient on its kept packed form and merges rows
-    by exact class; every case is checked against the per-degree reference
-    of tests/conftest.py."""
+    """_dot merges the rows of a degree on the same unordered pair of
+    coefficient objects, adding their weights; every case is checked against
+    a reference of tests/conftest.py or naive_mul."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equal_parts_kept_at_different_widths_are_one_row(self, seed, monkeypatch):
+        # two proportional coefficients stated as one object kept wide, with
+        # their factors as weights: one row, equal to the product of the two
+        # scaled copies kept at different widths
         rng = random.Random(4000 + seed)
         vs = VarSet(("b", "c", "d")[: 2 + seed % 2])
         base, r = rand_poly(rng, vs), rand_poly(rng, vs)
         narrow = base.total_degree().bit_length()
         f1, f2 = Fraction(rng.randint(1, 9), rng.randint(1, 5)), Fraction(-rng.randint(1, 9), 7)
-        x = TruncSeries(vs, 1, [kept_at(base * f1, narrow), kept_at(base * f2, narrow + 3 + seed)])
-        y = TruncSeries(vs, 1, [r, r])
+        wide = kept_at(base, narrow + 3 + seed)
+        x, y = TruncSeries(vs, 1, [wide, wide]), TruncSeries(vs, 1, [r, r])
         calls = recorded_rows(monkeypatch)
-        assert x * y == naive_mul(x, y)
+        out = _dot(vs, 1, [(x, y, lambda i, j: f2 if i else f1)])
+        copies = TruncSeries(vs, 1, [kept_at(base * f1, narrow), kept_at(base * f2, narrow + 3 + seed)])
+        assert out == naive_mul(copies, y).coeffs
         [groups] = calls
         assert [len(g) for g in groups] == [1, 1]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_distinct_parts_with_one_signature_stay_apart(self, seed, monkeypatch):
-        # same lead exponent, lead coefficient and term count, both primitive
+        # same lead exponent, lead coefficient and term count, not proportional
         rng = random.Random(5000 + seed)
         vs = VarSet.of("b", "c")
         lead = rng.randint(1, 5)
@@ -526,33 +532,35 @@ class TestPackedClassMerge:
         vs = VarSet.of("b", "c")
         p = MultiPoly(vs, {(1, 0): 1, (0, 1): 1})
         r = MultiPoly(vs, {(0, 1): 1, (0, 0): 3})
-        # p/2 * r/3 and p/3 * r/2 are one row of weight 1/6 + 1/6
-        x = TruncSeries(vs, 1, [p * Fraction(1, 2), p * Fraction(1, 3)])
-        y = TruncSeries(vs, 1, [r * Fraction(1, 2), r * Fraction(1, 3)])
+        # p * r at t^1 twice, from x[0] * y[1] at weight 1/2 and x[1] * y[0]
+        # at weight 1/3: one row of weight 5/6
+        x, y = TruncSeries(vs, 1, [p, p]), TruncSeries(vs, 1, [r, r])
         calls = recorded_rows(monkeypatch)
-        prod = x * y
-        assert prod == naive_mul(x, y)
-        assert prod.coeffs[1] == p * r * Fraction(1, 3)
+        out = _dot(vs, 1, [(x, y, lambda i, j: Fraction(1, 2 + i))])
+        scaled = TruncSeries(vs, 1, [p * Fraction(1, 2), p * Fraction(1, 3)])
+        assert out == naive_mul(scaled, y).coeffs
+        assert out[1] == p * r * Fraction(5, 6)
         [groups] = calls
         [(_, _, n, d)] = groups[1]
-        assert Fraction(n, d) == Fraction(1, 3)
+        assert Fraction(n, d) == Fraction(5, 6)
 
     def test_weights_that_cancel_to_zero_are_dropped(self, monkeypatch):
         vs = VarSet.of("b", "c")
         p = MultiPoly(vs, {(1, 0): 1, (0, 0): 1})
         r = MultiPoly(vs, {(0, 1): 1, (0, 0): 3})
-        # p/2 * 2r and -p * r: weights 2/2 and -1/1, over unequal
-        # denominators, cancel exactly
-        x = TruncSeries(vs, 2, [p * Fraction(1, 2), -p])
-        y = TruncSeries(vs, 2, [r, r * 2])
+        # p * r at t^1 from x[0] * y[1] at weight 1/2 and x[1] * y[0] at
+        # weight -1/2 cancels exactly
+        x, y = TruncSeries(vs, 2, [p, p]), TruncSeries(vs, 2, [r, r])
         calls = recorded_rows(monkeypatch)
-        prod = x * y
-        assert prod == naive_mul(x, y)
-        assert prod.coeffs[1].is_zero()
+        out = _dot(vs, 2, [(x, y, lambda i, j: Fraction(1 - 2 * i, 2))])
+        scaled = TruncSeries(vs, 2, [p * Fraction(1, 2), p * Fraction(-1, 2)])
+        assert out == naive_mul(scaled, y).coeffs
+        assert out[1].is_zero()
         [groups] = calls
         assert [len(g) for g in groups] == [1, 0, 1]
         # and across pairs: x * y - y * x is zero in every degree
-        assert _dot(vs, 2, [(x, y, 1), (y, x, -1)]) == [MultiPoly.zero(vs)] * 3
+        one, minus = (lambda i, j: 1), (lambda i, j: -1)
+        assert _dot(vs, 2, [(x, y, one), (y, x, minus)]) == [MultiPoly.zero(vs)] * 3
         assert [len(g) for g in calls[-1]] == [0, 0, 0]
 
     @pytest.mark.parametrize("nvars", range(3))
@@ -571,24 +579,53 @@ class TestPackedClassMerge:
             return TruncSeries(vs, order, coeffs)
 
         x, y = rand_series(), rand_series()
-        pairs = [(x, y, Fraction(rng.randint(-5, 5), rng.randint(1, 4))), (x, x.reflect(), 1), (y.theta(), x, -2)]
-        expected = dot_by_products(vs, order, pairs)
+        s = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        # x * x(-t) and theta(y) * x as weights on x, x and y, x
+        pairs = [(x, y, lambda i, j: s), (x, x, lambda i, j: (-1) ** j), (y, x, lambda i, j: -2 * i)]
+        expected = dot_by_products(vs, order, [(x, y, s), (x, x.reflect(), 1), (y.theta(), x, -2)])
         assert _dot(vs, order, pairs) == expected
         assert x * y == naive_mul(x, y)
 
     def test_constant_series_merge_into_one_row_per_degree(self, monkeypatch):
-        # over no variables every coefficient's primitive part is 1, with
-        # lead exponent ()
-        x = const_series(S, 4, [2, Fraction(-3, 4), 5, 0, Fraction(1, 6)])
+        # every coefficient is one object, so each degree's rows are one pair
+        c = MultiPoly.const(S, Fraction(-3, 4))
+        x = TruncSeries(S, 4, [c] * 5)
         calls = recorded_rows(monkeypatch)
         assert x * x == naive_mul(x, x)
         [groups] = calls
         assert [len(g) for g in groups] == [1] * 5
+        assert [Fraction(n, d) for [(_, _, n, d)] in groups] == [1, 2, 3, 4, 5]
+
+
+class TestWeightsReplaceScaledSeries:
+    """hg-c0 and the derivation check state a(-t) and theta^j(f) as weights;
+    they build no reflected or theta series."""
+
+    def test_checks_pass_with_theta_and_reflect_unusable(self, monkeypatch):
+        def unusable(self):
+            raise AssertionError("a scaled series was built")
+
+        monkeypatch.setattr(TruncSeries, "theta", unusable)
+        monkeypatch.setattr(TruncSeries, "reflect", unusable)
+        for identity in ("derivation", "hg-c0"):
+            code, out, err = run_cli("verify", identity, "--order", "8")
+            assert (code, err) == (0, "") and out.startswith(f"{identity}: PASS")
+
+    def test_rows_per_degree(self, monkeypatch):
+        calls = recorded_rows(monkeypatch)
+        assert verify_hg_c0(12).passed
+        [groups] = calls
+        assert [len(g) for g in groups] == [0 if d % 2 else d // 2 + 1 for d in range(13)]
+        calls.clear()
+        assert all(r.passed for r in derivation_identity_check(base_series(12), range(3)))
+        assert len(calls) == 13
+        for d, groups in enumerate(calls):
+            assert len(groups) == 6 and all(len(g) <= d // 2 + 1 for g in groups)
 
 
 class TestSeriesProductsOnPackedForm:
     def test_no_kept_coefficient_is_unpacked(self, monkeypatch):
-        # the series products split, merge and compare the kept packed form;
+        # the series products merge rows and compare the kept packed form;
         # reading num would unpack it
         f12, f8 = base_series(12), base_series(8)
         num = MultiPoly.num

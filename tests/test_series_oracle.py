@@ -107,19 +107,15 @@ def test_product_with_theta_cubed(g, seed):
 def test_fused_derivation_sum(g, seed, k):
     b, c = point(seed)
     w = w_values(b, c, ORDER)
-    powers = [g]
-    for _ in range(2 * k):
-        powers.append(powers[-1].theta())
-    pairs = [(powers[j], powers[2 * k - j], (-1) ** j) for j in range(2 * k + 1)]
-    fused = _dot(RING_BC, ORDER, pairs)
-    expected = [
-        sum(
-            (-1) ** j * i**j * (d - i) ** (2 * k - j) * w[i] * w[d - i]
-            for j in range(2 * k + 1)
-            for i in range(d + 1)
-        )
-        for d in range(ORDER + 1)
-    ]
+
+    def weight(i, j):  # theta^t(g)[i] theta^(2k-t)(g)[j] = i^t j^(2k-t) g[i] g[j]
+        return sum((-1) ** t * i**t * j ** (2 * k - t) for t in range(2 * k + 1))
+
+    fused = _dot(RING_BC, ORDER, [(g, g, weight)])
+    # sum_j (-1)^j theta^j(g) theta^(2k-j)(g) from the scalar theta series
+    thetas = [[n**j * v for n, v in enumerate(w)] for j in range(2 * k + 1)]
+    products = [cauchy(thetas[j], thetas[2 * k - j]) for j in range(2 * k + 1)]
+    expected = [sum((-1) ** j * p[d] for j, p in enumerate(products)) for d in range(ORDER + 1)]
     assert [p.eval({"b": b, "c": c}) for p in fused] == expected
     # the telescoping identity itself, at the point
     lhs = cauchy(w, [n ** (2 * k + 1) * v for n, v in enumerate(w)])
