@@ -1,21 +1,21 @@
 """Sparse multivariate polynomials over exact rationals.
 
-MultiPoly is the workhorse.  It stores integer numerators keyed by exponent
-vectors (`num`) over one common positive denominator (`den`), keyed to an
-ordered VarSet; the polynomial is sum(num[e] * x^e) / den.  Every
-construction normalises, so the representation is canonical: no numerator
-is zero, gcd(den, every numerator) == 1, and the zero polynomial has
-den == 1.  The arithmetic kernels work on these integers and never build a
-Fraction per term; `terms` is the Fraction-valued view for callers that want
-coefficients.
+MultiPoly is the workhorse.  It stores integer numerators over one common
+positive denominator (`den`), keyed to an ordered VarSet; the polynomial is
+sum(num[e] * x^e) / den.  Every construction normalises, so the
+representation is canonical: no numerator is zero, gcd(den, every
+numerator) == 1, and the zero polynomial has den == 1.  The arithmetic
+kernels work on these integers and never build a Fraction per term.
 
-Every polynomial carries, from the moment it is built, the packed form
-(width, deg, keys, numerators) of its terms: each exponent vector packed into
-one int key, deg a bound on the total degree.  The kernels (`*`, `+`, `-`,
+The numerators are stored in one form only, the packed form (width, deg,
+keys, numerators) of the terms: each exponent vector packed into one int
+key, deg a bound on the total degree.  The kernels (`*`, `+`, `-`,
 sum_of_products, UPoly.eval_poly, horner_sum_div_linear) read their operands
-and make their results in this form; `num` is unpacked from it on first
-read.  Before that read den is already final, and text, total_degree,
-denom_profile, is_zero, equality, negation and scaling never unpack it.
+and make their results in this form, and text, total_degree, denom_profile,
+is_zero, equality, negation and scaling read it too.  `num` (exponent
+vector -> numerator) and `terms` (exponent vector -> Fraction) are views
+unpacked from it on each read, for eval, subst_value and callers that want
+coefficients.
 
 UPoly layers a dense univariate polynomial (in an auxiliary indeterminate)
 over MultiPoly coefficients; it carries the parity predicates and affine
@@ -170,14 +170,6 @@ def _packing(num: dict[tuple[int, ...], int]) -> tuple:
     return width, deg, _pack(list(zip(*num)), width, len(num)), list(num.values())
 
 
-def _exponent_columns(p: MultiPoly) -> tuple[list[list[int]], Sequence[int]]:
-    """The exponents of p's terms, one column per variable, and their
-    numerators in the same order, read from p's packed form, so that no
-    exponent tuple is built."""
-    width, _, keys, nums = p._packed
-    return _columns(keys, width, len(p.vs)), nums
-
-
 def _pairs(p: MultiPoly, width: int, scale: int = 1) -> list[tuple[int, int]]:
     """(key, numerator * scale) pairs of p's packed form, with the keys
     repacked by shifts if they were packed at another width."""
@@ -214,8 +206,8 @@ def _horner(acc: dict[int, int], arg: list[tuple[int, int]], steps: list[tuple[i
 
 def _from_packed(vs: VarSet, acc: dict[int, int], width: int, den: int, deg: int) -> MultiPoly:
     """The polynomial acc / den in lowest terms, for acc keyed by packed
-    exponents at `width`, none of total degree above `deg`.  It keeps that
-    packed form; num is unpacked from it on first read."""
+    exponents at `width`, none of total degree above `deg`, in that packed
+    form."""
     if 0 in acc.values():
         acc = {k: c for k, c in acc.items() if c}
     if not acc:
@@ -226,7 +218,7 @@ def _from_packed(vs: VarSet, acc: dict[int, int], width: int, den: int, deg: int
         if g != 1:
             den //= g
             nums = [c // g for c in nums]
-    return MultiPoly._new(vs, None, den, (width, deg, list(acc), nums))
+    return MultiPoly._new(vs, den, (width, deg, list(acc), nums))
 
 
 #: How many digits str() converts at most, 0 for no limit; Python versions
@@ -281,21 +273,19 @@ def json_text(doc) -> str:
 class MultiPoly:
     """Sparse polynomial with rational coefficients over a fixed VarSet.
 
-    Stored as integer numerators `num` (exponent tuple -> nonzero int) over
-    one denominator `den`, in lowest terms: gcd(den, *num.values()) == 1,
-    and den == 1 when num is empty.  Two equal polynomials therefore have
-    equal (vs, den, num).  Monomials print in descending graded-lexicographic
+    Stored as (vs, den, _packed): integer numerators over one denominator
+    `den`, in lowest terms, held in the packed form (width, deg, keys,
+    numerators), with the keys packed in width-bit fields as _pack lays them
+    out, no total degree (and so no exponent) above deg, deg < 2^width, and
+    the numerators, nonzero and sharing no factor with den, in the order of
+    the keys; den == 1 when there are no keys.  Two equal polynomials
+    therefore have equal den and equal (key, numerator) pairs once their keys
+    are at one width.  `num` unpacks a fresh dict (exponent tuple -> nonzero
+    int) on each read.  Monomials print in descending graded-lexicographic
     order, which makes text() a canonical form.
-
-    Every polynomial is built with its packed form in `_packed`: (width,
-    deg, keys, numerators), with the keys packed in width-bit fields as _pack
-    lays them out, no total degree (and so no exponent) above deg,
-    deg < 2^width, and the numerators, nonzero and sharing no factor with
-    den, in the order of the keys.  The kernels read and make this form;
-    num is its one lazily unpacked view, filled on first read.
     """
 
-    __slots__ = ("vs", "_num", "den", "_packed")
+    __slots__ = ("vs", "den", "_packed")
 
     def __init__(self, vs: VarSet, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         nvars = len(vs)
@@ -311,24 +301,19 @@ class MultiPoly:
         # denominators the numerators already share no factor with it
         den = lcm(*(c.denominator for c in clean.values()))
         self.vs = vs
-        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         self.den = den
-        self._packed = _packing(self._num)
+        self._packed = _packing({e: c.numerator * (den // c.denominator) for e, c in clean.items()})
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _new(
-        cls, vs: VarSet, num: dict[tuple[int, ...], int] | None, den: int, packed: tuple | None = None
-    ) -> "MultiPoly":
-        # Internal fast path: caller guarantees the normalised form, given as
-        # num, as a packed form (see the class docstring) or as both; num
-        # alone is packed here.
+    def _new(cls, vs: VarSet, den: int, packed: tuple) -> "MultiPoly":
+        # Internal fast path: caller guarantees the normalised packed form
+        # (see the class docstring).
         self = cls.__new__(cls)
         self.vs = vs
-        self._num = num
         self.den = den
-        self._packed = _packing(num) if packed is None else packed
+        self._packed = packed
         return self
 
     @classmethod
@@ -338,18 +323,18 @@ class MultiPoly:
             g = gcd(den, *num.values())
             if g != 1:
                 den, num = den // g, {k: c // g for k, c in num.items()}
-        return cls._new(vs, num, den)
+        return cls._new(vs, den, _packing(num))
 
     @classmethod
     def zero(cls, vs: VarSet) -> "MultiPoly":
-        return cls._new(vs, {}, 1, _EMPTY)
+        return cls._new(vs, 1, _EMPTY)
 
     @classmethod
     def const(cls, vs: VarSet, value) -> "MultiPoly":
         c = Fraction(value)
         if not c:
             return cls.zero(vs)
-        return cls._new(vs, {(0,) * len(vs): c.numerator}, c.denominator, (0, 0, [0], [c.numerator]))
+        return cls._new(vs, c.denominator, (0, 0, [0], [c.numerator]))
 
     @classmethod
     def one(cls, vs: VarSet) -> "MultiPoly":
@@ -357,11 +342,8 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, vs: VarSet, name: str) -> "MultiPoly":
-        exps = [0] * len(vs)
-        i = vs.index(name)
-        exps[i] = 1
         # total degree 1, so one bit per field
-        return cls._new(vs, {tuple(exps): 1}, 1, (1, 1, [1 << (len(vs) - 1 - i)], [1]))
+        return cls._new(vs, 1, (1, 1, [1 << (len(vs) - 1 - vs.index(name))], [1]))
 
     @classmethod
     def monomial(cls, vs: VarSet, exps: Sequence[int], coef) -> "MultiPoly":
@@ -371,15 +353,12 @@ class MultiPoly:
 
     @property
     def num(self) -> dict[tuple[int, ...], int]:
-        """Map from exponent vector to nonzero integer numerator over den;
-        unpacked from the packed form on first read."""
-        num = self._num
-        if num is None:
-            width, _, keys, nums = self._packed
-            nvars = len(self.vs)
-            exps = zip(*_columns(keys, width, nvars)) if nvars else [()] * len(keys)
-            num = self._num = dict(zip(exps, nums))
-        return num
+        """Map from exponent vector to nonzero integer numerator over den,
+        unpacked from the packed form into a new dict on each read."""
+        width, _, keys, nums = self._packed
+        nvars = len(self.vs)
+        exps = zip(*_columns(keys, width, nvars)) if nvars else [()] * len(keys)
+        return dict(zip(exps, nums))
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
@@ -470,12 +449,12 @@ class MultiPoly:
         c // div * mul over den, on the same packed keys and bounds."""
         packed = self._packed
         if div == mul == 1:
-            return MultiPoly._new(self.vs, self._num, den, packed)
+            return MultiPoly._new(self.vs, den, packed)
         if div == 1:
             values = [c * mul for c in packed[3]]
         else:
             values = [c // div * mul for c in packed[3]]
-        return MultiPoly._new(self.vs, None, den, (*packed[:3], values))
+        return MultiPoly._new(self.vs, den, (*packed[:3], values))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -592,7 +571,7 @@ class MultiPoly:
             except KeyError:
                 if any(col):
                     raise
-        return MultiPoly._new(vs, None, self.den, (width, deg, _pack(cols, width, len(keys)), nums))
+        return MultiPoly._new(vs, self.den, (width, deg, _pack(cols, width, len(keys)), nums))
 
     # -- canonical text -------------------------------------------------------
 
@@ -601,7 +580,7 @@ class MultiPoly:
         * and ^, rational coefficients as p/q.  Round-trips through
         reclang.parse_poly within the parser's limits.
 
-        On the packed form, num unread: one C-level sort of (total degree, key)
+        On the packed form alone: one C-level sort of (total degree, key)
         descending, as keys order like exponents; monomial strings from a
         cache bounded and keyed by (names, width, key); no gcd when den == 1.
         """
@@ -645,21 +624,13 @@ def _monomial(names: tuple[str, ...], width: int, key: int) -> str:
 def sum_of_products(
     vs: VarSet, groups: Iterable[Iterable[tuple[MultiPoly, MultiPoly, Fraction | int]]]
 ) -> list[MultiPoly]:
-    """[sum(r * a * b for a, b, r in group) for group in groups]: _sum_rows
-    with each weight r as the integer pair (r.numerator, r.denominator)."""
-    return _sum_rows(vs, (((a, b, r.numerator, r.denominator) for a, b, r in g) for g in groups))
-
-
-def _sum_rows(
-    vs: VarSet, groups: Iterable[Iterable[tuple[MultiPoly, MultiPoly, int, int]]]
-) -> list[MultiPoly]:
-    """[sum(f / d * a * b for a, b, f, d in group) for group in groups], for
-    integer weights f / d, d > 0, not necessarily reduced: the one product kernel.
+    """[sum(r * a * b for a, b, r in group) for group in groups], for int or
+    Fraction weights r: the one product kernel.
 
     Every distinct operand is packed once for the call, at one field width
     (its packed keys, repacked if they have another width).  Each row's weight
-    over its operands' denominators, f / (d * a.den * b.den), is reduced by
-    one integer gcd.  Each group accumulates packed keys over the lcm of its
+    over its operands' denominators, r / (a.den * b.den), is reduced by one
+    integer gcd.  Each group accumulates packed keys over the lcm of its
     rows' reduced denominators, a row's share of it times its numerator
     folded once into its smaller operand, and is normalised once, keeping
     its packed form.  A pair of multi-term operands in several rows of the
@@ -674,8 +645,8 @@ def _sum_rows(
     for group in groups:
         rows = []
         deg = 0
-        for a, b, f, d in group:
-            if not f or a.is_zero() or b.is_zero():
+        for a, b, r in group:
+            if not r or a.is_zero() or b.is_zero():
                 continue
             for p in (a, b):
                 if id(p) not in operands:
@@ -687,7 +658,7 @@ def _sum_rows(
                 pair = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
                 uses[pair] = uses.get(pair, 0) + 1
             deg = max(deg, a._packed[1] + b._packed[1])
-            d *= a.den * b.den
+            f, d = r.numerator, r.denominator * a.den * b.den
             g = gcd(f, d)
             rows.append((a, b, f // g, d // g, pair))
         all_rows.append((rows, deg))
@@ -839,7 +810,7 @@ class UPoly:
             for key, c in _pairs(coef, width, den // coef.den):
                 keys.append((key << width) | k)
                 nums.append(c)
-        return MultiPoly._new(full, None, den, (width, deg, keys, nums))
+        return MultiPoly._new(full, den, (width, deg, keys, nums))
 
     def text(self, indet: str = "t") -> str:
         return self.to_multipoly(indet).text()

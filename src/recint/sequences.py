@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
+from fractions import Fraction
 from itertools import accumulate, chain, product, repeat
 from math import lcm, prod
 from operator import add, itemgetter, mul, sub
@@ -27,9 +28,7 @@ from .multipoly import (
     MultiPoly,
     VarSet,
     _columns,
-    _exponent_columns,
     _pack,
-    _sum_rows,
     denom_profile,
     sum_of_products,
 )
@@ -152,7 +151,8 @@ def _prepare(n: int, w: ParamSeq) -> tuple[list[tuple], list[list[int]], dict]:
     for p in w.terms[: 2 * n + 1]:
         if p.vs != vs:
             raise ValueError(f"variable-set mismatch: {p.vs.names} vs {vs.names}")
-        cols, nums = _exponent_columns(p)
+        packed_width, _, keys, nums = p._packed
+        cols = _columns(keys, packed_width, nvars)
         terms.append((cols, nums))
         dens.append(p.den)
         degs.append([max(col) for col in cols] if nums else [0] * nvars)
@@ -476,10 +476,10 @@ def _inversion_sums(u: ParamSeq, ns: Sequence[int]) -> list[tuple[MultiPoly, Mul
             scale = (-1) ** m * binomial(n, m) * (d // binomial(2 * m, m))
             f[: m + 1] = map(add, f, map(scale.__mul__, inner[m]))
         groups += (
-            [(cs[(n - k) // 2], u[k], (-1) ** odd * f[k], d) for k in range(n - odd, -1, -2)]
+            [(cs[(n - k) // 2], u[k], Fraction((-1) ** odd * f[k], d)) for k in range(n - odd, -1, -2)]
             for odd in (0, 1)
         )
-    sums = _sum_rows(RING_BC, groups)
+    sums = sum_of_products(RING_BC, groups)
     return list(zip(sums[::2], sums[1::2]))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
-from .multipoly import MultiPoly, UPoly, VarSet, _sum_rows, sum_of_products
+from .multipoly import MultiPoly, UPoly, VarSet, sum_of_products
 from .scalars import binomial, factorial
 from .sequences import RING_B, RING_BC, gen_u, gen_w, poch_products
 
@@ -47,10 +47,6 @@ class TruncSeries:
         self = cls.__new__(cls)
         self.vs, self.order, self.coeffs = vs, order, coeffs
         return self
-
-    @classmethod
-    def one(cls, vs: VarSet, order: int) -> "TruncSeries":
-        return cls(vs, order, [MultiPoly.one(vs)])
 
     def _check(self, other: "TruncSeries"):
         if self.vs != other.vs:
@@ -135,17 +131,19 @@ class TruncSeries:
 def _dot(vs: VarSet, order: int, pairs: Sequence[tuple]) -> list[MultiPoly]:
     """Coefficients of sum(w(i, j) * x[i] * y[j] * t^(i+j) for x, y, w in
     pairs) through the order, each weight w(i, j) an int or Fraction: the
-    one series product.  A caller states a scaled copy of a series as a
-    weight instead of building it: theta^m(y) as j^m, y(-t) as (-1)^j."""
-    return _sum_rows(vs, (groups[0] for groups in _dot_groups(order, [pairs])))
+    one series product, one sum_of_products group per degree.  A caller
+    states a scaled copy of a series as a weight instead of building it:
+    theta^m(y) as j^m, y(-t) as (-1)^j."""
+    return sum_of_products(vs, (groups[0] for groups in _dot_groups(order, [pairs])))
 
 
 def _dot_groups(order: int, sums: Sequence[Sequence[tuple]]) -> Iterator[list[list[tuple]]]:
     """The weight stage of _dot, one degree at a time: per degree through the
-    order, one _sum_rows group for each sum in sums, a list of (x, y, w)
-    pairs as _dot takes.  In degree d, the rows x[i] * y[d - i] of a sum on
-    the same unordered pair of coefficient objects become one row whose
-    weight is the sum of theirs, and rows of weight zero are dropped."""
+    order, one sum_of_products group for each sum in sums, a list of
+    (x, y, w) pairs as _dot takes.  In degree d, the rows x[i] * y[d - i] of
+    a sum on the same unordered pair of coefficient objects become one
+    [x[i], y[d - i], weight] row whose weight is the sum of theirs, and rows
+    of weight zero are dropped."""
     sums = [
         [([(i, c) for i, c in enumerate(x.coeffs) if not c.is_zero()], y.coeffs, w) for x, y, w in ps]
         for ps in sums
@@ -162,7 +160,7 @@ def _dot_groups(order: int, sums: Sequence[Sequence[tuple]]) -> Iterator[list[li
                     if not b.is_zero():
                         key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
                         rows.setdefault(key, [a, b, 0])[2] += w(i, d - i)
-            groups.append([(a, b, r.numerator, r.denominator) for a, b, r in rows.values() if r])
+            groups.append([row for row in rows.values() if row[2]])
         yield groups
 
 
@@ -427,10 +425,10 @@ def derivation_identity_check(f: TruncSeries, ks: Sequence[int]) -> list[Identit
     theta is degree-preserving, so both sides are exact at the full order.
     As theta^j(f)[i] = i^j f[i], both sides of every k are f * f with
     weights, j^(2k+1) on the left and sum_t (-1)^t i^t j^(2k-t) on the
-    right, so no theta series is built.  In each degree one _sum_rows call
-    takes both sides of every k, at most d/2 + 1 rows each on the same pairs
-    of coefficients, and multiplies each pair once; the sides differ only in
-    weights.  Right side: d/2 * sum[d].
+    right, so no theta series is built.  In each degree one sum_of_products
+    call takes both sides of every k, at most d/2 + 1 rows each on the same
+    pairs of coefficients, and multiplies each pair once; the sides differ
+    only in weights.  Right side: d/2 * sum[d].
     """
     if any(k < 0 for k in ks):
         raise ValueError("negative order")
@@ -441,7 +439,7 @@ def derivation_identity_check(f: TruncSeries, ks: Sequence[int]) -> list[Identit
         sums.append([(f, f, lambda i, j, e=e: sum((-i) ** t * j ** (e - t) for t in range(e + 1)))])
     mismatches = [None] * len(ks)
     for d, groups in enumerate(_dot_groups(f.order, sums)):
-        sides = _sum_rows(f.vs, groups)
+        sides = sum_of_products(f.vs, groups)
         for i, m in enumerate(mismatches):
             lhs, rhs = sides[2 * i], sides[2 * i + 1] * Fraction(d, 2)
             if m is None and lhs != rhs:

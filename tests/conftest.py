@@ -3,6 +3,7 @@
 Exposes the repo paths, an in-process CLI runner, a linear-form builder,
 the odd monomial atoms t^(2j+1), the term-pair convolution reference, the
 per-degree series-product reference, the exponent-tuple route of to_upoly,
+a patch that makes every polynomial's num view raise (forbid_unpacking),
 a perturbation of the derivation check's kernel calls with a product
 reference for its left side, the term-by-term right sides of the id3, r2
 and Clausen identities, the closed form of u at c = 0, Apery's sequence
@@ -120,24 +121,38 @@ def to_upoly_by_exponents(p, var: str):
     return UPoly(sub, [MultiPoly._make(sub, buckets.get(k, {}), p.den) for k in range(deg + 1)])
 
 
+def forbid_unpacking(monkeypatch):
+    """Patch MultiPoly.num to raise, so that reading the exponent-tuple view
+    of any polynomial (num, terms, eval, subst_value) fails the test: the
+    code run afterwards must work on the packed form alone."""
+    from recint.multipoly import MultiPoly
+
+    def unpacked(self):
+        raise AssertionError(f"a polynomial was unpacked: {self.text()}")
+
+    monkeypatch.setattr(MultiPoly, "num", property(unpacked))
+
+
 def perturb_derivation(monkeypatch, degree: int, group: int):
-    """Rebind series._sum_rows so that in its call for `degree` of a
+    """Rebind series.sum_of_products so that in its call for `degree` of a
     derivation check, one call per degree from 0, result `group` gains 1.
-    With ks = (1, 0, 2) the groups are the left and right side of k = 1,
-    then of k = 0, then of k = 2."""
+    The series f is built by the recurrence engine on reclang's binding of
+    the kernel, so only the check's calls are counted.  With ks = (1, 0, 2)
+    the groups are the left and right side of k = 1, then of k = 0, then of
+    k = 2."""
     from recint import series
 
     calls = [0]
-    sum_rows = series._sum_rows
+    kernel = series.sum_of_products
 
     def perturbed(vs, groups):
-        out = sum_rows(vs, groups)
+        out = kernel(vs, groups)
         if calls[0] == degree:
             out[group] = out[group] + 1
         calls[0] += 1
         return out
 
-    monkeypatch.setattr(series, "_sum_rows", perturbed)
+    monkeypatch.setattr(series, "sum_of_products", perturbed)
 
 
 def derivation_lhs_by_products(f, k: int, degree: int):
@@ -185,7 +200,7 @@ def r2_rhs_by_terms(order: int, w):
     s = inv_sqrt(quartic)
     x = (s * s).shift(2).scale(-1)
     acc = TruncSeries(RING_BC, order)
-    xpow = TruncSeries.one(RING_BC, order)
+    xpow = TruncSeries(RING_BC, order, [1])
     for n in range(order // 2 + 1):
         acc = acc + xpow.scale(w[n] * (math.comb(2 * n, n) * math.factorial(n)))
         xpow = xpow * x
@@ -204,7 +219,7 @@ def clausen_rhs_by_terms(order: int, pochs):
 
     tm1t = TruncSeries(RING_B, order, [0, 1, -1])
     acc = TruncSeries(RING_B, order)
-    xpow = TruncSeries.one(RING_B, order)
+    xpow = TruncSeries(RING_B, order, [1])
     for n in range(order + 1):
         acc = acc + xpow.scale(pochs[n] * Fraction(math.comb(2 * n, n), math.factorial(n) ** 2))
         xpow = xpow * tm1t

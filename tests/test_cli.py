@@ -16,11 +16,12 @@ from conftest import (
     SPECS_DIR,
     derivation_lhs_by_products,
     digits_value,
+    forbid_unpacking,
     perturb_derivation,
     run_cli,
 )
 from recint import cli, series
-from recint.multipoly import MAX_COEF_BITS, MAX_DEGREE, MAX_ORDER, MultiPoly, _decimal
+from recint.multipoly import MAX_COEF_BITS, MAX_DEGREE, MAX_ORDER, _decimal
 from recint.scalars import factorial
 from recint.reclang import parse_poly_list, parse_spec
 
@@ -272,21 +273,14 @@ class TestOutput:
 
     def test_output_unpacks_no_kept_polynomial(self, monkeypatch):
         # text(), the bracket checks and the expansion read kernel results
-        # on their packed keys; reading num would unpack a kept polynomial
+        # on their packed keys and unpack none
         calls = (
             ("gen", "--spec", WSEQ, "--format", "json"),
             ("brackets", "t^5, t^3, t", "--n", "6", "--format", "json"),
             ("expand", "--spec", USEQ, "--n", "8"),
         )
         expected = [run_cli(*argv) for argv in calls]
-        num = MultiPoly.num
-
-        def guarded(self):
-            if self._num is None:
-                raise AssertionError("a kept polynomial was unpacked")
-            return num.fget(self)
-
-        monkeypatch.setattr(MultiPoly, "num", property(guarded))
+        forbid_unpacking(monkeypatch)
         for argv, before in zip(calls, expected):
             assert run_cli(*argv) == before
             assert before[0] == 0

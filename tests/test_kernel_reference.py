@@ -10,12 +10,12 @@ ring operations (Horner with `*` and `+`, synthetic division slice by slice,
 the recurrence loop term by term), or, for text(), the one-key sort and
 per-term join, or, for eval(), a Fraction power and product per term; the
 kernels must give equal polynomials (or equal strings or numbers), and equal
-remainders when a division is inexact.  sum_of_products and the
-integer-row core it converts its rows into must keep the same den and
-packed keys and numerators.  The core multiplies a pair of multi-term
-operands that recurs across the rows of a call once; seeded calls check
-its sums against naive products and its term-pair steps against the count
-that sharing gives.
+remainders when a division is inexact.  sum_of_products must keep the
+same den and packed keys and numerators whether a weight is given as an
+int or as a Fraction.  It multiplies a pair of multi-term operands that
+recurs across the rows of a call once; seeded calls check its sums
+against naive products and its term-pair steps against the count that
+sharing gives.
 
 Every polynomial carries its packed form from construction, and kernel
 calls read it, repacked when their field width differs.  The chained tests
@@ -33,7 +33,7 @@ from math import gcd
 
 import pytest
 
-from conftest import CORPUS, SPECS_DIR, linear_form
+from conftest import CORPUS, SPECS_DIR, forbid_unpacking, linear_form
 from recint import multipoly
 from recint.brackets import SCALARS, BracketDivisionError, BracketTable, QTuple
 from recint.multipoly import (
@@ -47,7 +47,6 @@ from recint.multipoly import (
     _max_str_digits,
     _pack,
     _repack,
-    _sum_rows,
     denom_profile,
     horner_sum_div_linear,
     sum_of_products,
@@ -146,15 +145,16 @@ def loop_run_spec(spec, n: int) -> list[MultiPoly]:
 def reference_text(p: MultiPoly) -> str:
     """text() as one sort on a (total degree, exponents) key, a gcd and a
     monomial join per term, and one string concatenation per term."""
-    if not p.num:
+    terms = p.num  # one unpacked dict, read per term below
+    if not terms:
         return "0"
     den = p.den
     limit = 3 * _max_str_digits()
-    wide = limit and max(den, *map(abs, p.num.values())).bit_length() > limit
+    wide = limit and max(den, *map(abs, terms.values())).bit_length() > limit
     digits = _decimal if wide else str
     pieces = []
-    for exps in sorted(p.num, key=lambda e: (sum(e), e), reverse=True):
-        coef = p.num[exps]
+    for exps in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        coef = terms[exps]
         g = gcd(coef, den)
         num, q = abs(coef) // g, den // g
         mono = "*".join(
@@ -353,13 +353,13 @@ def test_text_at_a_total_degree_of_all_ones(degree, nvars):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_text_of_results_kept_wider_than_their_degree(seed):
-    # a _sum_rows call packs every group at the width of its highest one,
+    # a sum_of_products call packs every group at the width of its highest one,
     # so the low group's keys have wider fields than its own degree needs
     rng = random.Random(seed)
     vs = VarSet(tuple(f"x{i}" for i in range(1 + seed % 3)))
     a, b = (rand_poly(rng, vs, 2, 5) + MultiPoly.monomial(vs, (1,) * len(vs), 1) for _ in range(2))
     big = MultiPoly.monomial(vs, (9,) * len(vs), Fraction(1, 3))
-    low, high = _sum_rows(vs, [[(a, b, 1, 1), (b, b, -2, 3)], [(big, big, 1, 1), (a, b, 1, 1)]])
+    low, high = sum_of_products(vs, [[(a, b, 1), (b, b, Fraction(-2, 3))], [(big, big, 1), (a, b, 1)]])
     assert low._packed[0] > low.total_degree().bit_length()
     for p in (low, high, MultiPoly(vs, low.terms)):
         assert_text(p)
@@ -795,29 +795,33 @@ def test_repack_matches_packing_at_the_new_width(nvars):
         assert list(_repack(keys, old, new, nvars)) == list(_pack(cols, new, len(exps)))
 
 
-def assert_lowest_terms_unread(p: MultiPoly):
-    # den is final when a kernel makes p: no numerator has been unpacked yet
-    assert p._num is None
-    profile = denom_profile(p)
-    assert p._num is None
-    assert profile == denom_profile(MultiPoly(p.vs, p.terms))
+def assert_lowest_terms_unread(monkeypatch, make) -> list[MultiPoly]:
+    """The polynomials make() builds, built and profiled with num patched to
+    raise: den is final when a kernel makes a polynomial, before anything is
+    unpacked, so the profile equals that of its twin built from terms."""
+    with monkeypatch.context() as m:
+        forbid_unpacking(m)
+        polys = list(make())
+        profiles = [denom_profile(p) for p in polys]
+    for p, profile in zip(polys, profiles):
+        assert profile == denom_profile(MultiPoly(p.vs, p.terms))
+    return polys
 
 
-def test_gen_u_terms_are_in_lowest_terms_before_any_read():
-    terms = SpecRunner(parse_spec(USEQ_TEXT)).upto(60).terms
-    for term in terms[1:]:
-        assert_lowest_terms_unread(term)
+def test_gen_u_terms_are_in_lowest_terms_before_any_read(monkeypatch):
+    assert_lowest_terms_unread(monkeypatch, lambda: SpecRunner(parse_spec(USEQ_TEXT)).upto(60).terms[1:])
 
 
-def test_cancelling_group_is_in_lowest_terms_before_any_read():
+def test_cancelling_group_is_in_lowest_terms_before_any_read(monkeypatch):
     # the rows' denominators are 3 and 12; the x/3 parts cancel, so the
     # sum y/4 has denominator 4
     vs = VarSet.of("x", "y")
     x, y = MultiPoly.variable(vs, "x"), MultiPoly.variable(vs, "y")
     a = x * Fraction(1, 3) + y * Fraction(1, 4)
-    [p] = sum_of_products(vs, [[(a, y, 1), (x, y, Fraction(-1, 3))]])
+    [p] = assert_lowest_terms_unread(
+        monkeypatch, lambda: sum_of_products(vs, [[(a, y, 1), (x, y, Fraction(-1, 3))]])
+    )
     assert p.den == 4
-    assert_lowest_terms_unread(p)
 
 
 def cancels(a: MultiPoly, b: MultiPoly, r) -> bool:
@@ -868,13 +872,14 @@ def kept_dict(p: MultiPoly) -> tuple[int, int, dict[int, int]]:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_integer_rows_match_sum_of_products(seed):
-    # the integer-row core takes each weight as an unreduced pair (f, d);
-    # sum_of_products is that core on (r.numerator, r.denominator)
+    # a weight may be an int or a Fraction: each whole weight given as the
+    # other type (an int as a Fraction, a whole Fraction as an int) gives the
+    # same sums and packed forms
     rng = random.Random(seed)
     vs = VarSet(tuple(f"x{i}" for i in range(seed % 4)))
-    groups, int_groups = [], []
+    groups, alt_groups = [], []
     for _ in range(rng.randint(0, 5)):
-        rows, int_rows = [], []
+        rows, alt_rows = [], []
         for _ in range(rng.randint(0, 4)):
             a, b = rand_poly(rng, vs), rand_poly(rng, vs)
             r = rng.choice(
@@ -886,13 +891,13 @@ def test_integer_rows_match_sum_of_products(seed):
                     b.den * rng.randint(-6, 6),
                 )
             )
-            k = rng.randint(1, 12)  # the core must reduce f / d itself
             rows.append((a, b, r))
-            int_rows.append((a, b, Fraction(r).numerator * k, Fraction(r).denominator * k))
+            alt = Fraction(r) if isinstance(r, int) else int(r) if r.denominator == 1 else r
+            alt_rows.append((a, b, alt))
         groups.append(rows)
-        int_groups.append(int_rows)
+        alt_groups.append(alt_rows)
     expected = sum_of_products(vs, groups)
-    got = _sum_rows(vs, int_groups)
+    got = sum_of_products(vs, alt_groups)
     assert len(got) == len(expected) == len(groups)
     for p, q, rows in zip(got, expected, groups):
         assert p == q == sum((naive_mul(a, b) * r for a, b, r in rows), MultiPoly.zero(vs))
@@ -926,22 +931,21 @@ def counted_pair_sums(monkeypatch) -> list[int]:
 
 
 def shared_pair_groups(rng: random.Random, vs: VarSet) -> list[list]:
-    """_sum_rows groups that repeat pairs of multi-term operands: (a, b) twice
-    in one group and in two more, once as (b, a); the square c * c in two
-    groups; (c, a) once; and the one-term operands m, n in several rows.
-    Weights are unreduced integer pairs, some of them zero."""
+    """sum_of_products groups that repeat pairs of multi-term operands: (a, b)
+    twice in one group and in two more, once as (b, a); the square c * c in
+    two groups; (c, a) once; and the one-term operands m, n in several rows.
+    Weights are Fractions, some of them zero."""
     a, b, c = (multi_term_poly(rng, vs) for _ in range(3))
     m = MultiPoly.variable(vs, "x0") * Fraction(rng.randint(1, 9), 4)
     n = MultiPoly.const(vs, Fraction(-5, 3))
 
-    def w() -> tuple[int, int]:
-        k = rng.randint(1, 4)  # the kernel must reduce f / d itself
-        return rng.choice((0, 1, -1, 3, -12)) * k, rng.choice((1, 2, 9)) * k
+    def w() -> Fraction:
+        return Fraction(rng.choice((0, 1, -1, 3, -12)), rng.choice((1, 2, 9)))
 
     return [
-        [(a, b, *w()), (a, b, *w()), (c, c, *w()), (m, a, *w())],
-        [(b, a, *w()), (c, a, *w()), (m, a, *w()), (n, c, *w())],
-        [(a, b, *w()), (c, c, *w()), (a, m, *w()), (m, n, *w())],
+        [(a, b, w()), (a, b, w()), (c, c, w()), (m, a, w())],
+        [(b, a, w()), (c, a, w()), (m, a, w()), (n, c, w())],
+        [(a, b, w()), (c, c, w()), (a, m, w()), (m, n, w())],
         [],
     ]
 
@@ -953,12 +957,12 @@ def product_support(a: MultiPoly, b: MultiPoly) -> int:
 
 
 def shared_pair_steps(groups: list[list]) -> int:
-    """The term-pair steps of _sum_rows on groups: a pair of multi-term
+    """The term-pair steps of sum_of_products on groups: a pair of multi-term
     operands in r > 1 rows of nonzero weight costs |a| * |b| + r * |a * b|,
     with |a * b| its product_support, and any other row |a| * |b|."""
     rows: dict[tuple[int, int], list] = {}
-    for a, b, f, _ in itertools.chain(*groups):
-        if f:
+    for a, b, r in itertools.chain(*groups):
+        if r:
             rows.setdefault(tuple(sorted((id(a), id(b)))), []).append((a, b))
     steps = 0
     for pair in rows.values():
@@ -979,15 +983,12 @@ def test_shared_pairs_match_the_row_reference(seed, monkeypatch):
     vs = VarSet(tuple(f"x{i}" for i in range(1 + seed % 3)))
     groups = shared_pair_groups(rng, vs)
     steps = counted_pair_sums(monkeypatch)
-    results = _sum_rows(vs, groups)
+    results = sum_of_products(vs, groups)
     monkeypatch.undo()
     assert steps[0] == shared_pair_steps(groups)
     assert len(results) == len(groups)
     for got, rows in zip(results, groups):
-        expected = sum(
-            (naive_mul(a, b) * Fraction(f, d) for a, b, f, d in rows), MultiPoly.zero(vs)
-        )
-        assert_twin(got, expected)
+        assert_twin(got, sum((naive_mul(a, b) * r for a, b, r in rows), MultiPoly.zero(vs)))
 
 
 def test_a_shared_pair_costs_one_product_and_one_pass_per_row(monkeypatch):
@@ -997,7 +998,9 @@ def test_a_shared_pair_costs_one_product_and_one_pass_per_row(monkeypatch):
     x, y = MultiPoly.variable(vs, "x"), MultiPoly.variable(vs, "y")
     a, b = x + y * Fraction(1, 2), x - y + 3
     steps = counted_pair_sums(monkeypatch)
-    first, second, third = _sum_rows(vs, [[(a, b, 2, 1)], [(b, a, -1, 3)], [(a, b, 6, 4), (a, x, 1, 1)]])
+    first, second, third = sum_of_products(
+        vs, [[(a, b, 2)], [(b, a, Fraction(-1, 3))], [(a, b, Fraction(6, 4)), (a, x, 1)]]
+    )
     monkeypatch.undo()
     ab = naive_mul(a, b)
     assert len(ab.terms) == product_support(a, b) == 5  # x^2 - 1/2*x*y - 1/2*y^2 + 3*x + 3/2*y
@@ -1012,19 +1015,21 @@ def test_one_term_operands_keep_the_direct_path(monkeypatch):
     c = MultiPoly.variable(vs, "y") * 3
     p = MultiPoly.variable(vs, "x") + Fraction(1, 5)
     steps = counted_pair_sums(monkeypatch)
-    results = _sum_rows(vs, [[(c, p, 1, 1)], [(c, p, 2, 1)], [(p, c, 1, 2), (c, c, 1, 1)], [(c, c, 3, 1)]])
+    results = sum_of_products(vs, [[(c, p, 1)], [(c, p, 2)], [(p, c, Fraction(1, 2)), (c, c, 1)], [(c, c, 3)]])
     monkeypatch.undo()
     assert steps[0] == 3 * 2 + 2 * 1
     cp, cc = naive_mul(c, p), naive_mul(c, c)
     assert results == [cp, cp * 2, cp * Fraction(1, 2) + cc, cc * 3]
 
 
-def test_bracket_entries_are_in_lowest_terms_before_any_read():
+def test_bracket_entries_are_in_lowest_terms_before_any_read(monkeypatch):
     table = BracketTable(q_tuple("t^3 - 3*t, t"))
-    table.extend_to_level(6)
-    for m, entry in table.entries.items():
-        if any(m):
-            assert_lowest_terms_unread(entry)
+
+    def entries():
+        table.extend_to_level(6)
+        return (entry for m, entry in table.entries.items() if any(m))
+
+    assert_lowest_terms_unread(monkeypatch, entries)
 
 
 # -- the packed form on every construction route -------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import digits_value, linear_form, to_upoly_by_exponents
+from conftest import digits_value, forbid_unpacking, linear_form, to_upoly_by_exponents
 from recint.multipoly import (
     MAX_NESTING,
     DenomProfile,
@@ -177,6 +177,32 @@ class TestEvaluation:
         p = MultiPoly.variable(XY, "y") + 1
         with pytest.raises(KeyError):
             p.cast(X)
+
+
+class TestNumIsAView:
+    """num unpacks a new dict on each read: writing to it changes no reading
+    of the polynomial, whichever route built it."""
+
+    BC = VarSet.of("b", "c")
+
+    @pytest.mark.parametrize("route", ["variable", "init", "product", "sum"])
+    def test_writing_to_num_changes_nothing(self, route):
+        b = MultiPoly.variable(self.BC, "b")
+        c = MultiPoly.variable(self.BC, "c")
+        p = {
+            "variable": lambda: MultiPoly.variable(self.BC, "b"),
+            "init": lambda: MultiPoly(self.BC, {(1, 0): 1}),
+            "product": lambda: (b + c) * (b + 1) - b * b - c * b - c,
+            "sum": lambda: b + c - c,
+        }[route]()
+        view = p.num
+        view[(0, 0)] = 7
+        view[(1, 0)] = 5
+        assert p.num == {(1, 0): 1} and p.num is not view
+        assert p.eval({"b": 1, "c": 0}) == 1
+        assert dict(p.terms) == {(1, 0): 1}
+        assert p.subst_value("c", 2) == b
+        assert p.text() == "b" and p == b
 
 
 class TestCanonicalText:
@@ -533,11 +559,12 @@ class TestRepresentation:
 
 
 def kept_only(vs: VarSet, den: int, terms: list[tuple[tuple[int, ...], int]], width: int) -> MultiPoly:
-    """The polynomial sum(c * x^e for e, c in terms) / den with only a kept
-    packed form, its keys at the given field width and in the given order."""
+    """The polynomial sum(c * x^e for e, c in terms) / den, built from its
+    packed form with the keys at the given field width and in the given
+    order."""
     deg = max((sum(e) for e, _ in terms), default=0)
     keys = _pack(list(zip(*(e for e, _ in terms))), width, len(terms))
-    return MultiPoly._new(vs, None, den, (width, deg, list(keys), [c for _, c in terms]))
+    return MultiPoly._new(vs, den, (width, deg, list(keys), [c for _, c in terms]))
 
 
 class TestToUpolyOnPackedKeys:
@@ -546,7 +573,7 @@ class TestToUpolyOnPackedKeys:
 
     @pytest.mark.parametrize("nvars", (1, 2, 3))
     @pytest.mark.parametrize("width", range(7))
-    def test_every_width_and_position(self, width, nvars):
+    def test_every_width_and_position(self, width, nvars, monkeypatch):
         rng = random.Random(10 * width + nvars)
         vs = VarSet(("x", "y", "z")[:nvars])
         terms = {}
@@ -556,40 +583,43 @@ class TestToUpolyOnPackedKeys:
                 e[rng.randrange(nvars)] += 1
             terms[tuple(e)] = rng.choice((-5, 1, 2, 7))
         p = kept_only(vs, rng.choice((1, 3)), list(terms.items()), width)
-        for var in vs.names:
-            got = to_upoly(p, var)
+        with monkeypatch.context() as m:
+            forbid_unpacking(m)
+            ups = [to_upoly(p, var) for var in vs.names]
+        for var, got in zip(vs.names, ups):
             kept = [c for c in got.coeffs if not c.is_zero()]
-            assert all(c._num is None and c._packed[0] == width for c in kept)
+            assert all(c._packed[0] == width for c in kept)
             assert got == to_upoly_by_exponents(p, var)
             assert got.to_multipoly(var).cast(vs) == p
 
 
 class TestPackedEquality:
-    """Two kept packed forms compare without building num."""
+    """Two packed forms compare without building num."""
 
     @pytest.mark.parametrize("names", [(), ("x",), ("x", "y"), ("x", "y", "z")])
-    def test_equal_across_widths_and_orders(self, names):
+    def test_equal_across_widths_and_orders(self, names, monkeypatch):
         vs = VarSet(names)
         rng = random.Random(len(names))
         terms = {tuple(rng.randint(0, 3) for _ in vs): rng.choice((-5, 1, 2, 7)) for _ in range(6)}
         terms = list(terms.items())
         p = kept_only(vs, 3, terms, 4)
         q = kept_only(vs, 3, terms[::-1], 9)
+        forbid_unpacking(monkeypatch)
         assert p == q and q == p
-        assert p._num is None and q._num is None
         assert p == MultiPoly(vs, {e: Fraction(c, 3) for e, c in terms})
         assert MultiPoly(vs, {e: Fraction(c, 3) for e, c in terms}) == q
 
     @pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z")])
-    def test_products_in_either_order(self, names):
+    def test_products_in_either_order(self, names, monkeypatch):
         rng = random.Random(len(names))
         vs = VarSet(names)
         a, b = rand_poly(rng, vs, 3, 6), rand_poly(rng, vs, 4, 5)
-        ab, ba = a * b, b * a
-        [wide] = sum_of_products(vs, [[(a, b, 1), (a * a, b * b * b, 0)]])
-        assert ab == ba == wide
-        assert ab._num is None and ba._num is None and wide._num is None
-        assert ab == MultiPoly(vs, ab.terms)
+        expected = MultiPoly(vs, (a * b).terms)
+        with monkeypatch.context() as m:
+            forbid_unpacking(m)
+            ab, ba = a * b, b * a
+            [wide] = sum_of_products(vs, [[(a, b, 1), (a * a, b * b * b, 0)]])
+            assert ab == ba == wide == expected
 
     @pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z")])
     def test_unequal_when_one_part_differs(self, names):
@@ -609,6 +639,6 @@ class TestPackedEquality:
         ]
         for q in variants:
             assert p != q and q != p
-            plain = MultiPoly._new(vs, dict(q.num), q.den)  # no kept form
+            plain = MultiPoly(vs, q.terms)  # packed at its own width
             assert p != plain and plain != p
-        assert p == MultiPoly._new(vs, dict(p.num), 7)
+        assert p == MultiPoly(vs, p.terms)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import apery_closed_form, conv_by_products, gen_apery, u_c0
+from conftest import apery_closed_form, conv_by_products, forbid_unpacking, gen_apery, u_c0
 from recint import multipoly, sequences
 from recint.multipoly import MultiPoly, VarSet, denom_profile
 from recint.reclang import ParamSeq, parse_poly, parse_spec
@@ -332,18 +332,10 @@ class TestTransforms:
 
     def test_inversion_unpacks_no_kept_polynomial(self, monkeypatch):
         # the inversion sum is one kernel call on the packed forms of u and
-        # of the powers of c; reading num would unpack a kept polynomial
-        u = gen_u(12)
-        num = MultiPoly.num
-
-        def guarded(self):
-            if self._num is None:
-                raise AssertionError("a kept polynomial was unpacked")
-            return num.fget(self)
-
-        monkeypatch.setattr(MultiPoly, "num", property(guarded))
-        wi = w_inv(12, u)
-        assert wi[12]._num is None
+        # of the powers of c
+        u, w12 = gen_u(12), gen_w(12)[12]
+        forbid_unpacking(monkeypatch)
+        assert w_inv(12, u)[12] == w12 * factorial(12)
 
     def test_surviving_odd_part_names_its_index(self, monkeypatch):
         # binomial(5, 2) enters only the weights of n = 5, as binomial(n, m);
