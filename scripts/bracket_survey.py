@@ -9,7 +9,6 @@ worst 2-adic defect per level is printed together with a fitted growth slope.
 import argparse
 
 from recint.brackets import QTuple, certify_table
-from recint.multipoly import to_upoly
 from recint.reclang import parse_poly_list
 
 SUITE = ("t", "t^3", "t, t", "t, t^3", "t^3 - 3*t, t", "t^5, t^3, t")
@@ -25,7 +24,7 @@ def main() -> int:
 
     worst = 0
     for text in args.tuples:
-        q = QTuple([to_upoly(p, "t") for p in parse_poly_list(text, ("t",))])
+        q = QTuple(parse_poly_list(text, ("t",)))
         bound = args.bound3 if q.d >= 3 else args.bound
         cert = certify_table(q, bound)
         status = "certified" if cert.certified else "NOT CERTIFIED"

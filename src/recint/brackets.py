@@ -10,6 +10,9 @@ are 0, and the division by the linear form must be exact.  For tuples of odd
 polynomials every entry is a polynomial whose coefficient denominators are
 pure powers of 2; certify_table checks exactly that, entry by entry.
 
+The Q_i stay the MultiPolys over (t,) that parse_poly_list reads; the table
+takes their integer coefficients off the packed keys.
+
 The expansion of odd-form recurrence terms weights each monomial in the
 recurrence's atom coefficients by a bracket of the corresponding monomial
 tuple at the integer weights.  It needs only that number, so it runs the same
@@ -32,10 +35,6 @@ from .multipoly import (
     horner_sum_div_linear,
 )
 
-#: Coefficient ring of the Q polynomials themselves: plain integers.
-SCALARS = VarSet.of()
-
-
 class BracketDivisionError(ArithmeticError):
     """Bracket construction hit an inexact division at a lattice point."""
 
@@ -57,24 +56,21 @@ def x_varset(d: int) -> VarSet:
 
 
 class QTuple:
-    """Validated tuple of univariate integer polynomials.
+    """Validated tuple of integer polynomials in t, each a MultiPoly over (t,).
 
     Odd tuples (only odd powers of t) are the certified regime; permissive
     mode admits arbitrary integer polynomials for exploration.
     """
 
-    def __init__(self, polys: Sequence[UPoly], permissive: bool = False):
+    def __init__(self, polys: Sequence[MultiPoly], permissive: bool = False):
         if not polys:
             raise ValueError("empty tuple")
-        ps = []
         for p in polys:
-            if p.vs != SCALARS:
-                raise ValueError("Q polynomials must have plain integer coefficients")
-            for c in p.coeffs:
-                if not c.is_constant() or c.constant_value().denominator != 1:
-                    raise ValueError(f"non-integer coefficient in {p.text()}")
-            ps.append(p)
-        self.polys = tuple(ps)
+            if p.vs.names != ("t",):
+                raise ValueError("Q polynomials must be integer polynomials in t alone")
+            if p.den != 1:
+                raise ValueError(f"non-integer coefficient in {p.text()}")
+        self.polys = tuple(polys)
         if not permissive and not self.is_odd():
             raise ValueError(
                 "tuple contains a non-odd polynomial; pass permissive=True to explore"
@@ -85,7 +81,7 @@ class QTuple:
         return len(self.polys)
 
     def is_odd(self) -> bool:
-        return all(p.is_odd() for p in self.polys)
+        return all(d % 2 for p in self.polys for d in _degrees(p._packed[0], p._packed[2]))
 
     def text(self) -> str:
         return ", ".join(p.text() for p in self.polys)
@@ -103,9 +99,14 @@ class BracketTable:
         self.vs = x_varset(q.d)
         # 2^D * Q_i(A / 2) = sum(c_k * 2^(D - k) * A^k) for D = deg Q_i: the
         # Horner multipliers c_D, 2 c_(D-1), ..., 2^D c_0 (none for Q_i = 0)
-        self._horner = [
-            [int(c.constant_value()) << k for k, c in enumerate(reversed(p.coeffs))] for p in q.polys
-        ]
+        self._horner = []
+        for p in q.polys:
+            degs = _degrees(p._packed[0], p._packed[2])
+            top = max(degs, default=-1)
+            h = [0] * (top + 1)
+            for k, c in zip(degs, p._packed[3]):
+                h[top - k] = c << top - k
+            self._horner.append(h)
         self.entries: dict[tuple[int, ...], MultiPoly] = {
             (0,) * q.d: MultiPoly.one(self.vs)
         }
@@ -293,65 +294,22 @@ def _fit_slope(level_max: list[int]) -> float:
 # -- odd-form expansion ----------------------------------------------------------------
 
 
-class Atom:
-    """One monomial a * t^(2j+1) of an odd-form recurrence polynomial p_i."""
+def _multisets(atoms: Sequence[tuple], n: int) -> list[list[tuple[tuple, int]]]:
+    """All multiplicity assignments (atom, multiplicity) of total weight n, in
+    deterministic order; an atom's weight is its first field."""
+    out: list[list[tuple[tuple, int]]] = []
 
-    __slots__ = ("weight", "halfdeg", "coeff")
-
-    def __init__(self, weight, halfdeg, coeff):
-        self.weight: int = weight  # i: how far back the recurrence term reaches
-        self.halfdeg: int = halfdeg  # j: the monomial is t^(2j+1)
-        self.coeff: MultiPoly = coeff  # a: coefficient in the recurrence's parameter ring
-
-
-class OddFormExpansion:
-    """All atoms of an odd-form recurrence, in canonical (weight, halfdeg) order."""
-
-    __slots__ = ("ring", "atoms")
-
-    def __init__(self, ring, atoms):
-        self.ring: VarSet = ring
-        self.atoms: tuple[Atom, ...] = atoms
-
-
-def decompose_odd(p: UPoly) -> list[tuple[int, MultiPoly]]:
-    """Split an odd polynomial into canonical atoms (halfdeg, coefficient)."""
-    if not p.is_odd():
-        raise ValueError(f"not an odd polynomial: {p.text()}")
-    out = []
-    for k, c in enumerate(p.coeffs):
-        if k % 2 and not c.is_zero():
-            out.append(((k - 1) // 2, c))
-    return out
-
-
-def build_expansion(odd_polys: Sequence[UPoly], ring: VarSet) -> OddFormExpansion:
-    """Atoms of the full odd form p_1, ..., p_r (index i = position + 1)."""
-    atoms = []
-    for i, p in enumerate(odd_polys, start=1):
-        if p.vs != ring:
-            raise ValueError("odd-form polynomial ring mismatch")
-        for j, coeff in decompose_odd(p):
-            atoms.append(Atom(i, j, coeff))
-    atoms.sort(key=lambda a: (a.weight, a.halfdeg))
-    return OddFormExpansion(ring, tuple(atoms))
-
-
-def _multisets(atoms: Sequence[Atom], n: int) -> list[list[tuple[Atom, int]]]:
-    """All multiplicity assignments with total weight n, deterministic order."""
-    out: list[list[tuple[Atom, int]]] = []
-
-    def rec(idx: int, remaining: int, chosen: list[tuple[Atom, int]]):
+    def rec(idx: int, remaining: int, chosen: list[tuple[tuple, int]]):
         if remaining == 0:
             out.append(list(chosen))
             return
         if idx == len(atoms):
             return
         atom = atoms[idx]
-        for mult in range(remaining // atom.weight, -1, -1):
+        for mult in range(remaining // atom[0], -1, -1):
             if mult:
                 chosen.append((atom, mult))
-            rec(idx + 1, remaining - mult * atom.weight, chosen)
+            rec(idx + 1, remaining - mult * atom[0], chosen)
             if mult:
                 chosen.pop()
 
@@ -359,20 +317,9 @@ def _multisets(atoms: Sequence[Atom], n: int) -> list[list[tuple[Atom, int]]]:
     return out
 
 
-class ExpansionTerm:
-    """One multiset's contribution to the expansion of u[n]."""
-
-    __slots__ = ("multiset", "bracket_value", "contribution")
-
-    def __init__(self, multiset, bracket_value, contribution):
-        self.multiset: list[tuple[int, int, int]] = multiset  # (weight, halfdeg, multiplicity)
-        self.bracket_value: Fraction = bracket_value
-        self.contribution: MultiPoly = contribution
-
-
 def _point_bracket(values: dict, atoms: tuple, m: tuple[int, ...]) -> Fraction:
     """<Q>_m at x_i = w_i for the monomial tuple Q_i = t^(2 j_i + 1), where
-    atoms[i] = (j_i, w_i), by the defining recurrence with x fixed; values
+    atoms[i] = (w_i, j_i), by the defining recurrence with x fixed; values
     holds the points already known for these atoms, <Q>_0 = 1 among them.
 
     The box 0 <= p <= m is filled in lexicographic order, which reaches each
@@ -382,35 +329,41 @@ def _point_bracket(values: dict, atoms: tuple, m: tuple[int, ...]) -> Fraction:
         for p in itertools.product(*(range(c + 1) for c in m)):
             if p in values:
                 continue
-            form = sum(a * w for a, (_, w) in zip(p, atoms))
+            form = sum(a * w for a, (w, _) in zip(p, atoms))
             total = sum(
                 Fraction(2 * form - w, 2) ** (2 * j + 1) * values[p[:i] + (a - 1,) + p[i + 1 :]]
-                for i, (a, (j, w)) in enumerate(zip(p, atoms))
+                for i, (a, (w, j)) in enumerate(zip(p, atoms))
                 if a
             )
             values[p] = total / form
     return values[m]
 
 
-def expand_terms(expansion: OddFormExpansion, n: int) -> list[ExpansionTerm]:
-    """All bracket-weighted contributions to u[n], in deterministic order."""
+def expand_terms(
+    odd_polys: Sequence[UPoly], ring: VarSet, n: int
+) -> list[tuple[list[tuple[int, int, int]], Fraction, MultiPoly]]:
+    """All bracket-weighted contributions to u[n] of the odd form p_1, ...,
+    p_r over ring (OddFormReport.p), in deterministic order: rows (multiset,
+    bracket value, contribution), each multiset entry (weight, halfdeg,
+    multiplicity) for the atom a * t^(2 halfdeg + 1) of p_weight."""
     if n < 0:
         raise ValueError("negative index")
-    memo: dict = {}  # ((halfdeg, weight), ...) -> {point: bracket value}
-    terms = []
-    for multiset in _multisets(expansion.atoms, n):
-        atoms = tuple((atom.halfdeg, atom.weight) for atom, _ in multiset)
+    atoms = []  # (weight i, halfdeg j, a), by i and then j
+    for i, p in enumerate(odd_polys, start=1):
+        if p.vs != ring:
+            raise ValueError("odd-form polynomial ring mismatch")
+        if not p.is_odd():
+            raise ValueError(f"not an odd polynomial: {p.text()}")
+        atoms += [(i, k // 2, c) for k, c in enumerate(p.coeffs) if k % 2 and not c.is_zero()]
+    memo: dict = {}  # ((weight, halfdeg), ...) -> {point: bracket value}
+    rows = []
+    for multiset in _multisets(atoms, n):
+        key = tuple(atom[:2] for atom, _ in multiset)
         point = tuple(mult for _, mult in multiset)
-        values = memo.setdefault(atoms, {(0,) * len(atoms): Fraction(1)})
-        value = _point_bracket(values, atoms, point)  # 1 for n = 0
-        contrib = MultiPoly.const(expansion.ring, value)
-        for atom, mult in multiset:
-            contrib = contrib * atom.coeff**mult
-        terms.append(
-            ExpansionTerm(
-                multiset=[(a.weight, a.halfdeg, mult) for a, mult in multiset],
-                bracket_value=value,
-                contribution=contrib,
-            )
-        )
-    return terms
+        values = memo.setdefault(key, {(0,) * len(key): Fraction(1)})
+        value = _point_bracket(values, key, point)  # 1 for n = 0
+        contrib = MultiPoly.const(ring, value)
+        for (_, _, c), mult in multiset:
+            contrib = contrib * c**mult
+        rows.append(([(i, j, mult) for (i, j), mult in zip(key, point)], value, contrib))
+    return rows

@@ -19,7 +19,7 @@ import sys
 from . import brackets as br
 from . import series
 from .certify import certify
-from .multipoly import MAX_ORDER, MultiPoly, _decimal, json_text, to_upoly
+from .multipoly import MAX_ORDER, MultiPoly, _decimal, json_text
 from .reclang import (
     SpecSyntaxError,
     parse_poly_list,
@@ -243,7 +243,7 @@ def cmd_brackets(args) -> int:
         print(f"recint: tuple: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        q = br.QTuple([to_upoly(p, "t") for p in polys], permissive=args.permissive)
+        q = br.QTuple(polys, permissive=args.permissive)
     except ValueError as e:
         print(f"recint: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -291,23 +291,20 @@ def cmd_expand(args) -> int:
         )
         print(f"recint: odd form not applicable: {detail}", file=sys.stderr)
         return EXIT_USAGE
-    expansion = br.build_expansion(odd.p, spec.ring)
-    terms = br.expand_terms(expansion, args.n)
     total = MultiPoly.zero(spec.ring)
     records = []
-    for t in terms:
-        v = t.bracket_value  # str() refuses over 4,300 digits by default
-        bracket = _decimal(v.numerator)
+    for multiset, v, contribution in br.expand_terms(odd.p, spec.ring, args.n):
+        bracket = _decimal(v.numerator)  # str() refuses over 4,300 digits by default
         if v.denominator != 1:
             bracket += f"/{_decimal(v.denominator)}"
         records.append(
             {
-                "multiset": [list(entry) for entry in t.multiset],
+                "multiset": [list(entry) for entry in multiset],
                 "bracket": bracket,
-                "contribution": t.contribution.text(),
+                "contribution": contribution.text(),
             }
         )
-        total = total + t.contribution
+        total = total + contribution
     direct = run_spec(spec, args.n)[args.n]
     match = total == direct
     summary = {

@@ -18,9 +18,9 @@ unpacked from it on each read, for eval, subst_value and callers that want
 coefficients.
 
 UPoly layers a dense univariate polynomial (in an auxiliary indeterminate)
-over MultiPoly coefficients; it carries the parity predicates and affine
-reindexing used by the odd-form machinery.  Everything is immutable by
-convention and arithmetic is exact.
+over MultiPoly coefficients, for one job: the odd form's half-shift
+q_i(n + i/2) in reclang.to_odd_form and the parity reads of its result.
+Everything is immutable by convention and arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -750,9 +750,7 @@ class UPoly:
     def compose_affine(self, shift: Fraction | int) -> "UPoly":
         """Return q(t) = self(t + shift): eval_poly (packed Horner) at t + shift,
         with t a variable appended to vs under a name vs does not use."""
-        t = "t"
-        while t in self.vs.names:
-            t += "_"
+        t = _free_name(self.vs, "t")
         full = VarSet(self.vs.names + (t,))
         return to_upoly(self.eval_poly(MultiPoly.variable(full, t) + Fraction(shift)), t)
 
@@ -813,10 +811,18 @@ class UPoly:
         return MultiPoly._new(full, den, (width, deg, keys, nums))
 
     def text(self, indet: str = "t") -> str:
-        return self.to_multipoly(indet).text()
+        """to_multipoly's text, under indet with "_" appended until free."""
+        return self.to_multipoly(_free_name(self.vs, indet)).text()
 
     def __repr__(self):
         return f"UPoly({self.text()!r})"
+
+
+def _free_name(vs: VarSet, name: str) -> str:
+    """name with "_" appended until vs does not use it."""
+    while name in vs.names:
+        name += "_"
+    return name
 
 
 def to_upoly(p: MultiPoly, var: str) -> UPoly:

@@ -121,10 +121,6 @@ class RecurrenceSpec:
     def ring(self) -> VarSet:
         return VarSet(self.ring_vars)
 
-    def q_upoly(self, i: int) -> UPoly:
-        """q_i as a univariate polynomial in n over the ring variables."""
-        return to_upoly(self.q[i - 1], "n")
-
 
 # -- parser -------------------------------------------------------------------------
 
@@ -474,8 +470,8 @@ def to_odd_form(spec: RecurrenceSpec) -> OddFormReport:
         )
     ps = []
     offenders = []
-    for i in range(1, spec.order + 1):
-        p = spec.q_upoly(i).compose_affine(Fraction(i, 2))
+    for i, q in enumerate(spec.q, start=1):
+        p = to_upoly(q, "n").compose_affine(Fraction(i, 2))
         ps.append(p)
         if not p.is_odd():
             offenders.append((i, p.even_part()))

@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
-from .multipoly import MultiPoly, UPoly, VarSet, sum_of_products
+from .multipoly import MultiPoly, VarSet, sum_of_products
 from .scalars import binomial, factorial
-from .sequences import RING_B, RING_BC, gen_u, gen_w, poch_products
+from .sequences import RING_B, RING_BC, _c_powers, gen_u, gen_w, poch_products
 
 
 class TruncSeries:
@@ -186,16 +186,16 @@ def inv_sqrt(a: TruncSeries) -> TruncSeries:
 
 class OdeOperator:
     """Linear differential operator sum_k p_k(t) * D^k with polynomial
-    coefficients; p_k is a UPoly in t.  Applying an operator of maximal
-    derivative order k to an order-N series yields a residual trustworthy
-    through order N - k.
+    coefficients; each term is (k, [coefficients of t^0, t^1, ... in p_k]),
+    MultiPolys over vs.  Applying an operator of maximal derivative order k
+    to an order-N series yields a residual trustworthy through order N - k.
     """
 
     __slots__ = ("vs", "terms")
 
     def __init__(self, vs, terms):
         self.vs: VarSet = vs
-        self.terms: tuple[tuple[int, UPoly], ...] = terms
+        self.terms: tuple[tuple[int, list[MultiPoly]], ...] = terms
 
     @property
     def max_order(self) -> int:
@@ -210,8 +210,8 @@ class OdeOperator:
         if top < 0:
             raise ValueError("series order too small for this operator")
         groups: list[list] = [[] for _ in range(top + 1)]
-        for k, poly in self.terms:
-            for j, cj in enumerate(poly.coeffs):
+        for k, coeffs in self.terms:
+            for j, cj in enumerate(coeffs):
                 # coefficient i of the k-th derivative is (i+1)...(i+k) * y[i+k]
                 for i in range(top + 1 - j):
                     groups[i + j].append((cj, y.coeffs[i + k], factorial(i + k) // factorial(i)))
@@ -228,9 +228,9 @@ def base_ode() -> OdeOperator:
     return OdeOperator(
         RING_BC,
         (
-            (2, UPoly(RING_BC, [zero, zero, one])),
-            (1, UPoly(RING_BC, [one, MultiPoly.const(RING_BC, 2)])),
-            (0, UPoly(RING_BC, [-b, zero, -c])),
+            (2, [zero, zero, one]),
+            (1, [one, MultiPoly.const(RING_BC, 2)]),
+            (0, [-b, zero, -c]),
         ),
     )
 
@@ -248,10 +248,10 @@ def symmetric_square_ode() -> OdeOperator:
     return OdeOperator(
         RING_BC,
         (
-            (3, UPoly(RING_BC, [zero, zero, zero, zero, one])),
-            (2, UPoly(RING_BC, [zero, zero, zero, MultiPoly.const(RING_BC, 6)])),
-            (1, UPoly(RING_BC, [-one, zero, MultiPoly.const(RING_BC, 6) - b * 4, zero, -c * 4])),
-            (0, UPoly(RING_BC, [zero, -b * 4, zero, -c * 8])),
+            (3, [zero, zero, zero, zero, one]),
+            (2, [zero, zero, zero, MultiPoly.const(RING_BC, 6)]),
+            (1, [-one, zero, MultiPoly.const(RING_BC, 6) - b * 4, zero, -c * 4]),
+            (0, [zero, -b * 4, zero, -c * 8]),
         ),
     )
 
@@ -312,10 +312,7 @@ def _report(name: str, order: int, lhs: TruncSeries, rhs: TruncSeries, note: str
 def _even_rhs(order: int, w: Sequence[MultiPoly], weight: Callable[[int, int], int]) -> TruncSeries:
     """sum of (-1)^(n+k) weight(n, k) c^k w[n] t^(2n + 4k) over w[0..order // 2]:
     one sum_of_products group per even degree, of the rows (c^k, w[n], weight)."""
-    c = MultiPoly.variable(RING_BC, "c")
-    ck = [MultiPoly.one(RING_BC)]
-    for _ in range(order // 4):
-        ck.append(ck[-1] * c)
+    ck = _c_powers(order // 4)
     groups = (  # n + k = m - k
         [(ck[k], w[m - 2 * k], (-1) ** (m - k) * weight(m - 2 * k, k)) for k in range(m // 2 + 1)]
         for m in range(order // 2 + 1)

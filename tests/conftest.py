@@ -62,14 +62,19 @@ def linear_form(vs, coeffs: Sequence[Fraction | int]):
     return MultiPoly(vs, terms)
 
 
-def q_monomial(halfdeg: int):
-    """The odd atom t^(2*halfdeg + 1) as a UPoly with integer coefficients."""
-    from recint.brackets import SCALARS
-    from recint.multipoly import UPoly
+def q_poly(coeffs):
+    """The Q polynomial sum(coeffs[k] * t^k), a MultiPoly over (t,) as
+    parse_poly_list reads a bracket tuple."""
+    from recint.multipoly import MultiPoly, VarSet
 
+    return MultiPoly(VarSet.of("t"), {(k,): c for k, c in enumerate(coeffs)})
+
+
+def q_monomial(halfdeg: int):
+    """The odd atom t^(2*halfdeg + 1) as a Q polynomial."""
     if halfdeg < 0:
         raise ValueError("negative half-degree")
-    return UPoly(SCALARS, [0] * (2 * halfdeg + 1) + [1])
+    return q_poly([0] * (2 * halfdeg + 1) + [1])
 
 
 def conv_by_products(n: int, w):

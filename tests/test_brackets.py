@@ -6,17 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import q_monomial, r3_closed_form
+from conftest import q_monomial, q_poly, r3_closed_form
 from recint.brackets import (
-    Atom,
     BracketDivisionError,
     BracketTable,
-    SCALARS,
     QTuple,
     Theorem3ViolationError,
-    build_expansion,
     certify_table,
-    decompose_odd,
     expand_terms,
     x_varset,
 )
@@ -28,7 +24,7 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def q_tuple(*coeff_lists, permissive=False) -> QTuple:
-    return QTuple([UPoly(SCALARS, cs) for cs in coeff_lists], permissive=permissive)
+    return QTuple([q_poly(cs) for cs in coeff_lists], permissive=permissive)
 
 
 T = [0, 1]
@@ -56,13 +52,13 @@ class TestQTuple:
             QTuple([])
 
     def test_non_integer_coefficients_rejected(self):
-        bad = UPoly(VarSet.of(), [0, Fraction(1, 2)])
+        bad = q_poly([0, Fraction(1, 2)])
         with pytest.raises(ValueError):
             QTuple([bad])
 
     def test_parametric_coefficients_rejected(self):
-        vs = VarSet.of("b")
-        bad = UPoly(vs, [MultiPoly.zero(vs), MultiPoly.variable(vs, "b")])
+        vs = VarSet.of("b", "t")
+        bad = MultiPoly.variable(vs, "b") * MultiPoly.variable(vs, "t")
         with pytest.raises(ValueError):
             QTuple([bad])
 
@@ -244,58 +240,58 @@ class TestCertification:
         ]
 
 
+def expansion_total(odd_p, ring, n):
+    """u[n] from the odd form's expansion: the sum of its contributions."""
+    return sum((c for _, _, c in expand_terms(odd_p, ring, n)), MultiPoly.zero(ring))
+
+
 class TestOddFormExpansion:
-    def test_decompose_odd(self):
+    def test_atoms_of_an_odd_polynomial(self):
+        # each atom a * t^(2j+1) of p_1 is alone in one multiset at n = 1,
+        # with the contribution a times its bracket value
         vs = VarSet.of("b")
         b = MultiPoly.variable(vs, "b")
         p = UPoly(vs, [MultiPoly.zero(vs), -(b * 4) - 1, MultiPoly.zero(vs), MultiPoly.const(vs, 4)])
-        atoms = decompose_odd(p)
-        assert atoms == [(0, -(b * 4) - 1), (1, MultiPoly.const(vs, 4))]
+        atoms = [(ms, c / v) for ms, v, c in expand_terms([p], vs, 1)]
+        assert atoms == [([(1, 0, 1)], -(b * 4) - 1), ([(1, 1, 1)], MultiPoly.const(vs, 4))]
 
-    def test_decompose_rejects_even(self):
+    def test_expand_rejects_even(self):
         vs = VarSet.of()
         with pytest.raises(ValueError):
-            decompose_odd(UPoly(vs, [1, 0, 1]))
+            expand_terms([UPoly(vs, [1, 0, 1])], vs, 1)
 
     def test_expansion_of_product_recurrence(self):
         spec = parse_spec((SPECS / "useq.spec").read_text())
         odd = to_odd_form(spec)
         assert odd.applicable
-        expansion = build_expansion(odd.p, spec.ring)
-        assert [(a.weight, a.halfdeg) for a in expansion.atoms] == [(1, 0), (1, 1), (2, 0)]
+        # p_1 and p_2 only, so every atom stands alone in a multiset by n = 2
+        atoms = {(w, j) for n in range(3) for ms, _, _ in expand_terms(odd.p, spec.ring, n) for w, j, _ in ms}
+        assert sorted(atoms) == [(1, 0), (1, 1), (2, 0)]
         u = gen_u(6)
-        zero = MultiPoly.zero(spec.ring)
         for n in range(7):
-            assert sum((t.contribution for t in expand_terms(expansion, n)), zero) == u[n]
+            assert expansion_total(odd.p, spec.ring, n) == u[n]
 
     def test_hand_checked_first_expansion(self):
         spec = parse_spec((SPECS / "useq.spec").read_text())
-        expansion = build_expansion(to_odd_form(spec).p, spec.ring)
-        terms = expand_terms(expansion, 1)
-        assert [t.multiset for t in terms] == [[(1, 0, 1)], [(1, 1, 1)]]
-        assert [t.bracket_value for t in terms] == [Fraction(1, 2), Fraction(1, 8)]
-        texts = [t.contribution.text() for t in terms]
+        multisets, values, contributions = zip(*expand_terms(to_odd_form(spec).p, spec.ring, 1))
+        assert list(multisets) == [[(1, 0, 1)], [(1, 1, 1)]]
+        assert list(values) == [Fraction(1, 2), Fraction(1, 8)]
+        texts = [c.text() for c in contributions]
         assert texts == ["-2*b - 1/2", "1/2"]
-        total = terms[0].contribution + terms[1].contribution
-        assert total.text() == "-2*b"
+        assert (contributions[0] + contributions[1]).text() == "-2*b"
 
     def test_zero_index_is_unit(self):
         spec = parse_spec((SPECS / "useq.spec").read_text())
-        expansion = build_expansion(to_odd_form(spec).p, spec.ring)
-        total = sum((t.contribution for t in expand_terms(expansion, 0)), MultiPoly.zero(spec.ring))
-        assert total.constant_value() == 1
+        assert expansion_total(to_odd_form(spec).p, spec.ring, 0).constant_value() == 1
 
     def test_synthetic_specs_reconstruct(self):
         for name in ("odd-cubic.spec", "odd-mixed.spec", "odd-deep.spec"):
             spec = parse_spec((SPECS / name).read_text())
             odd = to_odd_form(spec)
             assert odd.applicable, name
-            expansion = build_expansion(odd.p, spec.ring)
             direct = run_spec(spec, 10)
-            zero = MultiPoly.zero(spec.ring)
             for n in range(11):
-                total = sum((t.contribution for t in expand_terms(expansion, n)), zero)
-                assert total == direct[n], (name, n)
+                assert expansion_total(odd.p, spec.ring, n) == direct[n], (name, n)
 
     @pytest.mark.parametrize(
         "name", ["useq.spec", "odd-cubic.spec", "odd-mixed.spec", "odd-deep.spec"]
@@ -304,44 +300,43 @@ class TestOddFormExpansion:
         # expand takes each bracket at the point; the polynomial table of the
         # same monomial tuple, evaluated there, must give the same number
         spec = parse_spec((SPECS / name).read_text())
-        expansion = build_expansion(to_odd_form(spec).p, spec.ring)
+        odd_p = to_odd_form(spec).p
         tables = {}
         checked = 0
         for n in range(7):  # weights are >= 1, so |m| <= 6
-            for term in expand_terms(expansion, n):
-                if not term.multiset:
+            for multiset, value, _ in expand_terms(odd_p, spec.ring, n):
+                if not multiset:
                     continue
-                weights, halfdegs, point = zip(*term.multiset)
+                weights, halfdegs, point = zip(*multiset)
                 if halfdegs not in tables:
                     tables[halfdegs] = BracketTable(QTuple([q_monomial(j) for j in halfdegs]))
                 x = {f"x{k}": w for k, w in enumerate(weights, start=1)}
                 expected = tables[halfdegs].entry(point).eval(x)
-                assert term.bracket_value == expected, (n, term.multiset)
+                assert value == expected, (n, multiset)
                 checked += 1
         assert checked > 20 and any(len(h) == 3 for h in tables)
 
     def test_expansion_denominators_are_powers_of_two(self):
         spec = parse_spec((SPECS / "odd-deep.spec").read_text())
-        expansion = build_expansion(to_odd_form(spec).p, spec.ring)
-        zero = MultiPoly.zero(spec.ring)
+        odd_p = to_odd_form(spec).p
         for n in range(7):
-            prof = denom_profile(sum((t.contribution for t in expand_terms(expansion, n)), zero))
-            assert prof.two_adic_only, n
+            assert denom_profile(expansion_total(odd_p, spec.ring, n)).two_adic_only, n
 
     def test_negative_index_rejected(self):
         spec = parse_spec((SPECS / "useq.spec").read_text())
-        expansion = build_expansion(to_odd_form(spec).p, spec.ring)
         with pytest.raises(ValueError):
-            expand_terms(expansion, -1)
+            expand_terms(to_odd_form(spec).p, spec.ring, -1)
 
-    def test_build_expansion_ring_mismatch(self):
+    def test_expand_ring_mismatch(self):
         vs = VarSet.of("b")
         other = VarSet.of("z")
         p = UPoly(vs, [MultiPoly.zero(vs), MultiPoly.one(vs)])
         with pytest.raises(ValueError):
-            build_expansion([p], other)
+            expand_terms([p], other, 1)
 
     def test_atom_fields(self):
+        # a multiset entry is (weight, halfdeg, multiplicity): p_2 = t^3 has
+        # the one atom of weight 2 and halfdeg 1
         vs = VarSet.of("b")
-        atom = Atom(2, 1, MultiPoly.one(vs))
-        assert (atom.weight, atom.halfdeg) == (2, 1)
+        p2 = UPoly(vs, [0, 0, 0, 1])
+        assert [ms for ms, _, _ in expand_terms([UPoly(vs, []), p2], vs, 2)] == [[(2, 1, 1)]]

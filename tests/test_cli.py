@@ -21,7 +21,7 @@ from conftest import (
     run_cli,
 )
 from recint import cli, series
-from recint.multipoly import MAX_COEF_BITS, MAX_DEGREE, MAX_ORDER, _decimal
+from recint.multipoly import MAX_COEF_BITS, MAX_DEGREE, MAX_ORDER, UPoly, _decimal
 from recint.scalars import factorial
 from recint.reclang import parse_poly_list, parse_spec
 
@@ -249,6 +249,26 @@ class TestExpand:
         assert (digits_value(num), digits_value(den)) == (expected.numerator, expected.denominator)
 
 
+class TestRingVariableT:
+    """A ring variable named t: the odd form's indeterminate takes a free name."""
+
+    @pytest.mark.parametrize("ring", ["t", "t t_"])
+    def test_certify_reports_the_offender(self, ring, tmp_path):
+        spec = tmp_path / "t.spec"
+        spec.write_text(f"ring {ring};\nseq v;\nrec: n*v[n] = t*n*v[n-1];\n")
+        code, out, err = run_cli("certify", "--spec", str(spec), "--n", "4", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["offenders"] == [{"i": 1, "even_part": "1/2*t"}]
+
+    @pytest.mark.parametrize("ring", ["t", "t t_"])
+    def test_expand_is_not_applicable(self, ring, tmp_path):
+        spec = tmp_path / "t.spec"
+        spec.write_text(f"ring {ring};\nseq v;\nrec: n*v[n] = t*n*v[n-1];\n")
+        code, out, err = run_cli("expand", "--spec", str(spec), "--n", "4")
+        assert (code, out) == (2, "")
+        assert err == "recint: odd form not applicable: p_1 has even part 1/2*t\n"
+
+
 class TestOutput:
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "terms.json"
@@ -281,6 +301,24 @@ class TestOutput:
         )
         expected = [run_cli(*argv) for argv in calls]
         forbid_unpacking(monkeypatch)
+        for argv, before in zip(calls, expected):
+            assert run_cli(*argv) == before
+            assert before[0] == 0
+
+
+    def test_brackets_and_operators_build_no_upoly(self, monkeypatch):
+        # the bracket tuples and the pinned operators keep plain MultiPolys
+        calls = (
+            ("brackets", "t^5, t^3, t", "--n", "6", "--format", "json"),
+            ("verify", "ode-g", "--order", "8"),
+            ("verify", "ode-G", "--order", "8"),
+        )
+        expected = [run_cli(*argv) for argv in calls]
+
+        def built(self, *args):
+            raise AssertionError("a UPoly was built")
+
+        monkeypatch.setattr(UPoly, "__init__", built)
         for argv, before in zip(calls, expected):
             assert run_cli(*argv) == before
             assert before[0] == 0

@@ -33,9 +33,9 @@ from math import gcd
 
 import pytest
 
-from conftest import CORPUS, SPECS_DIR, forbid_unpacking, linear_form
+from conftest import CORPUS, SPECS_DIR, forbid_unpacking, linear_form, q_poly
 from recint import multipoly
-from recint.brackets import SCALARS, BracketDivisionError, BracketTable, QTuple
+from recint.brackets import BracketDivisionError, BracketTable, QTuple
 from recint.multipoly import (
     InexactDivisionError,
     MultiPoly,
@@ -127,7 +127,7 @@ def loop_eval(p: MultiPoly, point) -> Fraction:
 def loop_run_spec(spec, n: int) -> list[MultiPoly]:
     """The recurrence one MultiPoly product and sum at a time."""
     ring = spec.ring
-    qs = [spec.q_upoly(i) for i in range(1, spec.order + 1)]
+    qs = [to_upoly(spec.q[i - 1], "n") for i in range(1, spec.order + 1)]
     terms = [MultiPoly.one(ring)]
     for k in range(1, n + 1):
         acc = MultiPoly.zero(ring)
@@ -381,7 +381,7 @@ def test_compose_affine_matches_horner(seed):
 def test_compose_affine_on_corpus_q(name):
     spec = parse_spec((SPECS_DIR / name).read_text())
     for i in range(1, spec.order + 1):
-        u = spec.q_upoly(i)
+        u = to_upoly(spec.q[i - 1], "n")
         assert u.compose_affine(Fraction(i, 2)) == horner_compose_affine(u, Fraction(i, 2))
 
 
@@ -440,7 +440,7 @@ def test_horner_sum_div_linear_matches_references(seed):
         scaled = [(h, a, s, p * scale) for h, a, s, p in rows]
         num = MultiPoly.zero(vs)
         for h, a, s, p in scaled:
-            num = num + horner_eval_poly(UPoly(SCALARS, h[::-1]), linear_form(vs, a)) * p * Fraction(1, s)
+            num = num + horner_eval_poly(UPoly(VarSet.of(), h[::-1]), linear_form(vs, a)) * p * Fraction(1, s)
         try:
             expected = slice_div_linear(num, m)
         except InexactDivisionError as e:
@@ -473,7 +473,7 @@ def reference_entry(table: BracketTable, m) -> MultiPoly:
         if m[i]:
             prev = table.entries[m[:i] + (m[i] - 1,) + m[i + 1 :]]
             weights = [Fraction(w) - (Fraction(1, 2) if j == i else 0) for j, w in enumerate(m)]
-            num = num + horner_eval_poly(qi, linear_form(vs, weights)) * prev
+            num = num + horner_eval_poly(to_upoly(qi, "t"), linear_form(vs, weights)) * prev
     return slice_div_linear(num, m)
 
 
@@ -507,13 +507,13 @@ def check_table(q: QTuple, bound: int) -> BracketDivisionError | None:
 
 
 def q_tuple(text: str, permissive: bool = False) -> QTuple:
-    return QTuple([to_upoly(p, "t") for p in parse_poly_list(text, ("t",))], permissive)
+    return QTuple(parse_poly_list(text, ("t",)), permissive)
 
 
 def test_bracket_entries_match_references():
     # the table's own arithmetic, entry by entry: sum_i Q_i(<m,x> - x_i/2) *
     # <Q>_{m-e_i} by Horner and products, then divided slice by slice
-    q = QTuple([UPoly(SCALARS, c) for c in ([0, -3, 0, 1], [0, 1], [0, 0, 0, 2])])
+    q = QTuple([q_poly(c) for c in ([0, -3, 0, 1], [0, 1], [0, 0, 0, 2])])
     assert check_table(q, 4) is None
 
 
@@ -572,7 +572,7 @@ def test_random_permissive_tables_match_references(seed):
     polys = []
     for _ in range(rng.randint(1, 3)):
         coeffs = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(rng.randint(0, 4))]
-        polys.append(UPoly(SCALARS, coeffs))
+        polys.append(q_poly(coeffs))
     check_table(QTuple(polys, permissive=True), 4 if len(polys) < 3 else 3)
 
 
@@ -635,7 +635,7 @@ RATIONAL_SPECS = (
 def test_q_at_matches_eval_scalar(text):
     spec = parse_spec(text)
     for i, q in enumerate(spec.q, start=1):
-        u = spec.q_upoly(i)
+        u = to_upoly(spec.q[i - 1], "n")
         for k in range(41):
             assert _q_at(q, spec.ring, k) == u.eval_scalar(k)
 
@@ -663,7 +663,7 @@ def horner_sum_reference(vs: VarSet, rows, m) -> MultiPoly:
     """sum(h(A) * p / s) by Horner with `*` and `+`, divided slice by slice."""
     num = MultiPoly.zero(vs)
     for h, a, s, p in rows:
-        num = num + horner_eval_poly(UPoly(SCALARS, h[::-1]), linear_form(vs, a)) * p * Fraction(1, s)
+        num = num + horner_eval_poly(UPoly(VarSet.of(), h[::-1]), linear_form(vs, a)) * p * Fraction(1, s)
     return slice_div_linear(num, m)
 
 

@@ -16,9 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, SPECS_DIR
-from recint.brackets import SCALARS, BracketTable, QTuple
-from recint.multipoly import UPoly
+from conftest import CORPUS, SPECS_DIR, q_poly
+from recint.brackets import BracketTable, QTuple
 from recint.reclang import parse_spec, run_spec
 from recint.scalars import binomial, factorial
 from recint.sequences import gen_u, gen_w, u_bin, u_conv, w_inv
@@ -195,7 +194,7 @@ def scalar_brackets(qs, x: list[Fraction], bound: int) -> dict[tuple[int, ...], 
 @pytest.mark.parametrize("name", TUPLES)
 def test_bracket_entries(name):
     qs, bound = TUPLES[name]
-    table = BracketTable(QTuple([UPoly(SCALARS, cs) for cs in qs], permissive=True))
+    table = BracketTable(QTuple([q_poly(cs) for cs in qs], permissive=True))
     table.extend_to_level(bound)
     for seed in SEEDS:
         rng = random.Random(seed)
